@@ -10,7 +10,9 @@
 // "pr4") the JSON re-emits the committed pre-SIMD numbers for the two
 // headline kernels ("rev": "pr2"), and every fresh row carries
 // speedup_vs_pr2 where a matching pr2 row exists — the before/after pair the
-// tentpole is judged on.
+// tentpole is judged on. Every fresh row is stamped with the machine it ran
+// on (hardware thread count and kernels::machine_topology_key()); the frozen
+// pr2 rows carry null stamps, since their machine was not recorded.
 
 #include <algorithm>
 #include <chrono>
@@ -22,9 +24,11 @@
 #include "algo/conv_variants.h"
 #include "algo/winograd_conv.h"
 #include "bench_util.h"
+#include "kernels/blocking.h"
 #include "kernels/gemm.h"
 #include "kernels/parallel.h"
 #include "nn/reference.h"
+#include "support/hardware.h"
 
 using namespace hetacc;
 
@@ -167,18 +171,27 @@ void write_json(const std::vector<Record>& recs, const char* path) {
     std::printf("warning: cannot open %s for writing\n", path);
     return;
   }
+  const std::string here =
+      "\"cores\": " + std::to_string(hardware_threads()) +
+      ", \"machine_topology_key\": \"" + kernels::machine_topology_key() +
+      "\"";
+  const std::string unrecorded =
+      "\"cores\": null, \"machine_topology_key\": null";
   std::fprintf(f, "[\n");
   for (std::size_t i = 0; i < recs.size(); ++i) {
     const Record& r = recs[i];
+    const bool frozen = std::strcmp(r.rev, "pr2") == 0;
     std::fprintf(f,
                  "  {\"kernel\": \"%s\", \"geometry\": \"%s\", \"in_c\": %d, "
                  "\"out_c\": %d, \"hw\": %d, \"k\": %d, \"threads\": %d, "
                  "\"ms\": %.4f, \"speedup_vs_scalar\": %.3f, "
                  "\"speedup_vs_pr2\": %.3f, \"speedup_vs_i16\": %.3f, "
-                 "\"rev\": \"%s\"}%s\n",
+                 "\"rev\": \"%s\", %s}%s\n",
                  r.kernel.c_str(), r.g.model, r.g.in_c, r.g.out_c, r.g.hw,
                  r.g.k, r.threads, r.ms, r.speedup, r.speedup_pr2,
-                 r.speedup_i16, r.rev, i + 1 < recs.size() ? "," : "");
+                 r.speedup_i16, r.rev,
+                 (frozen ? unrecorded : here).c_str(),
+                 i + 1 < recs.size() ? "," : "");
   }
   std::fprintf(f, "]\n");
   std::fclose(f);
@@ -208,9 +221,10 @@ int main() {
       thread_counts.end()) {
     thread_counts.push_back(hw_cores);
   }
-  std::printf("hardware threads: %d; SIMD micro-kernels: %s; sweeping "
-              "threads {",
-              hw_cores, kernels::simd_enabled() ? "on" : "off (scalar)");
+  std::printf("hardware threads: %d (%s); SIMD micro-kernels: %s; "
+              "sweeping threads {",
+              hw_cores, kernels::machine_topology_key().c_str(),
+              kernels::simd_enabled() ? "on" : "off (scalar)");
   for (std::size_t i = 0; i < thread_counts.size(); ++i) {
     std::printf("%s%d", i ? ", " : "", thread_counts[i]);
   }

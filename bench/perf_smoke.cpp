@@ -11,6 +11,11 @@
 //     single-core box, so the 2x threshold is generous headroom for CI
 //     runner variance while still catching order-of-magnitude regressions
 //     (e.g. losing SIMD dispatch or packing reuse).
+//  3. System time: over the timed kernel loop, system CPU time must stay
+//     under 5% of user + system time (getrusage). Both counters come from
+//     the same process, so the gate holds on any machine; it catches an OS
+//     call creeping into the per-dispatch path (a per-call sysfs read of
+//     the core count once cost the serving fleet half its CPU).
 //
 // Regenerate the baseline after an intentional perf change:
 //   perf_smoke --write-baseline path/to/perf_baseline.json
@@ -21,6 +26,8 @@
 #include <cstring>
 #include <string>
 #include <vector>
+
+#include <sys/resource.h>
 
 #include "algo/conv_variants.h"
 #include "algo/winograd_conv.h"
@@ -49,6 +56,21 @@ double best_ms(const Fn& fn, int reps) {
 }
 
 volatile float g_sink = 0.0f;
+
+/// Process user and system CPU seconds so far.
+struct CpuTimes {
+  double user = 0.0, sys = 0.0;
+};
+
+CpuTimes cpu_times() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  const auto secs = [](const timeval& tv) {
+    return static_cast<double>(tv.tv_sec) +
+           1e-6 * static_cast<double>(tv.tv_usec);
+  };
+  return {secs(ru.ru_utime), secs(ru.ru_stime)};
+}
 
 struct Measurement {
   const char* kernel;
@@ -117,6 +139,7 @@ int main(int argc, char** argv) {
       },
       3);
 
+  const CpuTimes loop_start = cpu_times();
   std::vector<Measurement> measured;
   measured.push_back({"im2col_gemm", best_ms(
       [&] { g_sink = algo::conv_im2col(in, f, bias, 1, 1, true).at(0, 0, 0); },
@@ -162,6 +185,12 @@ int main(int argc, char** argv) {
       },
       5)});
 
+  const CpuTimes loop_end = cpu_times();
+  const double loop_user = loop_end.user - loop_start.user;
+  const double loop_sys = loop_end.sys - loop_start.sys;
+  const double sys_frac =
+      loop_user + loop_sys > 0.0 ? loop_sys / (loop_user + loop_sys) : 0.0;
+
   const double blocked = measured[0].ms;
   std::printf("perf_smoke: scalar %.2f ms (1 thread, 64x56x56 * 64 3x3 "
               "filters), SIMD %s\n",
@@ -169,6 +198,9 @@ int main(int argc, char** argv) {
   for (const Measurement& m : measured) {
     std::printf("perf_smoke:   %-22s %8.2f ms\n", m.kernel, m.ms);
   }
+  std::printf("perf_smoke: kernel loop system time %.3f s of %.3f s CPU "
+              "(sys_frac %.4f, limit 0.05)\n",
+              loop_sys, loop_user + loop_sys, sys_frac);
 
   if (write_path) {
     std::FILE* out = std::fopen(write_path, "w");
@@ -207,6 +239,13 @@ int main(int argc, char** argv) {
   if (i8_ms >= i16_ms) {
     std::printf("perf_smoke: FAIL — int8 im2col+GEMM must beat the i16 path "
                 "single-threaded\n");
+    ok = false;
+  }
+
+  if (sys_frac > 0.05) {
+    std::printf("perf_smoke: FAIL — system time is %.1f%% of the kernel "
+                "loop's CPU time (limit 5%%)\n",
+                100.0 * sys_frac);
     ok = false;
   }
 

@@ -8,6 +8,7 @@
 
 #include "cost/group_timing.h"
 #include "nn/graph.h"
+#include "support/hardware.h"
 
 namespace hetacc::core {
 
@@ -64,7 +65,7 @@ FusionTable::FusionTable(const nn::Network& net,
   };
 
   std::size_t nthreads = threads <= 0
-      ? std::max(1u, std::thread::hardware_concurrency())
+      ? hardware_threads()
       : static_cast<std::size_t>(threads);
   nthreads = std::min(nthreads, cells.size());
 

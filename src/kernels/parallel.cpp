@@ -8,16 +8,13 @@
 #include <thread>
 #include <vector>
 
+#include "support/hardware.h"
+
 namespace hetacc::kernels {
 
 namespace {
 
 std::atomic<int> g_default_threads{1};
-
-unsigned hardware_threads() {
-  const unsigned hc = std::thread::hardware_concurrency();
-  return hc ? hc : 1u;
-}
 
 /// One parallel_for invocation. Kept alive by shared_ptr so a worker that
 /// wakes late (after the job completed and a new one started) only touches

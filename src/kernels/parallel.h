@@ -22,9 +22,11 @@ namespace hetacc::kernels {
 void set_num_threads(int threads);
 
 /// Resolves a threads knob (<= 0 means "all cores") to a concrete count.
-/// The result is capped at the hardware thread count — the pool never
-/// oversubscribes, and an explicit request larger than the machine silently
-/// runs with every core instead of a fraction of them (see Pool).
+/// The result is capped at the hardware thread count (hardware_threads() in
+/// support/hardware.h, read once per process, so no call here reaches the
+/// OS) — the pool never oversubscribes, and an explicit request larger than
+/// the machine silently runs with every core instead of a fraction of them
+/// (see Pool).
 [[nodiscard]] int resolve_threads(int threads);
 
 /// Worker threads currently parked in the process-wide pool (the caller of a

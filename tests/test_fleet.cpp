@@ -23,6 +23,7 @@
 #include "serve/fleet.h"
 #include "serve/prepack_cache.h"
 #include "support/error.h"
+#include "support/hardware.h"
 
 namespace hetacc {
 namespace {
@@ -387,8 +388,8 @@ TEST(FleetPoolTest, ReplicasShareOneWorkerSetUnderTheThreadClamp) {
   // process kernel pool (shared, not per-replica).
   EXPECT_LE(peak.load(),
             baseline + 2 + kernels::pool_thread_count());
-  EXPECT_LE(kernels::pool_thread_count(),
-            static_cast<int>(std::thread::hardware_concurrency()));
+  // The pool holds at most H - 1 workers; the caller is the H-th.
+  EXPECT_LE(kernels::pool_thread_count(), hardware_threads() - 1);
 }
 
 // ------------------------------------------------------------ determinism --

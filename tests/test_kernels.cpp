@@ -9,10 +9,15 @@
 #include <atomic>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <random>
 #include <stdexcept>
 #include <thread>
 #include <vector>
+
+#ifdef __linux__
+#include <sys/resource.h>
+#endif
 
 #include "algo/conv_variants.h"
 #include "algo/winograd_conv.h"
@@ -22,6 +27,7 @@
 #include "kernels/parallel.h"
 #include "nn/model_zoo.h"
 #include "nn/reference.h"
+#include "support/hardware.h"
 
 namespace hetacc {
 namespace {
@@ -564,14 +570,65 @@ TEST(Parallel, RangesPartitionIndexSpaceExactly) {
 }
 
 TEST(Parallel, ResolveThreadsRespectsHardwareCap) {
-  const int hw = int(std::thread::hardware_concurrency());
-  const int cap = hw > 0 ? hw : 1;
+  const int cap = static_cast<int>(hardware_threads());
   EXPECT_EQ(cap, kernels::resolve_threads(0));       // 0 = all cores
   EXPECT_EQ(cap, kernels::resolve_threads(-4));      // negative = all cores
   EXPECT_EQ(1, kernels::resolve_threads(1));
   EXPECT_EQ(cap, kernels::resolve_threads(1 << 20));  // clamped, never over
   EXPECT_LE(kernels::resolve_threads(2), 2);
 }
+
+TEST(Parallel, HardwareThreadsIsPositiveAndTheSameOnEveryThread) {
+  const unsigned here = hardware_threads();
+  ASSERT_GE(here, 1u);
+  std::vector<unsigned> seen(8, 0);
+  std::vector<std::thread> readers;
+  for (std::size_t t = 0; t < seen.size(); ++t) {
+    readers.emplace_back([&seen, t] { seen[t] = hardware_threads(); });
+  }
+  for (auto& r : readers) r.join();
+  for (unsigned v : seen) EXPECT_EQ(here, v);
+}
+
+#ifdef __linux__
+// The dispatch path must not ask the OS for the core count per call: glibc
+// answers std::thread::hardware_concurrency() with a sysfs read (~5 us of
+// system time each), and the fusion pipeline dispatches per streamed row.
+// 200k serial dispatches plus small GEMMs cost about a second of system time
+// with a per-call probe and next to nothing with the cached count, so the
+// bound does not depend on machine speed.
+TEST(Parallel, SerialDispatchSpendsNoSystemTime) {
+  const auto sys_seconds = [] {
+    rusage ru{};
+    getrusage(RUSAGE_THREAD, &ru);
+    return static_cast<double>(ru.ru_stime.tv_sec) +
+           1e-6 * static_cast<double>(ru.ru_stime.tv_usec);
+  };
+  // K spans several KC blocks so each GEMM dispatches more than once.
+  constexpr int M = 16, N = 16, K = 700;
+  std::vector<float> A(static_cast<std::size_t>(M) * K, 0.5f);
+  std::vector<float> B(static_cast<std::size_t>(K) * N, 0.25f);
+  std::vector<float> C(static_cast<std::size_t>(M) * N);
+  kernels::gemm_f32(M, N, K, A.data(), K, B.data(), N, C.data(), N, nullptr,
+                    false, 1);  // warm the scratch arena outside the window
+  std::size_t calls = 0;
+  const std::function<void(std::size_t)> fn = [&calls](std::size_t) {
+    ++calls;
+  };
+
+  const double t0 = sys_seconds();
+  for (int i = 0; i < 200000; ++i) kernels::parallel_for(1, 1, fn);
+  for (int i = 0; i < 1000; ++i) {
+    kernels::gemm_f32(M, N, K, A.data(), K, B.data(), N, C.data(), N, nullptr,
+                      false, 1);
+  }
+  const double sys = sys_seconds() - t0;
+
+  EXPECT_EQ(200000u, calls);
+  EXPECT_FLOAT_EQ(0.5f * 0.25f * K, C[0]);
+  EXPECT_LT(sys, 0.050) << "system time over the serial dispatch loop";
+}
+#endif
 
 // ----------------------------------------------------------- int8 datapath --
 
