@@ -1,6 +1,6 @@
 // Release-mode performance tripwire, run by the CI release-perf job.
 //
-// Two guards, exit 0 = pass, 1 = fail:
+// Four guards, exit 0 = pass, 1 = fail:
 //  1. Relative: the blocked im2col+GEMM path must beat the retained scalar
 //     seed convolution by >= 2x single-threaded (a debug/-O0 build will not
 //     pass; that is the point — the check catches regressions that quietly
@@ -16,6 +16,14 @@
 //     the same process, so the gate holds on any machine; it catches an OS
 //     call creeping into the per-dispatch path (a per-call sysfs read of
 //     the core count once cost the serving fleet half its CPU).
+//  4. Streaming overhead: a one-layer FusionPipeline on AlexNet conv4's
+//     geometry (13x13, 384 -> 384, Winograd F(4,3)) must run within 1.5x of
+//     algo::winograd_conv_pretransformed on the same input, and within 1.5x
+//     of the whole-map kernel (kernels::winograd_conv_f32) run on the
+//     pipeline's own pre-built plan. The first reference also packs the
+//     plan on every call; the second does exactly the engine's arithmetic,
+//     so it isolates what streaming rows through a line buffer costs. All
+//     are timed in this process, so the ratios hold on any machine.
 //
 // Regenerate the baseline after an intentional perf change:
 //   perf_smoke --write-baseline path/to/perf_baseline.json
@@ -31,6 +39,7 @@
 
 #include "algo/conv_variants.h"
 #include "algo/winograd_conv.h"
+#include "arch/pipeline.h"
 #include "kernels/blocking.h"
 #include "kernels/gemm.h"
 #include "kernels/parallel.h"
@@ -191,6 +200,42 @@ int main(int argc, char** argv) {
   const double sys_frac =
       loop_user + loop_sys > 0.0 ? loop_sys / (loop_user + loop_sys) : 0.0;
 
+  // Streamed vs whole-map Winograd on AlexNet conv4 (outside the system-time
+  // loop above, which keeps its own kernel set).
+  nn::Network conv4("alexnet-conv4");
+  conv4.input({384, 13, 13});
+  conv4.conv(384, 3, 1, 1, "conv4");
+  const nn::WeightStore conv4_ws = nn::WeightStore::deterministic(conv4, 4);
+  const nn::ConvWeights& conv4_w = conv4_ws.conv(1);
+  nn::Tensor conv4_in(conv4[0].out);
+  nn::fill_deterministic(conv4_in, 5);
+  arch::FusionPipeline conv4_pipe(
+      conv4, conv4_ws, {arch::LayerChoice{fpga::ConvAlgo::kWinograd, 4, {}}});
+  const algo::TransformedFilters conv4_tf =
+      algo::transform_filters(wt, conv4_w.filters);
+  const double streamed_ms = best_ms(
+      [&] { g_sink = conv4_pipe.run(conv4_in).at(0, 0, 0); }, 5);
+  const double whole_map_ms = best_ms(
+      [&] {
+        g_sink = algo::winograd_conv_pretransformed(
+                     conv4_tf, conv4_in, conv4_w.bias, 1,
+                     conv4[1].conv().fused_relu)
+                     .at(0, 0, 0);
+      },
+      5);
+  const kernels::WinogradPlan& conv4_plan =
+      *conv4_pipe.shared_prepack()->wino[0];
+  nn::Tensor conv4_out(conv4[1].out);
+  const double kernel_ms = best_ms(
+      [&] {
+        kernels::winograd_conv_f32(conv4_plan, conv4_in.data(), 13, 13, 1,
+                                   conv4_w.bias.data(),
+                                   conv4[1].conv().fused_relu,
+                                   conv4_out.data(), 13, 13, /*threads=*/0);
+        g_sink = conv4_out.at(0, 0, 0);
+      },
+      5);
+
   const double blocked = measured[0].ms;
   std::printf("perf_smoke: scalar %.2f ms (1 thread, 64x56x56 * 64 3x3 "
               "filters), SIMD %s\n",
@@ -240,6 +285,24 @@ int main(int argc, char** argv) {
     std::printf("perf_smoke: FAIL — int8 im2col+GEMM must beat the i16 path "
                 "single-threaded\n");
     ok = false;
+  }
+
+  const struct {
+    const char* reference;
+    double ms;
+  } stream_refs[] = {{"winograd_conv_pretransformed", whole_map_ms},
+                     {"winograd_conv_f32 on its plan", kernel_ms}};
+  for (const auto& ref : stream_refs) {
+    const double ratio = streamed_ms / ref.ms;
+    std::printf("perf_smoke: streamed conv4 F(4,3) %.2f ms vs %s %.2f ms — "
+                "%.2fx (limit 1.5x)\n",
+                streamed_ms, ref.reference, ref.ms, ratio);
+    if (ratio > 1.5) {
+      std::printf("perf_smoke: FAIL — the streamed Winograd layer must run "
+                  "within 1.5x of %s\n",
+                  ref.reference);
+      ok = false;
+    }
   }
 
   if (sys_frac > 0.05) {

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "fixed/fixed16.h"
 #include "kernels/parallel.h"
@@ -70,49 +72,113 @@ TransformedFilters transform_filters(const WinogradTransform& t,
   return tf;
 }
 
-kernels::WinogradPlan pack_winograd_plan(const TransformedFilters& tf) {
-  const WinogradTransform& t = tf.t;
+namespace {
+
+/// Builds a plan whose plane ab holds, at (oc, ic), element ab of the n x n
+/// row-major matrix `fill(oc, ic, u)` writes to u. All planes share one
+/// shape and blocking, so each (oc, ic) is located once for all of them, and
+/// the walk follows the panel layout (MR output channels per input channel)
+/// so every plane is written front to back.
+template <typename Fill>
+kernels::WinogradPlan build_plan(const WinogradTransform& t, int out_c,
+                                 int in_c, Fill fill) {
   const int n = t.n();
+  if (n > kernels::kWinogradMaxN) {
+    throw std::logic_error("winograd plan: unsupported tile size n=" +
+                           std::to_string(n));
+  }
   kernels::WinogradPlan plan;
   plan.m = t.m;
   plan.r = t.r;
   plan.n = n;
-  plan.out_c = tf.out_channels;
-  plan.in_c = tf.in_channels;
+  plan.out_c = out_c;
+  plan.in_c = in_c;
   flatten_transforms(t, plan.bt, plan.at);
-  plan.u.resize(static_cast<std::size_t>(n) * n * tf.out_channels *
-                tf.in_channels);
-  const std::size_t plane = static_cast<std::size_t>(tf.out_channels) *
-                            tf.in_channels;
-  for (int oc = 0; oc < tf.out_channels; ++oc) {
-    for (int ic = 0; ic < tf.in_channels; ++ic) {
-      const Matrix& u = tf.at(oc, ic);
-      const std::size_t off = static_cast<std::size_t>(oc) * tf.in_channels + ic;
-      for (int ab = 0; ab < n * n; ++ab) {
-        plan.u[static_cast<std::size_t>(ab) * plane + off] =
-            u.at(ab / n, ab % n);
+  plan.planes.reserve(static_cast<std::size_t>(n) * n);
+  for (int ab = 0; ab < n * n; ++ab) plan.planes.emplace_back(out_c, in_c);
+  double u[kernels::kWinogradMaxN * kernels::kWinogradMaxN];
+  for (int oc0 = 0; oc0 < out_c; oc0 += kernels::kPackedMR) {
+    const int oc1 = std::min(oc0 + kernels::kPackedMR, out_c);
+    for (int ic = 0; ic < in_c; ++ic) {
+      for (int oc = oc0; oc < oc1; ++oc) {
+        fill(oc, ic, u);
+        const auto slot = plan.planes.front().slot(oc, ic);
+        for (int ab = 0; ab < n * n; ++ab) {
+          plan.planes[static_cast<std::size_t>(ab)].at(slot) = u[ab];
+        }
       }
     }
   }
   return plan;
 }
 
-nn::Tensor winograd_conv_pretransformed(const TransformedFilters& tf,
-                                        const nn::Tensor& in,
-                                        const std::vector<float>& bias,
-                                        int pad, bool fused_relu) {
+/// The plan of already-transformed filters (the pretransformed entry point).
+kernels::WinogradPlan plan_of(const TransformedFilters& tf) {
+  const int n = tf.t.n();
+  return build_plan(tf.t, tf.out_channels, tf.in_channels,
+                    [&](int oc, int ic, double* u) {
+                      const Matrix& x = tf.at(oc, ic);
+                      for (int ab = 0; ab < n * n; ++ab) {
+                        u[ab] = x.at(ab / n, ab % n);
+                      }
+                    });
+}
+
+}  // namespace
+
+kernels::WinogradPlan winograd_plan(const WinogradTransform& t,
+                                    const nn::FilterBank& f) {
+  if (f.kernel() != t.r) {
+    throw std::invalid_argument("winograd_plan: kernel != r");
+  }
+  const int n = t.n(), r = t.r;
+  std::vector<double> g_mat(static_cast<std::size_t>(n) * r);
+  for (int a = 0; a < n; ++a) {
+    for (int b = 0; b < r; ++b) {
+      g_mat[static_cast<std::size_t>(a) * r + b] = t.g.at(a, b);
+    }
+  }
+  std::vector<double> g(static_cast<std::size_t>(r) * r);
+  std::vector<double> gg(static_cast<std::size_t>(n) * r);
+  // U = (G g) G^T, in the shape transform_filters evaluates it.
+  return build_plan(t, f.out_channels(), f.in_channels(),
+                    [&](int oc, int ic, double* u) {
+                      for (int a = 0; a < r; ++a) {
+                        for (int b = 0; b < r; ++b) {
+                          g[static_cast<std::size_t>(a) * r + b] =
+                              f.at(oc, ic, a, b);
+                        }
+                      }
+                      kernels::matmul_nn(g_mat.data(), n, r, g.data(), r,
+                                         gg.data());
+                      kernels::matmul_nt(gg.data(), n, r, g_mat.data(), n, u);
+                    });
+}
+
+namespace {
+
+nn::Tensor run_plan(const kernels::WinogradPlan& plan, const nn::Tensor& in,
+                    const std::vector<float>& bias, int pad, bool fused_relu) {
   const nn::Shape is = in.shape();
-  if (is.c != tf.in_channels) {
+  if (is.c != plan.in_c) {
     throw std::invalid_argument("winograd_conv: channel mismatch");
   }
-  const int oh = is.h + 2 * pad - tf.t.r + 1;  // stride 1
-  const int ow = is.w + 2 * pad - tf.t.r + 1;
-  nn::Tensor out(tf.out_channels, oh, ow);
-  const kernels::WinogradPlan plan = pack_winograd_plan(tf);
+  const int oh = is.h + 2 * pad - plan.r + 1;  // stride 1
+  const int ow = is.w + 2 * pad - plan.r + 1;
+  nn::Tensor out(plan.out_c, oh, ow);
   kernels::winograd_conv_f32(plan, in.data(), is.h, is.w, pad,
                              bias.empty() ? nullptr : bias.data(), fused_relu,
                              out.data(), oh, ow, /*threads=*/0);
   return out;
+}
+
+}  // namespace
+
+nn::Tensor winograd_conv_pretransformed(const TransformedFilters& tf,
+                                        const nn::Tensor& in,
+                                        const std::vector<float>& bias,
+                                        int pad, bool fused_relu) {
+  return run_plan(plan_of(tf), in, bias, pad, fused_relu);
 }
 
 nn::Tensor winograd_conv_pretransformed_scalar(const TransformedFilters& tf,
@@ -173,8 +239,7 @@ nn::Tensor winograd_conv(const WinogradTransform& t, const nn::Tensor& in,
                          const nn::FilterBank& filters,
                          const std::vector<float>& bias, int pad,
                          bool fused_relu) {
-  return winograd_conv_pretransformed(transform_filters(t, filters), in, bias,
-                                      pad, fused_relu);
+  return run_plan(winograd_plan(t, filters), in, bias, pad, fused_relu);
 }
 
 namespace {

@@ -26,11 +26,14 @@ struct TransformedFilters {
 [[nodiscard]] TransformedFilters transform_filters(const WinogradTransform& t,
                                                    const nn::FilterBank& f);
 
-/// Re-lays the pre-transformed filters out as the n^2 (out_c x in_c) planes
-/// the batched transform-domain GEMM consumes (kernels/wino_gemm.h). Done
-/// once per layer; the plan is shared across images and engine instances.
-[[nodiscard]] kernels::WinogradPlan pack_winograd_plan(
-    const TransformedFilters& tf);
+/// The batched transform-domain GEMM plan of a layer (kernels/wino_gemm.h):
+/// each filter pair is transformed (G g G^T) straight into the n^2 packed
+/// (out_c x in_c) GEMM planes, with no per-pair Matrix and no row-major
+/// plane copy. Every element is bit-identical to the same element of
+/// transform_filters(t, f). Built once per layer; the plan is shared across
+/// images and engine instances.
+[[nodiscard]] kernels::WinogradPlan winograd_plan(const WinogradTransform& t,
+                                                  const nn::FilterBank& f);
 
 /// Float Winograd convolution, stride 1 (the algorithm's applicability
 /// condition, paper §2.1). `pad` is the conv zero padding.

@@ -38,17 +38,23 @@ float quantize_mode_out(const NumericMode& m, float v) {
 
 /// Common row-ingestion machinery: presents the input as a padded stream of
 /// rows held in a circular line buffer. Vertical padding rows are
-/// synthesized, horizontal padding is embedded in the buffered row.
+/// synthesized, horizontal padding is embedded in the buffered row. `lines`
+/// is the modeled hardware's line count; an engine that computes several
+/// output rows per host step may hold `host_lines` >= lines rows instead,
+/// without changing what line_buffer_lines() reports.
 class RowWindowBase : public StreamEngine {
  public:
-  RowWindowBase(const nn::Layer& layer, int lines, NumericMode mode)
+  RowWindowBase(const nn::Layer& layer, int lines, NumericMode mode,
+                int host_lines = 0)
       : layer_(layer), mode_(mode), pad_(layer.padding()),
         padded_w_(layer.in.w + 2 * layer.padding()),
         padded_h_(layer.in.h + 2 * layer.padding()),
-        lb_(layer.in.c, layer.in.w + 2 * layer.padding(), lines) {}
+        lines_(lines),
+        lb_(layer.in.c, layer.in.w + 2 * layer.padding(),
+            std::max(lines, host_lines)) {}
 
   [[nodiscard]] const nn::Layer& layer() const override { return layer_; }
-  [[nodiscard]] int line_buffer_lines() const override { return lb_.lines(); }
+  [[nodiscard]] int line_buffer_lines() const override { return lines_; }
   [[nodiscard]] bool done() const override {
     return rows_emitted_ == layer_.out.h;
   }
@@ -80,14 +86,20 @@ class RowWindowBase : public StreamEngine {
   /// Next padded row index still to be pushed into the line buffer.
   [[nodiscard]] long long pushed() const { return lb_.next_row(); }
 
+  /// Pushes the next padded row, written in place into the line buffer's
+  /// next line: zeros for a synthetic (vertical padding) row, otherwise the
+  /// next input row snapped onto the input grid between zero borders.
   bool ingest(RowFifo& in) {
     if (pushed() >= padded_h_) return false;
     const long long padded_row = pushed();
     const bool synthetic =
         padded_row < pad_ || padded_row >= pad_ + layer_.in.h;
+    float* dst = lb_.next_line();
+    const std::size_t row_floats =
+        static_cast<std::size_t>(layer_.in.c) * padded_w_;
     if (synthetic) {
-      lb_.push_row(std::vector<float>(
-          static_cast<std::size_t>(layer_.in.c) * padded_w_, 0.0f));
+      std::fill(dst, dst + row_floats, 0.0f);
+      lb_.commit_row();
       return true;
     }
     if (in.empty()) return false;
@@ -96,17 +108,17 @@ class RowWindowBase : public StreamEngine {
       throw std::runtime_error("engine '" + layer_.name +
                                "': unexpected input row width");
     }
-    std::vector<float> padded(
-        static_cast<std::size_t>(layer_.in.c) * padded_w_, 0.0f);
     for (int c = 0; c < layer_.in.c; ++c) {
+      float* d = dst + static_cast<std::size_t>(c) * padded_w_;
+      const float* src =
+          r.data.data() + static_cast<std::size_t>(c) * layer_.in.w;
+      std::fill(d, d + pad_, 0.0f);
       for (int w = 0; w < layer_.in.w; ++w) {
-        padded[static_cast<std::size_t>(c) * padded_w_ + pad_ + w] =
-            quantize_mode_in(
-                mode_,
-                r.data[static_cast<std::size_t>(c) * layer_.in.w + w]);
+        d[pad_ + w] = quantize_mode_in(mode_, src[w]);
       }
+      std::fill(d + pad_ + layer_.in.w, d + padded_w_, 0.0f);
     }
-    lb_.push_row(padded);
+    lb_.commit_row();
     return true;
   }
 
@@ -120,6 +132,7 @@ class RowWindowBase : public StreamEngine {
   const int pad_;
   const int padded_w_;
   const long long padded_h_;
+  const int lines_;
   CircularLineBuffer lb_;
   int rows_emitted_ = 0;
 };
@@ -238,15 +251,30 @@ class ConvDirectEngine final : public RowWindowBase {
 };
 
 // --------------------------------------------------------------------------
+/// Tile rows the Winograd engine computes per host step (see
+/// kernels::winograd_band_rows): a function of the layer geometry only.
+int winograd_band_rows(const nn::Layer& layer, int m) {
+  return kernels::winograd_band_rows((layer.out.h + m - 1) / m,
+                                     (layer.out.w + m - 1) / m);
+}
+
 class WinogradEngine final : public RowWindowBase {
  public:
+  // The modeled line buffer holds n rows in flight through the transform
+  // plus m streaming in. The host runs a band of B tile rows per GEMM, so it
+  // holds (B - 1) * m more: the band's (B - 1) * m + n rows plus m.
   WinogradEngine(const nn::Layer& layer, const nn::ConvWeights& w,
                  const algo::WinogradTransform& t, NumericMode mode,
                  std::shared_ptr<const kernels::WinogradPlan> plan)
-      // n rows in flight through the transform plus m streaming in.
-      : RowWindowBase(layer, t.n() + t.m, mode),
+      : RowWindowBase(layer, t.n() + t.m, mode,
+                      (winograd_band_rows(layer, t.m) - 1) * t.m + t.n() +
+                          t.m),
         plan_(std::move(plan)),
-        bias_(w.bias) {
+        bias_(w.bias),
+        band_rows_(winograd_band_rows(layer, t.m)),
+        tiles_h_((layer.out.h + t.m - 1) / t.m),
+        tiles_w_((layer.out.w + t.m - 1) / t.m),
+        band_w_((tiles_w_ - 1) * t.m + t.n()) {
     if (layer.conv().stride != 1) {
       throw std::invalid_argument("WinogradEngine requires stride 1");
     }
@@ -254,92 +282,105 @@ class WinogradEngine final : public RowWindowBase {
       throw std::invalid_argument("WinogradEngine: kernel != r");
     }
     if (!plan_) {
-      // No shared plan supplied: transform the filters here, once per
-      // engine (the pipeline caches and shares plans across images).
+      // No shared plan supplied: build it here, once per engine (the
+      // pipeline caches and shares plans across images).
       plan_ = std::make_shared<const kernels::WinogradPlan>(
-          algo::pack_winograd_plan(algo::transform_filters(t, w.filters)));
+          algo::winograd_plan(t, w.filters));
     }
-    tiles_w_ = (layer.out.w + t.m - 1) / t.m;
-    strip_w_ = (tiles_w_ - 1) * t.m + t.n();
-    strip_.resize(static_cast<std::size_t>(layer.in.c) * t.n() * strip_w_);
+    band_.resize(static_cast<std::size_t>(layer.in.c) *
+                 ((band_rows_ - 1) * t.m + t.n()) * band_w_);
   }
 
   void reset() override {
     RowWindowBase::reset();
     block_.clear();
+    cursor_ = 0;
   }
 
  private:
+  /// First tile row and tile-row count of the band holding output row
+  /// rows_emitted_ (called at band boundaries).
+  [[nodiscard]] int band_first() const {
+    return rows_emitted_ / (band_rows_ * plan_->m) * band_rows_;
+  }
+  [[nodiscard]] int band_count() const {
+    return std::min(band_rows_, tiles_h_ - band_first());
+  }
+
   [[nodiscard]] bool window_ready() const override {
-    if (!block_.empty()) return true;  // rows already computed, still emitting
-    const long long b = rows_emitted_ / plan_->m;
+    if (cursor_ < block_.size()) return true;  // band computed, still emitting
+    const long long top = static_cast<long long>(band_first()) * plan_->m;
     // Bottom tiles may hang past the padded edge; the overhang is zero-fill,
     // so only in-range rows are required.
-    const long long need =
-        std::min<long long>(b * plan_->m + plan_->n, padded_h_);
+    const long long need = std::min<long long>(
+        top + static_cast<long long>(band_count() - 1) * plan_->m + plan_->n,
+        padded_h_);
     return pushed() >= need;
   }
 
   [[nodiscard]] Row emit_row() override {
-    if (block_.empty()) compute_block();
-    Row r = std::move(block_.front());
-    block_.erase(block_.begin());
-    return r;
+    if (cursor_ == block_.size()) compute_band();
+    return std::move(block_[cursor_++]);
   }
 
-  void compute_block() {
+  void compute_band() {
     const int n = plan_->n, m = plan_->m;
-    const long long b = rows_emitted_ / m;
-    const long long top = b * m;
-    const int rows_this_block =
-        static_cast<int>(std::min<long long>(m, layer_.out.h - top));
-    block_.assign(static_cast<std::size_t>(rows_this_block), Row{});
+    const int rows_b = band_count();
+    const long long top = static_cast<long long>(band_first()) * m;
+    const int rows_in = (rows_b - 1) * m + n;
+    const int rows_out =
+        static_cast<int>(std::min<long long>(rows_b * m, layer_.out.h - top));
+    block_.assign(static_cast<std::size_t>(rows_out), Row{});
+    cursor_ = 0;
     for (auto& row : block_) {
       row.data.assign(static_cast<std::size_t>(layer_.out.c) * layer_.out.w,
                       0.0f);
     }
 
-    // Gather the line-buffer window into a contiguous strip (zero beyond the
-    // padded extent) and hand the whole tile row to the batched kernel.
-    const int copy_w = std::min(strip_w_, padded_w_);
+    // Gather the band's line-buffer rows into a contiguous window (zero
+    // beyond the padded extent) and hand every tile of the band to the
+    // batched kernel at once.
+    const int copy_w = std::min(band_w_, padded_w_);
     for (int c = 0; c < layer_.in.c; ++c) {
-      for (int u = 0; u < n; ++u) {
+      for (int u = 0; u < rows_in; ++u) {
         float* dst =
-            strip_.data() +
-            (static_cast<std::size_t>(c) * n + u) * strip_w_;
+            band_.data() + (static_cast<std::size_t>(c) * rows_in + u) * band_w_;
         if (top + u >= padded_h_) {
-          std::fill(dst, dst + strip_w_, 0.0f);
+          std::fill(dst, dst + band_w_, 0.0f);
           continue;
         }
         const float* src = lb_.row_ptr(c, top + u);
         std::copy(src, src + copy_w, dst);
-        if (copy_w < strip_w_) std::fill(dst + copy_w, dst + strip_w_, 0.0f);
+        if (copy_w < band_w_) std::fill(dst + copy_w, dst + band_w_, 0.0f);
       }
     }
 
-    out_rows_.assign(
-        static_cast<std::size_t>(rows_this_block) * layer_.out.c, nullptr);
-    for (int a = 0; a < rows_this_block; ++a) {
+    out_rows_.assign(static_cast<std::size_t>(rows_out) * layer_.out.c,
+                     nullptr);
+    for (int a = 0; a < rows_out; ++a) {
       for (int oc = 0; oc < layer_.out.c; ++oc) {
         out_rows_[static_cast<std::size_t>(a) * layer_.out.c + oc] =
             block_[static_cast<std::size_t>(a)].data.data() +
             static_cast<std::size_t>(oc) * layer_.out.w;
       }
     }
-    kernels::winograd_strip(*plan_, strip_.data(), strip_w_, tiles_w_,
-                            out_rows_.data(), rows_this_block, layer_.out.w,
-                            bias_.empty() ? nullptr : bias_.data(),
-                            layer_.conv().fused_relu, mode_.out_frac,
-                            /*threads=*/0);
+    kernels::winograd_band(*plan_, band_.data(), band_w_, rows_b, tiles_w_,
+                           out_rows_.data(), rows_out, layer_.out.w,
+                           bias_.empty() ? nullptr : bias_.data(),
+                           layer_.conv().fused_relu, mode_.out_frac,
+                           /*threads=*/0);
   }
 
   std::shared_ptr<const kernels::WinogradPlan> plan_;
   std::vector<float> bias_;
-  std::vector<Row> block_;
-  int tiles_w_ = 0;
-  int strip_w_ = 0;
-  std::vector<float> strip_;
-  std::vector<float*> out_rows_;  ///< reused across compute_block calls
+  const int band_rows_;
+  const int tiles_h_;
+  const int tiles_w_;
+  const int band_w_;
+  std::vector<float> band_;
+  std::vector<Row> block_;  ///< the computed band's output rows
+  std::size_t cursor_ = 0;  ///< next block_ row to emit
+  std::vector<float*> out_rows_;  ///< reused across compute_band calls
 };
 
 // --------------------------------------------------------------------------

@@ -69,7 +69,9 @@ class StreamEngine {
   /// point (the seed re-derived them per image).
   virtual void reset() = 0;
   [[nodiscard]] virtual const nn::Layer& layer() const = 0;
-  /// Line-buffer rows this engine instantiates (for resource cross-checks).
+  /// Line-buffer rows the modeled hardware engine instantiates (for
+  /// resource cross-checks). The host engine may buffer more rows so it can
+  /// compute several output rows per step.
   [[nodiscard]] virtual int line_buffer_lines() const = 0;
   /// Attaches a fault injector to the engine's internal storage (line
   /// buffer). `stream` identifies the engine as an injection stream. Default

@@ -8,12 +8,15 @@ void CircularLineBuffer::push_row(const std::vector<float>& row) {
   if (static_cast<int>(row.size()) != channels_ * width_) {
     throw std::invalid_argument("push_row: wrong row size");
   }
-  const auto line = static_cast<std::size_t>(next_row_ % lines_);
-  float* dst = data_.data() + line * channels_ * width_;
-  std::copy(row.begin(), row.end(), dst);
+  std::copy(row.begin(), row.end(), next_line());
+  commit_row();
+}
+
+void CircularLineBuffer::commit_row() {
   if (fault_) {
     fault_->maybe_corrupt_row(fault::FaultSite::kLineBuffer, fault_stream_,
-                              static_cast<std::uint64_t>(next_row_), dst,
+                              static_cast<std::uint64_t>(next_row_),
+                              next_line(),
                               static_cast<std::size_t>(channels_) * width_);
   }
   ++next_row_;

@@ -40,6 +40,16 @@ class CircularLineBuffer {
   /// the paper's walk-through.
   void push_row(const std::vector<float>& row);
 
+  /// In-place push, for writers that build the row straight into storage:
+  /// next_line() is the line the next push overwrites (channels() * width()
+  /// floats, still holding the evicted row), and commit_row() publishes it
+  /// exactly as push_row would, fault hook included.
+  [[nodiscard]] float* next_line() {
+    return data_.data() +
+           static_cast<std::size_t>(next_row_ % lines_) * channels_ * width_;
+  }
+  void commit_row();
+
   /// Element access by absolute row index; throws if the row has already
   /// been overwritten (a correctness guard the hardware enforces by
   /// schedule construction).

@@ -10,12 +10,34 @@
 
 namespace hetacc::arch {
 
+namespace {
+
+/// Folds every resident panel block of a packed operand into `crc`, in
+/// (K-block, M-block) order.
+template <typename Packed>
+std::uint32_t crc_packed(const Packed& pk, std::uint32_t crc) {
+  for (int pb = 0; pb < pk.pblocks(); ++pb) {
+    for (int ib = 0; ib < pk.iblocks(); ++ib) {
+      const auto& blk = pk.block(pb, ib);
+      crc = fault::crc32(blk.data(), blk.size() * sizeof(blk[0]), crc);
+    }
+  }
+  return crc;
+}
+
+/// CRC-32 over a Winograd plan's packed filter planes, plane by plane.
+std::uint32_t crc_wino_planes(const kernels::WinogradPlan& p,
+                              std::uint32_t crc) {
+  for (const auto& plane : p.planes) crc = crc_packed(plane, crc);
+  return crc;
+}
+
+}  // namespace
+
 long long PrepackBundle::resident_bytes() const {
   long long total = 0;
   for (const auto& p : wino) {
-    if (!p) continue;
-    total += static_cast<long long>(
-        (p->bt.size() + p->at.size() + p->u.size()) * sizeof(double));
+    if (p) total += p->footprint_bytes();
   }
   for (const auto& p : packed) {
     if (p) total += p->footprint_bytes();
@@ -34,26 +56,18 @@ std::uint32_t PrepackBundle::content_crc() const {
   const auto fold = [&crc](const void* data, std::size_t bytes) {
     crc = fault::crc32(data, bytes, crc);
   };
-  const auto fold_packed = [&fold](const auto& pk) {
-    for (int pb = 0; pb < pk.pblocks(); ++pb) {
-      for (int ib = 0; ib < pk.iblocks(); ++ib) {
-        const auto& blk = pk.block(pb, ib);
-        fold(blk.data(), blk.size() * sizeof(blk[0]));
-      }
-    }
-  };
   for (const auto& p : wino) {
     if (!p) continue;
     fold(p->bt.data(), p->bt.size() * sizeof(double));
     fold(p->at.data(), p->at.size() * sizeof(double));
-    fold(p->u.data(), p->u.size() * sizeof(double));
+    crc = crc_wino_planes(*p, crc);
   }
   for (const auto& p : packed) {
-    if (p) fold_packed(*p);
+    if (p) crc = crc_packed(*p, crc);
   }
   for (const auto& p : int8) {
     if (!p) continue;
-    fold_packed(p->packed);
+    crc = crc_packed(p->packed, crc);
     fold(p->requant.data(), p->requant.size() * sizeof(float));
     fold(p->bias.data(), p->bias.size() * sizeof(std::int32_t));
     fold(&p->pad_value, sizeof(p->pad_value));
@@ -101,8 +115,9 @@ FusionPipeline::FusionPipeline(const nn::Network& net,
 }
 
 void FusionPipeline::derive_layer_constants() {
-  // Derive per-layer constants once: transformed Winograd filters (the seed
-  // re-ran transform_filters for every image) and packed GEMM weight panels.
+  // Derive per-layer constants once: transformed Winograd filter planes (the
+  // seed re-transformed the filters for every image) and packed GEMM weight
+  // panels.
   //
   // With a fault plan installed, the resident filter copy each constant is
   // derived from may take bit flips (modeled SEUs on the on-chip weight
@@ -153,19 +168,16 @@ void FusionPipeline::derive_layer_constants() {
       const algo::WinogradTransform t =
           algo::winograd(choices_[i].wino_m, l.conv().kernel);
       auto plan = std::make_shared<kernels::WinogradPlan>(
-          algo::pack_winograd_plan(algo::transform_filters(t, *filters)));
+          algo::winograd_plan(t, *filters));
       if (filters != &w.filters && protect_.enabled &&
           protect_.wino_checksum) {
         // Checksum-verified filter transform: the transform unit checks its
         // output against the column checksum stored with the golden plan.
-        const auto golden = algo::pack_winograd_plan(
-            algo::transform_filters(t, w.filters));
-        if (fault::crc32(plan->u.data(), plan->u.size() * sizeof(double)) !=
-            fault::crc32(golden.u.data(),
-                         golden.u.size() * sizeof(double))) {
+        auto golden = algo::winograd_plan(t, w.filters);
+        if (crc_wino_planes(*plan, 0u) != crc_wino_planes(golden, 0u)) {
           injector_->count_detected();
           injector_->count_recovered();
-          *plan = golden;  // re-transform from the clean filters
+          *plan = std::move(golden);  // re-transform from the clean filters
         }
       }
       b.wino[i] = std::move(plan);

@@ -18,7 +18,7 @@ namespace {
 // cache-level blocking (MC/KC/NC/grain) is runtime: per-datapath
 // BlockingParams from blocking.h, tuned by the persistent autotuner cache,
 // defaulting to the constants this driver shipped with (MC=96, KC=256).
-constexpr int MR = 4;
+constexpr int MR = kPackedMR;
 
 #if (defined(__GNUC__) || defined(__clang__)) && !defined(HETACC_NO_SIMD)
 #define HETACC_VEC 1
@@ -54,9 +54,15 @@ void micro_scalar(int kb, const TA* a, const TA* b, TAcc* acc) {
 
 #ifdef HETACC_VEC
 
-// The wide-vector helpers pass 256/512-bit values through TU-internal inline
-// functions; GCC's -Wpsabi ABI note does not apply (nothing crosses a TU
-// boundary), so it is silenced for this block.
+// vload/vstore return and take 256/512-bit vectors by value, and both ISA
+// stamps below call them. A vector argument's calling convention depends on
+// the target ISA (registers with AVX2, memory without), so an out-of-line
+// copy compiled for the baseline stamp cannot be shared with the AVX2 stamp:
+// at -O0 the AVX2 micro-kernel would call it and read its vector from the
+// wrong place. always_inline keeps every helper body inside its caller's
+// stamp at any optimization level, so no vector ever crosses a call boundary
+// and GCC's -Wpsabi note about that boundary does not apply; it is silenced
+// for this block.
 #if defined(__GNUC__) && !defined(__clang__)
 #pragma GCC diagnostic ignored "-Wpsabi"
 #endif
@@ -70,14 +76,14 @@ typedef std::int32_t vi8 __attribute__((vector_size(32)));
 typedef std::int64_t vl8 __attribute__((vector_size(64)));
 
 template <typename V, typename T>
-inline V vload(const T* p) {
+__attribute__((always_inline)) inline V vload(const T* p) {
   V v;
   std::memcpy(&v, p, sizeof(V));
   return v;
 }
 
 template <typename T, typename V>
-inline void vstore(T* p, V v) {
+__attribute__((always_inline)) inline void vstore(T* p, V v) {
   std::memcpy(p, &v, sizeof(V));
 }
 
@@ -469,6 +475,10 @@ constexpr Datapath pack_datapath<float>() {
   return Datapath::kF32;
 }
 template <>
+constexpr Datapath pack_datapath<double>() {
+  return Datapath::kF64;
+}
+template <>
 constexpr Datapath pack_datapath<std::int8_t>() {
   return Datapath::kI8;
 }
@@ -482,6 +492,23 @@ PackedLhsT<T>::PackedLhsT(const T* A, int M, int K, int lda)
 template <typename T>
 PackedLhsT<T>::PackedLhsT(const T* A, int M, int K, int lda,
                           const BlockingParams& bp)
+    : PackedLhsT(M, K, bp) {
+  for (int p0 = 0, pb = 0; p0 < K; p0 += kc_, ++pb) {
+    const int kb = std::min(kc_, K - p0);
+    for (int i0 = 0, ib = 0; i0 < M; i0 += mc_, ++ib) {
+      pack_a_panels(A, lda, i0, std::min(mc_, M - i0), p0, kb,
+                    blocks_[static_cast<std::size_t>(pb) * iblocks_ + ib]
+                        .data());
+    }
+  }
+}
+
+template <typename T>
+PackedLhsT<T>::PackedLhsT(int M, int K)
+    : PackedLhsT(M, K, blocking_for(pack_datapath<T>())) {}
+
+template <typename T>
+PackedLhsT<T>::PackedLhsT(int M, int K, const BlockingParams& bp)
     : m_(M), k_(K), mc_(bp.mc), kc_(bp.kc) {
   pblocks_ = K > 0 ? (K + kc_ - 1) / kc_ : 0;
   iblocks_ = M > 0 ? (M + mc_ - 1) / mc_ : 0;
@@ -489,16 +516,15 @@ PackedLhsT<T>::PackedLhsT(const T* A, int M, int K, int lda,
   for (int p0 = 0, pb = 0; p0 < K; p0 += kc_, ++pb) {
     const int kb = std::min(kc_, K - p0);
     for (int i0 = 0, ib = 0; i0 < M; i0 += mc_, ++ib) {
-      const int mb = std::min(mc_, M - i0);
-      const int panels = (mb + MR - 1) / MR;
-      auto& blk = blocks_[static_cast<std::size_t>(pb) * iblocks_ + ib];
-      blk.resize(static_cast<std::size_t>(panels) * MR * kb);
-      pack_a_panels(A, lda, i0, mb, p0, kb, blk.data());
+      const int panels = (std::min(mc_, M - i0) + MR - 1) / MR;
+      blocks_[static_cast<std::size_t>(pb) * iblocks_ + ib].resize(
+          static_cast<std::size_t>(panels) * MR * kb);
     }
   }
 }
 
 template class PackedLhsT<float>;
+template class PackedLhsT<double>;
 template class PackedLhsT<std::int8_t>;
 
 void gemm_f32(int M, int N, int K, const float* A, int lda, const float* B,
@@ -536,6 +562,14 @@ void gemm_f64(int M, int N, int K, const double* A, int lda, const double* B,
               int ldb, double* C, int ldc, int threads) {
   gemm_run<double, double, double, double>(M, N, K, A, lda, nullptr, B, ldb, C,
                                            ldc, nullptr, false, threads, true,
+                                           blocking_for(Datapath::kF64));
+}
+
+void gemm_f64(const PackedLhsF64& A, int N, const double* B, int ldb,
+              double* C, int ldc, int threads) {
+  gemm_run<double, double, double, double>(A.rows(), N, A.depth(), nullptr, 0,
+                                           &A, B, ldb, C, ldc, nullptr, false,
+                                           threads, true,
                                            blocking_for(Datapath::kF64));
 }
 

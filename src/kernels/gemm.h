@@ -27,6 +27,7 @@
 // Scratch (packed panels, im2col matrices) comes from the calling thread's
 // ScratchArena, so steady-state calls perform zero heap allocations.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -34,6 +35,10 @@
 #include "kernels/blocking.h"
 
 namespace hetacc::kernels {
+
+/// Rows per A micro-panel (the A-side register blocking every datapath's
+/// micro-kernel shares; PackedLhsT bakes it into its layout).
+inline constexpr int kPackedMR = 4;
 
 /// Left operand pre-packed into micro-panels (weights reused across many
 /// GEMM calls: conv engines pack once per layer, not once per image/row).
@@ -45,10 +50,16 @@ class PackedLhsT {
  public:
   PackedLhsT() = default;
   /// Packs row-major A (M x K, leading dimension lda) with the datapath's
-  /// current blocking (f32 for float, i8 for int8 element types).
+  /// current blocking (f32 for float, f64 for double, i8 for int8 element
+  /// types).
   PackedLhsT(const T* A, int M, int K, int lda);
   /// Packs with an explicit blocking (autotuner / tests).
   PackedLhsT(const T* A, int M, int K, int lda, const BlockingParams& bp);
+  /// An all-zero M x K pack with the datapath's current blocking, to be
+  /// filled element by element through slot()/at(): builders that produce
+  /// A one (row, column) at a time write straight into the panels, with no
+  /// row-major staging copy.
+  PackedLhsT(int M, int K);
 
   [[nodiscard]] int rows() const { return m_; }
   [[nodiscard]] int depth() const { return k_; }
@@ -63,6 +74,28 @@ class PackedLhsT {
   [[nodiscard]] int pblocks() const { return pblocks_; }
   [[nodiscard]] int iblocks() const { return iblocks_; }
 
+  /// Where A(i, k) lives in the panels: a block index and an offset inside
+  /// that block. Every pack of the same shape and blocking agrees on it, so
+  /// a builder filling several packs at once locates each element once.
+  struct Slot {
+    std::size_t block = 0, offset = 0;
+  };
+  [[nodiscard]] Slot slot(int i, int k) const {
+    const int ib = i / mc_, pb = k / kc_;
+    const int kb = std::min(kc_, k_ - pb * kc_);
+    const int il = i - ib * mc_;
+    return {static_cast<std::size_t>(pb) * iblocks_ + ib,
+            (static_cast<std::size_t>(il / kPackedMR) * kb + (k - pb * kc_)) *
+                    kPackedMR +
+                il % kPackedMR};
+  }
+  [[nodiscard]] T& at(Slot s) { return blocks_[s.block][s.offset]; }
+  /// Element A(i, k) (0 <= i < rows(), 0 <= k < depth()).
+  [[nodiscard]] T at(int i, int k) const {
+    const Slot s = slot(i, k);
+    return blocks_[s.block][s.offset];
+  }
+
   /// Bytes resident in the packed panel blocks — the dominant per-pipeline
   /// memory cost a serving fleet's shared prepack cache deduplicates across
   /// replicas (see serve/prepack_cache.h).
@@ -75,12 +108,16 @@ class PackedLhsT {
   }
 
  private:
+  /// All-zero panel blocks laid out for (M, K, bp).
+  PackedLhsT(int M, int K, const BlockingParams& bp);
+
   int m_ = 0, k_ = 0, pblocks_ = 0, iblocks_ = 0;
   int mc_ = 96, kc_ = 256;
   std::vector<std::vector<T>> blocks_;
 };
 
 using PackedLhsF32 = PackedLhsT<float>;
+using PackedLhsF64 = PackedLhsT<double>;
 using PackedLhsI8 = PackedLhsT<std::int8_t>;
 
 /// C (M x N, ldc) = A (M x K, lda) * B (K x N, ldb), float accumulation.
@@ -103,6 +140,8 @@ void gemm_f32d(const PackedLhsF32& A, int N, const float* B, int ldb,
 /// Double GEMM for transform-domain Winograd planes. C is overwritten.
 void gemm_f64(int M, int N, int K, const double* A, int lda, const double* B,
               int ldb, double* C, int ldc, int threads);
+void gemm_f64(const PackedLhsF64& A, int N, const double* B, int ldb,
+              double* C, int ldc, int threads);
 
 /// int16 x int16 -> exact int64 accumulation (DSP MAC-tree model; integer
 /// addition commutes, so any restructuring is bit-exact). C is overwritten.

@@ -20,14 +20,6 @@
 
 namespace hetacc::kernels {
 
-namespace {
-
-// Both helpers mirror algo::Matrix::operator* — left-element zero skip,
-// k-ascending accumulation, identical expression shape — so the seed's
-// double transform results are reproduced bit-for-bit (the skip can only
-// flip signed zeros, which the downstream quantization erases).
-
-/// C (ra x cb) = A (ra x ca) * B (ca x cb), all row-major.
 void matmul_nn(const double* A, int ra, int ca, const double* B, int cb,
                double* C) {
   std::fill(C, C + static_cast<std::size_t>(ra) * cb, 0.0);
@@ -43,7 +35,6 @@ void matmul_nn(const double* A, int ra, int ca, const double* B, int cb,
   }
 }
 
-/// C (ra x rb) = A (ra x ca) * B^T where B is stored (rb x ca) row-major.
 void matmul_nt(const double* A, int ra, int ca, const double* B, int rb,
                double* C) {
   std::fill(C, C + static_cast<std::size_t>(ra) * rb, 0.0);
@@ -59,6 +50,8 @@ void matmul_nt(const double* A, int ra, int ca, const double* B, int rb,
   }
 }
 
+namespace {
+
 void check_tile_size(int n) {
   if (n < 1 || n > kWinogradMaxN) {
     throw std::logic_error("winograd kernel: unsupported tile size n=" +
@@ -66,11 +59,12 @@ void check_tile_size(int n) {
   }
 }
 
-/// Gather one tile's n x n window from the pre-padded strip.
-inline void gather_tile(const float* cplane, int strip_w, int tj, int m, int n,
+/// Gather one tile's n x n window from a pre-padded window whose rows are
+/// `row_w` floats apart.
+inline void gather_tile(const float* cplane, int row_w, int tj, int m, int n,
                         double* d) {
   for (int u = 0; u < n; ++u) {
-    const float* src = cplane + static_cast<std::size_t>(u) * strip_w + tj * m;
+    const float* src = cplane + static_cast<std::size_t>(u) * row_w + tj * m;
     for (int v = 0; v < n; ++v) d[u * n + v] = src[v];
   }
 }
@@ -103,19 +97,28 @@ inline void scatter_tile(const double* macc, const double* at, int m, int n,
 
 /// Chunk size for the (channel x tile) transform grids: a few tiles per
 /// cursor claim keeps per-channel locality without starving wide machines on
-/// narrow strips.
-inline std::size_t tile_grain(int tiles_w) {
-  return std::clamp<std::size_t>(static_cast<std::size_t>(tiles_w), 1, 8);
+/// narrow bands.
+inline std::size_t tile_grain(int tiles) {
+  return std::clamp<std::size_t>(static_cast<std::size_t>(tiles), 1, 8);
 }
 
 }  // namespace
 
-void winograd_strip(const WinogradPlan& plan, const float* strip, int strip_w,
-                    int tiles_w, float* const* out_rows, int rows_out,
-                    int out_w, const float* bias, bool relu, int out_frac,
-                    int threads) {
-  const int n = plan.n, m = plan.m, T = tiles_w;
+int winograd_band_rows(int tiles_h, int tiles_w) {
+  constexpr int kBandColumns = 16;  // two NR = 8 panels of the f64 GEMM
+  const int rows = (kBandColumns + tiles_w - 1) / std::max(tiles_w, 1);
+  return std::clamp(rows, 1, std::max(tiles_h, 1));
+}
+
+void winograd_band(const WinogradPlan& plan, const float* band, int band_w,
+                   int band_rows, int tiles_w, float* const* out_rows,
+                   int rows_out, int out_w, const float* bias, bool relu,
+                   int out_frac, int threads) {
+  const int n = plan.n, m = plan.m;
   check_tile_size(n);
+  const int T = band_rows * tiles_w;
+  const std::size_t band_plane =
+      static_cast<std::size_t>((band_rows - 1) * m + n) * band_w;
   const std::size_t vplane = static_cast<std::size_t>(plan.in_c) * T;
   const std::size_t mplane = static_cast<std::size_t>(plan.out_c) * T;
   ScratchArena& arena = ScratchArena::tls();
@@ -124,55 +127,97 @@ void winograd_strip(const WinogradPlan& plan, const float* strip, int strip_w,
   double* mm = arena.alloc<double>(static_cast<std::size_t>(n) * n * mplane);
 
   // Forward transform over the (in_c x tile) grid: each task owns one tile
-  // column of one channel and writes a disjoint V slot per plane.
+  // of one channel and writes a disjoint V slot per plane. Tile t sits at
+  // tile row t / tiles_w, tile column t % tiles_w of the band.
   parallel_for(static_cast<std::size_t>(plan.in_c) * T, tile_grain(T), threads,
                [&](std::size_t g) {
                  const std::size_t c = g / T;
-                 const int tj = static_cast<int>(g % T);
+                 const int t = static_cast<int>(g % T);
                  const float* cplane =
-                     strip + c * static_cast<std::size_t>(n) * strip_w;
+                     band + c * band_plane +
+                     static_cast<std::size_t>(t / tiles_w) * m * band_w;
                  double d[kWinogradMaxN * kWinogradMaxN];
                  double tmp[kWinogradMaxN * kWinogradMaxN];
                  double vt[kWinogradMaxN * kWinogradMaxN];
-                 gather_tile(cplane, strip_w, tj, m, n, d);
+                 gather_tile(cplane, band_w, t % tiles_w, m, n, d);
                  matmul_nn(plan.bt.data(), n, n, d, n, tmp);
                  matmul_nt(tmp, n, n, plan.bt.data(), n, vt);
                  for (int ab = 0; ab < n * n; ++ab) {
-                   v[static_cast<std::size_t>(ab) * vplane + c * T + tj] =
+                   v[static_cast<std::size_t>(ab) * vplane + c * T + t] =
                        vt[ab];
                  }
                });
 
   parallel_for(static_cast<std::size_t>(n) * n, threads, [&](std::size_t ab) {
-    gemm_f64(plan.out_c, T, plan.in_c, plan.plane(static_cast<int>(ab)),
-             plan.in_c, v + ab * vplane, T, mm + ab * mplane, T,
+    gemm_f64(plan.planes[ab], T, v + ab * vplane, T, mm + ab * mplane, T,
              /*threads=*/1);
   });
 
-  // Inverse transform + scatter over the (out_c x tile) grid: tile tj of
-  // channel oc touches only columns [tj*m, tj*m + m) of oc's output rows.
+  // Inverse transform + scatter over the (out_c x tile) grid: tile t of
+  // channel oc touches only columns [tj*m, tj*m + m) of its tile row's
+  // output rows.
   parallel_for(static_cast<std::size_t>(plan.out_c) * T, tile_grain(T),
                threads, [&](std::size_t g) {
                  const std::size_t oc = g / T;
-                 const int tj = static_cast<int>(g % T);
+                 const int t = static_cast<int>(g % T);
+                 const int top = (t / tiles_w) * m;
+                 if (top >= rows_out) return;
                  double macc[kWinogradMaxN * kWinogradMaxN];
                  const float b = bias ? bias[oc] : 0.0f;
                  for (int ab = 0; ab < n * n; ++ab) {
                    macc[ab] =
-                       mm[static_cast<std::size_t>(ab) * mplane + oc * T + tj];
+                       mm[static_cast<std::size_t>(ab) * mplane + oc * T + t];
                  }
-                 scatter_tile(macc, plan.at.data(), m, n, out_rows, plan.out_c,
-                              static_cast<int>(oc), tj, rows_out, out_w, b,
-                              relu, out_frac);
+                 scatter_tile(macc, plan.at.data(), m, n,
+                              out_rows + static_cast<std::size_t>(top) *
+                                             plan.out_c,
+                              plan.out_c, static_cast<int>(oc), t % tiles_w,
+                              std::min(m, rows_out - top), out_w, b, relu,
+                              out_frac);
                });
 }
 
-void winograd_strip_fixed(const WinogradPlanFixed& plan, const float* strip,
-                          int strip_w, int tiles_w, float* const* out_rows,
-                          int rows_out, int out_w, const float* bias,
-                          bool relu, int v_frac, int out_frac, int threads) {
-  const int n = plan.n, m = plan.m, T = tiles_w;
+namespace {
+
+/// Copies `rows` padded input rows starting at padded row `top` into `band`
+/// ([C][rows][band_w], zero outside the real image).
+void fill_band(const float* in, int C, int H, int W, int pad, int top,
+               int rows, int band_w, float* band, int threads) {
+  parallel_for(static_cast<std::size_t>(C), threads, [&](std::size_t c) {
+    float* cdst = band + c * static_cast<std::size_t>(rows) * band_w;
+    const float* csrc = in + c * static_cast<std::size_t>(H) * W;
+    for (int u = 0; u < rows; ++u) {
+      float* dst = cdst + static_cast<std::size_t>(u) * band_w;
+      const int h = top + u - pad;
+      if (h < 0 || h >= H) {
+        std::fill(dst, dst + band_w, 0.0f);
+        continue;
+      }
+      const int x0 = pad;  // band col x maps to input col x - pad
+      const int x1 = std::min(band_w, W + pad);
+      if (x0 > 0) std::fill(dst, dst + std::min(x0, band_w), 0.0f);
+      if (x1 > x0) {
+        std::memcpy(dst + x0, csrc + static_cast<std::size_t>(h) * W,
+                    static_cast<std::size_t>(x1 - x0) * sizeof(float));
+      }
+      if (x1 < band_w) std::fill(dst + std::max(x1, 0), dst + band_w, 0.0f);
+    }
+  });
+}
+
+/// Fixed-datapath twin of winograd_band (same window and output layout):
+/// `band` holds Q(data_frac)-quantized samples; V is quantized to Q(v_frac)
+/// int16 and multiplied in the exact int16 x int16 -> int64 GEMM.
+void winograd_band_fixed(const WinogradPlanFixed& plan, const float* band,
+                         int band_w, int band_rows, int tiles_w,
+                         float* const* out_rows, int rows_out, int out_w,
+                         const float* bias, bool relu, int v_frac,
+                         int out_frac, int threads) {
+  const int n = plan.n, m = plan.m;
   check_tile_size(n);
+  const int T = band_rows * tiles_w;
+  const std::size_t band_plane =
+      static_cast<std::size_t>((band_rows - 1) * m + n) * band_w;
   const std::size_t vplane = static_cast<std::size_t>(plan.in_c) * T;
   const std::size_t mplane = static_cast<std::size_t>(plan.out_c) * T;
   ScratchArena& arena = ScratchArena::tls();
@@ -185,19 +230,20 @@ void winograd_strip_fixed(const WinogradPlanFixed& plan, const float* strip,
   parallel_for(static_cast<std::size_t>(plan.in_c) * T, tile_grain(T), threads,
                [&](std::size_t g) {
                  const std::size_t c = g / T;
-                 const int tj = static_cast<int>(g % T);
+                 const int t = static_cast<int>(g % T);
                  const float* cplane =
-                     strip + c * static_cast<std::size_t>(n) * strip_w;
+                     band + c * band_plane +
+                     static_cast<std::size_t>(t / tiles_w) * m * band_w;
                  double d[kWinogradMaxN * kWinogradMaxN];
                  double tmp[kWinogradMaxN * kWinogradMaxN];
                  double vt[kWinogradMaxN * kWinogradMaxN];
-                 gather_tile(cplane, strip_w, tj, m, n, d);
+                 gather_tile(cplane, band_w, t % tiles_w, m, n, d);
                  matmul_nn(plan.bt.data(), n, n, d, n, tmp);
                  matmul_nt(tmp, n, n, plan.bt.data(), n, vt);
                  for (int ab = 0; ab < n * n; ++ab) {
                    // 16-bit multiplier inputs, exactly as the seed quantized
                    // per tile.
-                   vq[static_cast<std::size_t>(ab) * vplane + c * T + tj] =
+                   vq[static_cast<std::size_t>(ab) * vplane + c * T + t] =
                        fixed::Fixed16::quantize(static_cast<float>(vt[ab]),
                                                 v_frac);
                  }
@@ -214,7 +260,10 @@ void winograd_strip_fixed(const WinogradPlanFixed& plan, const float* strip,
       static_cast<std::size_t>(plan.out_c) * T, tile_grain(T), threads,
       [&](std::size_t g) {
         const std::size_t oc = g / T;
-        const int tj = static_cast<int>(g % T);
+        const int t = static_cast<int>(g % T);
+        const int tj = t % tiles_w;
+        const int top = (t / tiles_w) * m;
+        if (top >= rows_out) return;
         double macc[kWinogradMaxN * kWinogradMaxN];
         double p[kWinogradMaxN * kWinogradMaxN];
         double y[kWinogradMaxN * kWinogradMaxN];
@@ -222,13 +271,14 @@ void winograd_strip_fixed(const WinogradPlanFixed& plan, const float* strip,
         for (int ab = 0; ab < n * n; ++ab) {
           macc[ab] = static_cast<double>(
                          mi[static_cast<std::size_t>(ab) * mplane + oc * T +
-                            tj]) *
+                            t]) *
                      scale;
         }
         matmul_nn(plan.at.data(), m, n, macc, n, p);
         matmul_nt(p, m, n, plan.at.data(), m, y);
-        for (int a = 0; a < rows_out; ++a) {
-          float* orow = out_rows[static_cast<std::size_t>(a) * plan.out_c + oc];
+        for (int a = 0; a < std::min(m, rows_out - top); ++a) {
+          float* orow =
+              out_rows[static_cast<std::size_t>(top + a) * plan.out_c + oc];
           for (int b = 0; b < m; ++b) {
             const int col = tj * m + b;
             if (col >= out_w) break;
@@ -240,32 +290,38 @@ void winograd_strip_fixed(const WinogradPlanFixed& plan, const float* strip,
       });
 }
 
-namespace {
-
-/// Copies the padded window of tile row `ti` into `strip`
-/// ([C][n][strip_w], zero outside the real image).
-void fill_strip(const float* in, int C, int H, int W, int pad, int ti, int m,
-                int n, int strip_w, float* strip, int threads) {
-  parallel_for(static_cast<std::size_t>(C), threads, [&](std::size_t c) {
-    float* cdst = strip + c * static_cast<std::size_t>(n) * strip_w;
-    const float* csrc = in + c * static_cast<std::size_t>(H) * W;
-    for (int u = 0; u < n; ++u) {
-      float* dst = cdst + static_cast<std::size_t>(u) * strip_w;
-      const int h = ti * m + u - pad;
-      if (h < 0 || h >= H) {
-        std::fill(dst, dst + strip_w, 0.0f);
-        continue;
+/// Streams a whole CHW map through a band kernel: cuts the map into bands
+/// of winograd_band_rows tile rows, fills each band's zero-padded window and
+/// output-row table, and calls run(band, band_w, rows_b, tiles_w, out_rows,
+/// rows_out) once per band.
+template <typename RunBand>
+void for_each_band(const float* in, int C, int H, int W, int pad, int m,
+                   int n, int out_c, float* out, int out_h, int out_w,
+                   int threads, RunBand run) {
+  const int tiles_h = (out_h + m - 1) / m;
+  const int tiles_w = (out_w + m - 1) / m;
+  const int band_w = (tiles_w - 1) * m + n;
+  const int band_rows = winograd_band_rows(tiles_h, tiles_w);
+  ScratchArena& arena = ScratchArena::tls();
+  ScratchArena::Scope scope(arena);
+  float* band = arena.alloc<float>(static_cast<std::size_t>(C) *
+                                   ((band_rows - 1) * m + n) * band_w);
+  float** out_rows = arena.alloc<float*>(static_cast<std::size_t>(band_rows) *
+                                         m * out_c);
+  for (int ti = 0; ti < tiles_h; ti += band_rows) {
+    const int rows_b = std::min(band_rows, tiles_h - ti);
+    const int top = ti * m;
+    fill_band(in, C, H, W, pad, top, (rows_b - 1) * m + n, band_w, band,
+              threads);
+    const int rows_out = std::min(rows_b * m, out_h - top);
+    for (int a = 0; a < rows_out; ++a) {
+      for (int oc = 0; oc < out_c; ++oc) {
+        out_rows[static_cast<std::size_t>(a) * out_c + oc] =
+            out + (static_cast<std::size_t>(oc) * out_h + top + a) * out_w;
       }
-      const int x0 = pad;  // strip col x maps to input col x - pad
-      const int x1 = std::min(strip_w, W + pad);
-      if (x0 > 0) std::fill(dst, dst + std::min(x0, strip_w), 0.0f);
-      if (x1 > x0) {
-        std::memcpy(dst + x0, csrc + static_cast<std::size_t>(h) * W,
-                    static_cast<std::size_t>(x1 - x0) * sizeof(float));
-      }
-      if (x1 < strip_w) std::fill(dst + std::max(x1, 0), dst + strip_w, 0.0f);
     }
-  });
+    run(band, band_w, rows_b, tiles_w, out_rows, rows_out);
+  }
 }
 
 }  // namespace
@@ -273,38 +329,20 @@ void fill_strip(const float* in, int C, int H, int W, int pad, int ti, int m,
 void winograd_conv_f32(const WinogradPlan& plan, const float* in, int H, int W,
                        int pad, const float* bias, bool relu, float* out,
                        int out_h, int out_w, int threads) {
-  const int m = plan.m, n = plan.n;
-  const int tiles_h = (out_h + m - 1) / m;
-  const int tiles_w = (out_w + m - 1) / m;
-  const int strip_w = (tiles_w - 1) * m + n;
-  ScratchArena& arena = ScratchArena::tls();
-  ScratchArena::Scope scope(arena);
-  float* strip =
-      arena.alloc<float>(static_cast<std::size_t>(plan.in_c) * n * strip_w);
-  float** out_rows =
-      arena.alloc<float*>(static_cast<std::size_t>(m) * plan.out_c);
-  for (int ti = 0; ti < tiles_h; ++ti) {
-    fill_strip(in, plan.in_c, H, W, pad, ti, m, n, strip_w, strip, threads);
-    const int rows_out = std::min(m, out_h - ti * m);
-    for (int a = 0; a < rows_out; ++a) {
-      for (int oc = 0; oc < plan.out_c; ++oc) {
-        out_rows[static_cast<std::size_t>(a) * plan.out_c + oc] =
-            out + (static_cast<std::size_t>(oc) * out_h + ti * m + a) * out_w;
-      }
-    }
-    winograd_strip(plan, strip, strip_w, tiles_w, out_rows, rows_out, out_w,
-                   bias, relu, /*out_frac=*/-1, threads);
-  }
+  for_each_band(in, plan.in_c, H, W, pad, plan.m, plan.n, plan.out_c, out,
+                out_h, out_w, threads,
+                [&](const float* band, int band_w, int rows_b, int tiles_w,
+                    float* const* out_rows, int rows_out) {
+                  winograd_band(plan, band, band_w, rows_b, tiles_w, out_rows,
+                                rows_out, out_w, bias, relu,
+                                /*out_frac=*/-1, threads);
+                });
 }
 
 void winograd_conv_i16(const WinogradPlanFixed& plan, const float* in, int H,
                        int W, int pad, const float* bias, bool relu,
                        int data_frac, int v_frac, int out_frac, float* out,
                        int out_h, int out_w, int threads) {
-  const int m = plan.m, n = plan.n;
-  const int tiles_h = (out_h + m - 1) / m;
-  const int tiles_w = (out_w + m - 1) / m;
-  const int strip_w = (tiles_w - 1) * m + n;
   ScratchArena& arena = ScratchArena::tls();
   ScratchArena::Scope scope(arena);
 
@@ -322,22 +360,14 @@ void winograd_conv_i16(const WinogradPlanFixed& plan, const float* in, int H,
                  }
                });
 
-  float* strip =
-      arena.alloc<float>(static_cast<std::size_t>(plan.in_c) * n * strip_w);
-  float** out_rows =
-      arena.alloc<float*>(static_cast<std::size_t>(m) * plan.out_c);
-  for (int ti = 0; ti < tiles_h; ++ti) {
-    fill_strip(qin, plan.in_c, H, W, pad, ti, m, n, strip_w, strip, threads);
-    const int rows_out = std::min(m, out_h - ti * m);
-    for (int a = 0; a < rows_out; ++a) {
-      for (int oc = 0; oc < plan.out_c; ++oc) {
-        out_rows[static_cast<std::size_t>(a) * plan.out_c + oc] =
-            out + (static_cast<std::size_t>(oc) * out_h + ti * m + a) * out_w;
-      }
-    }
-    winograd_strip_fixed(plan, strip, strip_w, tiles_w, out_rows, rows_out,
-                         out_w, bias, relu, v_frac, out_frac, threads);
-  }
+  for_each_band(qin, plan.in_c, H, W, pad, plan.m, plan.n, plan.out_c, out,
+                out_h, out_w, threads,
+                [&](const float* band, int band_w, int rows_b, int tiles_w,
+                    float* const* out_rows, int rows_out) {
+                  winograd_band_fixed(plan, band, band_w, rows_b, tiles_w,
+                                      out_rows, rows_out, out_w, bias, relu,
+                                      v_frac, out_frac, threads);
+                });
 }
 
 }  // namespace hetacc::kernels

@@ -2,23 +2,25 @@
 // Winograd F(m x m, r x r) restructured as batched transform-domain GEMMs.
 //
 // Instead of the seed's per-tile elementwise channel loop, all tiles of a
-// tile-row strip are gathered, input-transformed, and laid out as n^2 planes
-// V[ab] of shape (in_c x tiles). One GEMM per tile position ab then computes
-// M[ab] (out_c x tiles) = U[ab] (out_c x in_c) * V[ab], and the inverse
-// transform scatters each (oc, tile) back to output rows. The filters are
-// packed into the plane layout exactly once per layer (WinogradPlan).
+// band of tile rows are gathered, input-transformed, and laid out as n^2
+// planes V[ab] of shape (in_c x tiles). One GEMM per tile position ab then
+// computes M[ab] (out_c x tiles) = U[ab] (out_c x in_c) * V[ab], and the
+// inverse transform scatters each (oc, tile) back to output rows. The
+// filters are transformed and packed into GEMM panels exactly once per layer
+// (WinogradPlan), so no band ever re-lays them out.
 //
 // Determinism: parallelism is across the (input channel x tile) grid
 // (gather + forward transform), tile positions (GEMM batch), and the
 // (output channel x tile) grid (inverse transform + scatter) — independent
 // outputs only. Each output element's accumulation chain depends only on
-// (in_c, KC), never on the thread count or the grid chunking.
+// (in_c, KC), never on the thread count, the grid chunking, or how many tile
+// rows share a band: the GEMM's columns are independent lanes.
 //
-// Scratch (transform planes, strip windows, quantized copies) comes from the
-// calling thread's ScratchArena, so repeated strips/images run with zero
+// Scratch (transform planes, band windows, quantized copies) comes from the
+// calling thread's ScratchArena, so repeated bands/images run with zero
 // steady-state heap allocations.
 //
-// The fixed-point strip reproduces algo::winograd_conv_fixed bit-for-bit:
+// The fixed-point band reproduces algo::winograd_conv_fixed bit-for-bit:
 // int16 x int16 -> int64 transform-domain accumulation commutes exactly, and
 // the float/double pre- and post-transforms mirror the accumulation order of
 // algo::Matrix::operator*.
@@ -26,27 +28,52 @@
 #include <cstdint>
 #include <vector>
 
+#include "kernels/gemm.h"
+
 namespace hetacc::kernels {
 
+/// Small dense products for the per-tile transforms. Both mirror
+/// algo::Matrix::operator* — left-element zero skip, k-ascending
+/// accumulation, identical expression shape — so every transform result is
+/// bit-identical to the Matrix form (the skip can only flip signed zeros,
+/// which the downstream quantization erases).
+///
+/// C (ra x cb) = A (ra x ca) * B (ca x cb), all row-major.
+void matmul_nn(const double* A, int ra, int ca, const double* B, int cb,
+               double* C);
+/// C (ra x rb) = A (ra x ca) * B^T where B is stored (rb x ca) row-major.
+void matmul_nt(const double* A, int ra, int ca, const double* B, int rb,
+               double* C);
+
 /// Largest supported transform size n = m + r - 1 (per-tile temporaries are
-/// stack-allocated in the strip kernels).
+/// stack-allocated in the band kernels).
 inline constexpr int kWinogradMaxN = 16;
 
 /// A Winograd layer packed for batched transform-domain GEMM: the transform
-/// matrices as flat doubles plus the pre-transformed filters re-laid-out as
-/// n^2 planes of (out_c x in_c). Built once per layer (see
-/// algo::pack_winograd_plan) and shared across images/engine instances.
+/// matrices as flat doubles plus the pre-transformed filters as n^2 planes of
+/// (out_c x in_c), each held only as pre-packed GEMM panels. Built once per
+/// layer (see algo::winograd_plan) and shared across images and engine
+/// instances.
 struct WinogradPlan {
   int m = 0, r = 0, n = 0;
   int out_c = 0, in_c = 0;
-  std::vector<double> bt;  ///< n x n, row-major
-  std::vector<double> at;  ///< m x n, row-major
-  std::vector<double> u;   ///< [n*n][out_c][in_c]
+  std::vector<double> bt;            ///< n x n, row-major
+  std::vector<double> at;            ///< m x n, row-major
+  std::vector<PackedLhsF64> planes;  ///< [n*n], each out_c x in_c
 
-  [[nodiscard]] const double* plane(int ab) const {
-    return u.data() + static_cast<std::size_t>(ab) * out_c * in_c;
+  /// Resident bytes: transform matrices plus every packed plane block.
+  [[nodiscard]] long long footprint_bytes() const {
+    long long total =
+        static_cast<long long>((bt.size() + at.size()) * sizeof(double));
+    for (const auto& p : planes) total += p.footprint_bytes();
+    return total;
   }
 };
+
+/// Tile rows a band kernel call should cover on a map `tiles_h` x `tiles_w`
+/// tiles: the fewest rows whose tiles fill two NR = 8 GEMM panels (16
+/// columns), capped at the map. A function of the geometry only.
+[[nodiscard]] int winograd_band_rows(int tiles_h, int tiles_w);
 
 /// Fixed-point variant: filters quantized to Q(u_frac) int16 once (the seed
 /// re-quantized the same values per tile; quantization is deterministic, so
@@ -64,39 +91,36 @@ struct WinogradPlanFixed {
   }
 };
 
-/// Computes one tile-row strip (all tile columns of one tile row).
+/// Computes a band of `band_rows` tile rows (every tile column of each).
 ///
-/// `strip` is the pre-padded input window, [in_c][n][strip_w] row-major with
-/// strip_w >= (tiles_w - 1) * m + n; anything outside the real (padded) image
-/// must already be zero-filled. Output goes through `out_rows`: one pointer
-/// per (row, output channel) — out_rows[row * out_c + oc] — each addressing
-/// at least out_w floats; rows_out (<= m) bottom-clips the strip, out_w
-/// right-clips the tiles. `out_frac < 0` leaves outputs in float; otherwise
-/// each output is quantized to Q(out_frac) (streaming-engine fixed mode).
-/// Transform planes live in the calling thread's ScratchArena for the
-/// duration of the call.
-void winograd_strip(const WinogradPlan& plan, const float* strip, int strip_w,
-                    int tiles_w, float* const* out_rows, int rows_out,
-                    int out_w, const float* bias, bool relu, int out_frac,
-                    int threads);
+/// `band` is the pre-padded input window, [in_c][(band_rows - 1) * m + n]
+/// [band_w] row-major with band_w >= (tiles_w - 1) * m + n; anything outside
+/// the real (padded) image must already be zero-filled. Output goes through
+/// `out_rows`: one pointer per (row, output channel) —
+/// out_rows[row * out_c + oc] — each addressing at least out_w floats;
+/// rows_out (<= band_rows * m) bottom-clips the band, out_w right-clips the
+/// tiles. `out_frac < 0` leaves outputs in float; otherwise each output is
+/// quantized to Q(out_frac) (streaming-engine fixed mode). Every output
+/// byte equals what band_rows one-row calls would write. Transform planes
+/// live in the calling thread's ScratchArena for the duration of the call.
+void winograd_band(const WinogradPlan& plan, const float* band, int band_w,
+                   int band_rows, int tiles_w, float* const* out_rows,
+                   int rows_out, int out_w, const float* bias, bool relu,
+                   int out_frac, int threads);
 
-/// Fixed-datapath strip: `strip` must hold Q(data_frac)-quantized samples,
-/// V is quantized to Q(v_frac) int16 before the transform-domain multiply,
-/// accumulation is exact int64, outputs re-quantized to Q(out_frac). Bit
-/// -exact with the seed per-tile implementation for any thread count.
-void winograd_strip_fixed(const WinogradPlanFixed& plan, const float* strip,
-                          int strip_w, int tiles_w, float* const* out_rows,
-                          int rows_out, int out_w, const float* bias,
-                          bool relu, int v_frac, int out_frac, int threads);
-
-/// Whole-tensor float Winograd conv over a CHW image (stride 1). `out` is
-/// (out_c, out_h, out_w) CHW with out_h = H + 2*pad - r + 1.
+/// Whole-tensor float Winograd conv over a CHW image (stride 1), run band by
+/// band through winograd_band. `out` is (out_c, out_h, out_w) CHW with
+/// out_h = H + 2*pad - r + 1.
 void winograd_conv_f32(const WinogradPlan& plan, const float* in, int H, int W,
                        int pad, const float* bias, bool relu, float* out,
                        int out_h, int out_w, int threads);
 
-/// Whole-tensor fixed Winograd conv: input quantized to Q(data_frac) once up
-/// front (value-identical to the seed's per-tile quantization).
+/// Whole-tensor fixed Winograd conv, run band by band like
+/// winograd_conv_f32: input quantized to Q(data_frac) once up front
+/// (value-identical to the seed's per-tile quantization), V quantized to
+/// Q(v_frac) int16 before the transform-domain multiply, exact int64
+/// accumulation, outputs re-quantized to Q(out_frac). Bit-exact with the
+/// seed per-tile implementation for any thread count and band size.
 void winograd_conv_i16(const WinogradPlanFixed& plan, const float* in, int H,
                        int W, int pad, const float* bias, bool relu,
                        int data_frac, int v_frac, int out_frac, float* out,

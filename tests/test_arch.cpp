@@ -5,6 +5,7 @@
 #include "core/strategy.h"
 #include "nn/model_zoo.h"
 #include "nn/reference.h"
+#include "quant/calibration.h"
 
 namespace hetacc::arch {
 namespace {
@@ -196,6 +197,74 @@ TEST(Pipeline, AlexNetHeadWithLrn) {
   ch[3].algo = ConvAlgo::kWinograd;
   ch[3].wino_m = 2;
   expect_pipeline_matches_reference(net, ch, 2e-3f);
+}
+
+// Output hashes pinned from the row-at-a-time Winograd engine (one GEMM per
+// tile row, filters re-packed per call). The band engine must reproduce
+// every output byte, through run() and run_batch().
+std::uint64_t output_hash(const Tensor& t) {
+  std::uint64_t h = 1469598103934665603ull;  // FNV-1a
+  const auto* p = reinterpret_cast<const unsigned char*>(t.data());
+  for (std::size_t i = 0; i < t.vec().size() * sizeof(float); ++i) {
+    h = (h ^ p[i]) * 1099511628211ull;
+  }
+  return h;
+}
+
+/// Winograd on every stride-1 3x3 (F(m3, 3)) and 5x5 (F(2, 5)) conv.
+std::vector<LayerChoice> winograd_choices(const Network& net, int m3,
+                                          const std::vector<NumericMode>& modes) {
+  std::vector<LayerChoice> ch(net.size() - 1);
+  for (std::size_t i = 1; i < net.size(); ++i) {
+    if (!modes.empty()) ch[i - 1].mode = modes[i - 1];
+    const nn::Layer& l = net[i];
+    if (l.kind != nn::LayerKind::kConv || l.conv().stride != 1) continue;
+    if (l.conv().kernel == 3 || l.conv().kernel == 5) {
+      ch[i - 1].algo = ConvAlgo::kWinograd;
+      ch[i - 1].wino_m = l.conv().kernel == 5 ? 2 : m3;
+    }
+  }
+  return ch;
+}
+
+void expect_pinned_hashes(const Network& net, const WeightStore& ws,
+                          const std::vector<LayerChoice>& ch,
+                          std::uint64_t first, std::uint64_t second) {
+  Tensor a(net[0].out), b(net[0].out);
+  nn::fill_deterministic(a, 11);
+  nn::fill_deterministic(b, 12);
+  FusionPipeline pipe(net, ws, ch);
+  EXPECT_EQ(output_hash(pipe.run(a)), first);
+  const std::vector<Tensor> batch = pipe.run_batch({a, b}, 2);
+  EXPECT_EQ(output_hash(batch[0]), first);
+  EXPECT_EQ(output_hash(batch[1]), second);
+}
+
+TEST(Pipeline, AlexNetFixedWinogradOutputBytesArePinned) {
+  // alexnet-accel on the calibrated 16-bit datapath: conv2 F(2,5), conv3-5
+  // F(4,3) on 13x13 maps (one band covers the whole map).
+  const Network net = nn::alexnet_accel();
+  const WeightStore ws = WeightStore::deterministic(net, 7);
+  Tensor cal(net[0].out);
+  nn::fill_deterministic(cal, 11);
+  const auto modes = quant::calibrate(net, ws, {cal}).modes();
+  expect_pinned_hashes(net, ws, winograd_choices(net, 4, modes),
+                       0x99269f13a587ebe1ull, 0x91aa4443a2c5385cull);
+}
+
+TEST(Pipeline, FloatWinogradOutputBytesArePinned) {
+  // Clipped bottom/right tiles, out_c % 4 != 0, F(4,3), F(2,5), F(2,3).
+  Network net("wino-float");
+  net.input({5, 23, 19});
+  net.conv(6, 3, 1, 1, "c1");
+  net.conv(7, 5, 1, 2, "c2");
+  net.max_pool(2, 2, "p1");
+  net.conv(9, 3, 1, 0, "c3");
+  const WeightStore ws = WeightStore::deterministic(net, 7);
+  for (int m3 : {4, 2}) {
+    expect_pinned_hashes(net, ws, winograd_choices(net, m3, {}),
+                         0x63a8892c510b386cull, 0x17ba1a63dc5d90b5ull);
+  }
 }
 
 TEST(Pipeline, FixedPointModeStaysClose) {

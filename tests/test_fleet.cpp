@@ -798,8 +798,9 @@ TEST_F(PrepackShareTest, CacheCrcCatchesARealBitFlip) {
   }
   if (!flipped) {
     for (const auto& p : b->wino) {
-      if (p && !p->u.empty()) {
-        const_cast<double&>(p->u[0]) += 1.0;
+      if (p && !p->planes.empty() && p->planes[0].pblocks() > 0 &&
+          p->planes[0].iblocks() > 0 && !p->planes[0].block(0, 0).empty()) {
+        const_cast<double&>(p->planes[0].block(0, 0)[0]) += 1.0;
         flipped = true;
         break;
       }

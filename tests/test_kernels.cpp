@@ -12,6 +12,7 @@
 #include <functional>
 #include <random>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -287,6 +288,97 @@ TEST(ConvKernels, ThreadCountInvarianceBytewise) {
         << "fixed threads=" << threads;
     EXPECT_EQ(0, std::memcmp(wfix1.data(), wfixN.data(), bytes(wfix1)))
         << "wino fixed threads=" << threads;
+  }
+}
+
+TEST(WinoGemm, BandRowsFillTwoGemmPanels) {
+  EXPECT_EQ(kernels::winograd_band_rows(4, 4), 4);    // AlexNet 13x13, F(4,3)
+  EXPECT_EQ(kernels::winograd_band_rows(4, 3), 4);    // capped at the map
+  EXPECT_EQ(kernels::winograd_band_rows(28, 7), 3);   // 21 tiles >= 16
+  EXPECT_EQ(kernels::winograd_band_rows(56, 16), 1);  // one row fills both
+  EXPECT_EQ(kernels::winograd_band_rows(56, 56), 1);
+  EXPECT_EQ(kernels::winograd_band_rows(1, 2), 1);
+}
+
+TEST(WinoGemm, BandEqualsSingleRowCallsBytewise) {
+  // A band of k tile rows runs one GEMM per plane over all of its tiles;
+  // every output byte must equal what k one-row calls write. Geometries
+  // clip the bottom and right tiles and use out_c % 4 != 0.
+  ThreadGuard guard;
+  struct Case {
+    int m, r, in_c, out_c, h, w, out_frac;
+  };
+  for (const Case& c : {Case{2, 3, 5, 6, 11, 9, -1}, Case{4, 3, 6, 7, 14, 13, 10},
+                        Case{2, 5, 4, 5, 10, 11, -1}}) {
+    const algo::WinogradTransform t = algo::winograd(c.m, c.r);
+    FilterBank f(c.out_c, c.in_c, c.r);
+    std::vector<float> bias(static_cast<std::size_t>(c.out_c));
+    Tensor in(c.in_c, c.h, c.w);
+    nn::fill_deterministic(f, 31);
+    nn::fill_deterministic(bias, 32);
+    nn::fill_deterministic(in, 33);
+    const kernels::WinogradPlan plan = algo::winograd_plan(t, f);
+    const int n = t.n(), m = c.m, pad = c.r / 2;
+    const int out_h = c.h + 2 * pad - c.r + 1, out_w = c.w + 2 * pad - c.r + 1;
+    const int tiles_h = (out_h + m - 1) / m, tiles_w = (out_w + m - 1) / m;
+    const int band_w = (tiles_w - 1) * m + n;
+    const std::string what = "F(" + std::to_string(m) + "," +
+                             std::to_string(c.r) + ")";
+
+    // Runs the map in bands of k tile rows; each band's window is cut from
+    // the zero-padded input.
+    const auto run_bands = [&](int k, int threads) {
+      std::vector<float> out(static_cast<std::size_t>(c.out_c) * out_h * out_w,
+                             -7.0f);
+      for (int ti = 0; ti < tiles_h; ti += k) {
+        const int rows_b = std::min(k, tiles_h - ti);
+        const int rows_in = (rows_b - 1) * m + n;
+        std::vector<float> band(static_cast<std::size_t>(c.in_c) * rows_in *
+                                    band_w,
+                                0.0f);
+        for (int ch = 0; ch < c.in_c; ++ch) {
+          for (int u = 0; u < rows_in; ++u) {
+            const int y = ti * m + u - pad;
+            for (int x = 0; x < band_w; ++x) {
+              if (y < 0 || y >= c.h || x - pad < 0 || x - pad >= c.w) continue;
+              band[(static_cast<std::size_t>(ch) * rows_in + u) * band_w + x] =
+                  in.at(ch, y, x - pad);
+            }
+          }
+        }
+        const int rows_out = std::min(rows_b * m, out_h - ti * m);
+        std::vector<float*> rows(static_cast<std::size_t>(rows_out) * c.out_c);
+        for (int a = 0; a < rows_out; ++a) {
+          for (int oc = 0; oc < c.out_c; ++oc) {
+            rows[static_cast<std::size_t>(a) * c.out_c + oc] =
+                out.data() +
+                (static_cast<std::size_t>(oc) * out_h + ti * m + a) * out_w;
+          }
+        }
+        kernels::winograd_band(plan, band.data(), band_w, rows_b, tiles_w,
+                               rows.data(), rows_out, out_w, bias.data(),
+                               /*relu=*/true, c.out_frac, threads);
+      }
+      return out;
+    };
+
+    for (int threads : {1, 3}) {
+      kernels::set_num_threads(threads);
+      const std::vector<float> rows1 = run_bands(1, threads);
+      for (int k : {2, 3, tiles_h}) {
+        const std::vector<float> banded = run_bands(k, threads);
+        EXPECT_EQ(0, std::memcmp(rows1.data(), banded.data(),
+                                 rows1.size() * sizeof(float)))
+            << what << " band=" << k << " threads=" << threads;
+      }
+      if (c.out_frac < 0) {
+        // The whole-map entry runs the same band kernel.
+        const Tensor whole = algo::winograd_conv(t, in, f, bias, pad, true);
+        EXPECT_EQ(0, std::memcmp(rows1.data(), whole.data(),
+                                 rows1.size() * sizeof(float)))
+            << what << " whole map, threads=" << threads;
+      }
+    }
   }
 }
 

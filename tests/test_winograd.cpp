@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <utility>
+
 #include "algo/conv_variants.h"
 #include "algo/winograd_conv.h"
 #include "algo/winograd_transform.h"
@@ -204,6 +207,35 @@ TEST(WinogradConv, PretransformedFiltersMatchOnTheFly) {
   const Tensor a = winograd_conv(t, in, f, {}, 1, false);
   const Tensor b = winograd_conv_pretransformed(tf, in, {}, 1, false);
   EXPECT_EQ(a.max_abs_diff(b), 0.0f);
+}
+
+TEST(WinogradConv, DirectPlanBitEqualsTransformedFilters) {
+  // winograd_plan transforms each filter straight into the packed GEMM
+  // planes; every element must be the very double transform_filters holds.
+  for (const auto& [m, r] :
+       {std::pair{2, 3}, std::pair{4, 3}, std::pair{2, 5}, std::pair{4, 5}}) {
+    const WinogradTransform t = winograd(m, r);
+    nn::FilterBank f(7, 6, r);  // out_c % 4 != 0: a zero-padded tail panel
+    nn::fill_deterministic(f, 17);
+    const TransformedFilters tf = transform_filters(t, f);
+    const kernels::WinogradPlan plan = winograd_plan(t, f);
+    const int n = t.n();
+    ASSERT_EQ(plan.planes.size(), static_cast<std::size_t>(n * n));
+    for (int ab = 0; ab < n * n; ++ab) {
+      const kernels::PackedLhsF64& plane = plan.planes[ab];
+      ASSERT_EQ(plane.rows(), 7);
+      ASSERT_EQ(plane.depth(), 6);
+      for (int oc = 0; oc < 7; ++oc) {
+        for (int ic = 0; ic < 6; ++ic) {
+          const double want = tf.at(oc, ic).at(ab / n, ab % n);
+          const double got = plane.at(oc, ic);
+          EXPECT_EQ(0, std::memcmp(&want, &got, sizeof(double)))
+              << "F(" << m << "," << r << ") plane " << ab << " (" << oc
+              << ", " << ic << ")";
+        }
+      }
+    }
+  }
 }
 
 TEST(WinogradConv, KernelMismatchThrows) {
