@@ -1,5 +1,6 @@
 // SRV: resilient-serving-runtime characterization for DESIGN.md §11/§14.
-// Drives the same synthetic arrival trace through the Server under three
+// Drives the same synthetic arrival trace through a one-model, one-tenant,
+// batch-cap-1 FleetServer (the `hetacc --serve` shape) under three
 // conditions — healthy, mid-trace fault burst (wedged primary), and
 // fallback-only — and reports the virtual-time service quality (p50/p99
 // latency, degraded share, retries) next to the real wall-clock execution
@@ -8,7 +9,9 @@
 // to keep zero requests lost. A second section pits the degradation ladder
 // against shed-everything and the binary pair on an oscillating-overload
 // trace (the §14 hot-swap scenario) and on a burst-then-calm recovery
-// trace. Emits a table and BENCH_serve.json.
+// trace. Emits a table and BENCH_serve.json; exits non-zero unless every
+// row is accounted, the burst row lost nothing, served degraded and ended
+// with the breaker closed, and the ladder beat shed-everything.
 
 #include <cstdio>
 #include <string>
@@ -16,37 +19,51 @@
 
 #include "bench_util.h"
 #include "nn/model_zoo.h"
-#include "serve/server.h"
+#include "serve/fleet.h"
 #include "serve_common.h"
 
 using namespace hetacc;
 
 namespace {
 
-serve::ServerConfig config(int threads) {
-  serve::ServerConfig cfg;
-  cfg.queue_capacity = 64;
-  cfg.replicas = 2;
-  cfg.max_retries = 2;
-  cfg.backoff_base_cycles = 500;
-  cfg.backoff_cap_cycles = 4000;
+serve::FleetConfig config() {
+  serve::FleetConfig cfg;
+  cfg.threads = 0;
+  cfg.health.enabled = false;
+  cfg.retry.max_retries = 2;
+  cfg.retry.backoff_base_cycles = 500;
+  cfg.retry.backoff_cap_cycles = 4000;
   cfg.breaker.failure_threshold = 2;
   cfg.breaker.cooldown_cycles = 4000;
-  cfg.threads = threads;
   return cfg;
 }
 
-void emit(std::vector<bench::ServeRecord>& out, const std::string& scenario,
-          const serve::ServerStats& s, double wall_ms) {
-  bench::ServeRecord r{scenario, s.to_json(), wall_ms,
-                       bench::req_per_s(s.completed, wall_ms)};
-  std::printf(
-      "  %-12s %6lld ok (%4lld degraded) %4lld retries  p50 %7lld  "
-      "p99 %7lld cyc  %8.1f req/s  %s\n",
-      scenario.c_str(), s.completed, s.completed_degraded, s.retries,
-      s.latency.p50(), s.latency.p99(), r.req_per_s,
-      s.accounted() ? "accounted" : "LOST REQUESTS");
-  out.push_back(std::move(r));
+serve::TenantConfig tenant(std::size_t queue, long long deadline) {
+  serve::TenantConfig t;
+  t.name = "serve";
+  t.queue_capacity = queue;
+  t.deadline_cycles = deadline;
+  t.batch_cap = 1;
+  t.batch_age_cycles = 0;
+  return t;
+}
+
+serve::ServingMode mode(long long cycles, const char* label) {
+  serve::ServingMode m;
+  m.service_cycles = cycles;  // empty choices = all-conventional float
+  m.label = label;
+  return m;
+}
+
+struct Outcome {
+  serve::FleetStats stats;
+  bool breaker_closed = true;  ///< no breaker move, or the last one closed
+};
+
+const serve::TenantStats& req(const Outcome& o) { return o.stats.tenants[0]; }
+
+long long within_deadline(const Outcome& o) {
+  return req(o).completed - req(o).deadline_misses;
 }
 
 }  // namespace
@@ -57,10 +74,6 @@ int main(int argc, char** argv) {
 
   const nn::Network net = nn::tiny_net(4, 16);
   const auto ws = nn::WeightStore::deterministic(net, 21);
-  serve::ServingMode primary;
-  primary.service_cycles = 1000;
-  serve::ServingMode fallback;
-  fallback.service_cycles = 1600;
 
   const serve::ArrivalTrace healthy = serve::ArrivalTrace::synthetic(
       n, /*mean=*/1200, /*seed=*/17, /*surge=*/2.0);
@@ -74,29 +87,62 @@ int main(int argc, char** argv) {
   std::vector<bench::ServeRecord> recs;
   const auto run = [&](const std::string& name,
                        const serve::ArrivalTrace& trace,
-                       const serve::ServingMode& prim) {
-    serve::Server server(net, ws, prim, fallback, config(/*threads=*/0));
+                       serve::ServingLadder ladder,
+                       const serve::TenantConfig& t,
+                       const serve::FleetConfig& cfg) {
+    std::vector<serve::FleetModel> models;
+    models.push_back({"serve", net, ws, std::move(ladder), /*replicas=*/2});
+    serve::FleetServer server(std::move(models), {t}, cfg);
     double wall_ms = 0.0;
-    const serve::ServerStats s =
-        bench::timed_ms(wall_ms, [&] { return server.run(trace); });
-    emit(recs, name, s, wall_ms);
-    return s;
+    Outcome o;
+    o.stats = bench::timed_ms(wall_ms, [&] { return server.run({trace}); });
+    const auto& log = server.breaker_logs()[0];
+    o.breaker_closed =
+        log.empty() || log.back().to == serve::BreakerState::kClosed;
+    const serve::TenantStats& s = req(o);
+    const serve::ModelStats& m = o.stats.models[0];
+    bench::ServeRecord r{name, o.stats.to_json(), wall_ms,
+                         bench::req_per_s(s.completed, wall_ms)};
+    std::printf(
+        "  %-12s %6lld ok (%4lld degraded) %4lld retries  p50 %7lld  "
+        "p99 %7lld cyc  %8.1f req/s  %s\n",
+        name.c_str(), s.completed, s.completed_degraded, m.retries,
+        s.latency.p50(), s.latency.p99(), r.req_per_s,
+        o.stats.accounted() ? "accounted" : "LOST REQUESTS");
+    recs.push_back(std::move(r));
+    return o;
   };
 
-  std::printf("%zu requests, 2 replicas, primary %lld / fallback %lld "
+  // The pair the binary server degrades between: the primary at home and
+  // the pre-hardened fallback above it.
+  const auto pair_of = [](serve::ServingMode home_mode) {
+    serve::ServingLadder l;
+    l.rungs = {mode(1600, "fallback"), std::move(home_mode)};
+    l.home = 1;
+    return l;
+  };
+  const serve::TenantConfig open_tenant = tenant(64, /*deadline=*/0);
+
+  std::printf("%zu requests, 2 replicas, primary 1000 / fallback 1600 "
               "cycles per request\n\n",
-              n, primary.service_cycles, fallback.service_cycles);
-  const serve::ServerStats h = run("healthy", healthy, primary);
-  const serve::ServerStats b = run("fault-burst", burst, primary);
+              n);
+  const Outcome h = run("healthy", healthy, pair_of(mode(1000, "primary")),
+                        open_tenant, config());
+  const Outcome b = run("fault-burst", burst, pair_of(mode(1000, "primary")),
+                        open_tenant, config());
   // Fallback-only: what the degraded strategy alone would deliver — the
   // lower bound the breaker degrades toward.
-  const serve::ServerStats s_fb = run("fallback", healthy, fallback);
+  const Outcome s_fb = run("fallback", healthy,
+                           pair_of(mode(1600, "fallback")), open_tenant,
+                           config());
   std::printf(
       "\nfault-burst delta vs healthy: p99 %+lld cycles, %lld retried, "
-      "%lld served degraded, %lld lost\n",
-      b.latency.p99() - h.latency.p99(), b.retries, b.completed_degraded,
-      b.submitted - b.completed - b.rejected_queue_full - b.shed_deadline -
-          b.failed);
+      "%lld served degraded, %lld failed, breaker %lld opens / %lld closes, "
+      "ends %s\n",
+      req(b).latency.p99() - req(h).latency.p99(), b.stats.models[0].retries,
+      req(b).completed_degraded, req(b).failed,
+      b.stats.models[0].breaker_opens, b.stats.models[0].breaker_closes,
+      b.breaker_closed ? "closed" : "NOT CLOSED");
 
   // ---- degradation ladder vs shed-everything under oscillating overload.
   // Burst arrivals (one per 400 cycles) land between the 2-replica home
@@ -114,70 +160,55 @@ int main(int argc, char** argv) {
       /*periods=*/1, 2 * per_phase, /*burst=*/400, /*lull=*/2000,
       /*seed=*/13);
 
-  const auto ladder_cfg = [&] {
-    serve::ServerConfig cfg = config(/*threads=*/0);
-    cfg.queue_capacity = 32;
-    cfg.deadline_cycles = 4000;
-    cfg.backoff_base_cycles = 125;
-    // Load axis only: the fault rows above already characterize the
-    // breaker, and the overload traces carry no fault burst.
-    cfg.breaker.failure_threshold = 1 << 20;
-    cfg.breaker.deadline_miss_threshold = 1 << 20;
-    return cfg;
-  }();
+  serve::FleetConfig ladder_cfg = config();
+  ladder_cfg.retry.backoff_base_cycles = 125;
+  // Load axis only: the fault rows above already characterize the breaker,
+  // and the overload traces carry no fault burst.
+  ladder_cfg.breaker.failure_threshold = 1 << 20;
+  const serve::TenantConfig slo_tenant = tenant(32, /*deadline=*/4000);
 
-  const auto ladder_mode = [](long long cycles, const char* label) {
-    serve::ServingMode m;
-    m.service_cycles = cycles;
-    m.label = label;
-    return m;
-  };
   serve::ServingLadder three;
-  three.rungs = {ladder_mode(1600, "protected"), ladder_mode(1000, "primary"),
-                 ladder_mode(640, "int8")};
+  three.rungs = {mode(1600, "protected"), mode(1000, "primary"),
+                 mode(640, "int8")};
   three.home = 1;
-  serve::ServingLadder pair;
-  pair.rungs = {ladder_mode(1600, "fallback"), ladder_mode(1000, "primary")};
-  pair.home = 1;
   serve::ServingLadder shed;
-  shed.rungs = {ladder_mode(1000, "primary")};
+  shed.rungs = {mode(1000, "primary")};
   shed.home = 0;
 
   const auto run_ladder = [&](const std::string& name,
                               const serve::ArrivalTrace& trace,
                               serve::ServingLadder l) {
-    serve::Server server(net, ws, std::move(l), ladder_cfg);
-    double wall_ms = 0.0;
-    const serve::ServerStats s =
-        bench::timed_ms(wall_ms, [&] { return server.run(trace); });
-    emit(recs, name, s, wall_ms);
+    const Outcome o = run(name, trace, std::move(l), slo_tenant, ladder_cfg);
     std::printf("  %-12s %6lld within deadline, %lld shed, "
                 "%lld rung moves\n",
-                "", s.completed - s.deadline_misses, s.shed_deadline,
-                s.rung_transitions);
-    return s;
+                "", within_deadline(o), req(o).shed_deadline,
+                o.stats.models[0].rung_transitions);
+    return o;
   };
 
-  const serve::ServerStats s_shed = run_ladder("over-shed", osc, shed);
-  const serve::ServerStats s_pair = run_ladder("over-binary", osc, pair);
-  const serve::ServerStats s_ladd = run_ladder("over-ladder", osc, three);
-  const serve::ServerStats s_recv =
-      run_ladder("burst-recover", recovery, three);
+  const Outcome s_shed = run_ladder("over-shed", osc, shed);
+  const Outcome s_pair =
+      run_ladder("over-binary", osc, pair_of(mode(1000, "primary")));
+  const Outcome s_ladd = run_ladder("over-ladder", osc, three);
+  const Outcome s_recv = run_ladder("burst-recover", recovery, three);
 
-  const long long wd_shed = s_shed.completed - s_shed.deadline_misses;
-  const long long wd_ladd = s_ladd.completed - s_ladd.deadline_misses;
+  const long long wd_shed = within_deadline(s_shed);
+  const long long wd_ladd = within_deadline(s_ladd);
   std::printf(
       "\nladder delta: %+lld within-deadline vs shed-everything, "
       "%+lld vs binary pair; recovery run ended after %lld rung moves\n",
-      wd_ladd - wd_shed,
-      wd_ladd - (s_pair.completed - s_pair.deadline_misses),
-      s_recv.rung_transitions);
+      wd_ladd - wd_shed, wd_ladd - within_deadline(s_pair),
+      s_recv.stats.models[0].rung_transitions);
 
   bench::write_serve_json(recs, "BENCH_serve.json");
-  const bool ok = h.accounted() && b.accounted() &&
-                  s_fb.accounted() && s_shed.accounted() &&
-                  s_pair.accounted() && s_ladd.accounted() &&
-                  s_recv.accounted() &&
+  const bool ok = h.stats.accounted() && b.stats.accounted() &&
+                  s_fb.stats.accounted() && s_shed.stats.accounted() &&
+                  s_pair.stats.accounted() && s_ladd.stats.accounted() &&
+                  s_recv.stats.accounted() &&
+                  // Resilience: the burst is absorbed — nothing failed,
+                  // the breaker routed around it and recovered.
+                  req(b).failed == 0 && req(b).completed_degraded > 0 &&
+                  b.stats.models[0].breaker_opens > 0 && b.breaker_closed &&
                   // The whole point of the ladder: degraded-rung service
                   // beats shedding everything the primary cannot absorb.
                   wd_ladd > wd_shed;

@@ -36,7 +36,6 @@ bool CircuitBreaker::try_acquire_probe(long long now) {
 
 void CircuitBreaker::force_open(long long now, long long cooldown_cycles) {
   consecutive_failures_ = 0;
-  consecutive_misses_ = 0;
   probe_in_flight_ = false;
   probe_wins_ = 0;
   transition(now, BreakerState::kOpen);
@@ -45,7 +44,6 @@ void CircuitBreaker::force_open(long long now, long long cooldown_cycles) {
 
 void CircuitBreaker::record_success(long long now) {
   consecutive_failures_ = 0;
-  consecutive_misses_ = 0;
   if (state(now) == BreakerState::kHalfOpen) {
     probe_in_flight_ = false;
     if (++probe_wins_ >= cfg_.probe_successes) {
@@ -55,7 +53,6 @@ void CircuitBreaker::record_success(long long now) {
 }
 
 void CircuitBreaker::record_failure(long long now) {
-  consecutive_misses_ = 0;
   if (state(now) == BreakerState::kHalfOpen) {
     // The probe found the primary still sick: re-open for a fresh cooldown.
     probe_in_flight_ = false;
@@ -67,25 +64,6 @@ void CircuitBreaker::record_failure(long long now) {
   if (state_ == BreakerState::kClosed &&
       ++consecutive_failures_ >= cfg_.failure_threshold) {
     consecutive_failures_ = 0;
-    transition(now, BreakerState::kOpen);
-    open_until_ = now + cfg_.cooldown_cycles;
-  }
-}
-
-void CircuitBreaker::record_deadline_miss(long long now) {
-  consecutive_failures_ = 0;
-  if (state(now) == BreakerState::kHalfOpen) {
-    // A late probe is a failed probe — the primary still cannot meet the
-    // deadline — and must release the probe slot, or half-open wedges.
-    probe_in_flight_ = false;
-    probe_wins_ = 0;
-    transition(now, BreakerState::kOpen);
-    open_until_ = now + cfg_.cooldown_cycles;
-    return;
-  }
-  if (state_ != BreakerState::kClosed) return;
-  if (++consecutive_misses_ >= cfg_.deadline_miss_threshold) {
-    consecutive_misses_ = 0;
     transition(now, BreakerState::kOpen);
     open_until_ = now + cfg_.cooldown_cycles;
   }

@@ -1,18 +1,18 @@
 #pragma once
-// Circuit breaker guarding the primary strategy. Classic three-state
+// Circuit breaker guarding a model's home design. Classic three-state
 // machine, driven entirely by the dispatcher in virtual time (single
 // threaded, so no locking):
 //
-//   closed ──(K consecutive failures, or M consecutive deadline misses)──▶
+//   closed ──(K consecutive failures)──▶ open
 //   open   ──(cooldown_cycles elapse)──▶ half-open
 //   half-open ──(probe_successes probes succeed)──▶ closed
 //             ──(any probe fails)──▶ open (fresh cooldown)
 //
+// It hears execution outcomes only — lateness is the load regime's signal.
 // While open or half-open (probe slot taken), requests are served from the
-// fallback strategy — the pre-optimized, tighter-budget design the
-// optimizer computed offline — instead of failing. Every transition is
-// logged with its virtual cycle so tests can assert the exact recovery
-// sequence.
+// conservative rung — the pre-optimized, hardened design the optimizer
+// computed offline — instead of failing. Every transition is logged with
+// its virtual cycle so tests can assert the exact recovery sequence.
 
 #include <cstdint>
 #include <string_view>
@@ -27,8 +27,6 @@ enum class BreakerState : std::uint8_t { kClosed, kOpen, kHalfOpen };
 struct BreakerConfig {
   /// Consecutive primary failures that open the breaker.
   int failure_threshold = 3;
-  /// Consecutive deadline misses that open it (sustained-lateness signal).
-  int deadline_miss_threshold = 8;
   /// Cycles the breaker stays open before probing half-open recovery.
   long long cooldown_cycles = 50'000;
   /// Successful half-open probes required to close again.
@@ -56,7 +54,7 @@ class CircuitBreaker {
   /// Half-open probe admission: true grants the (single) probe slot, and
   /// the caller must report the probe's outcome via record_success /
   /// record_failure. While a probe is in flight further requests are served
-  /// from the fallback.
+  /// from the conservative rung.
   [[nodiscard]] bool try_acquire_probe(long long now);
 
   /// Trips the breaker immediately with an explicit cooldown, bypassing the
@@ -69,9 +67,6 @@ class CircuitBreaker {
   /// Outcome of a request served on the *primary* strategy.
   void record_success(long long now);
   void record_failure(long long now);
-  /// A primary request completed but blew its deadline. Sustained misses
-  /// open the breaker just like hard failures do.
-  void record_deadline_miss(long long now);
 
   [[nodiscard]] const std::vector<BreakerTransition>& transitions() const {
     return log_;
@@ -86,7 +81,6 @@ class CircuitBreaker {
   BreakerState state_ = BreakerState::kClosed;
   long long open_until_ = 0;
   int consecutive_failures_ = 0;
-  int consecutive_misses_ = 0;
   int probe_wins_ = 0;
   bool probe_in_flight_ = false;
   long long opens_ = 0;

@@ -9,6 +9,7 @@
 #include <map>
 #include <sstream>
 #include <thread>
+#include <tuple>
 
 #include "fault/crc32.h"
 #include "kernels/parallel.h"
@@ -22,8 +23,7 @@ namespace {
 
 constexpr long long kInf = std::numeric_limits<long long>::max();
 
-/// Same digest primitive as serve/server.cpp (shared via stats.h), so the
-/// fleet hash has the same order-independence properties.
+/// The shared digest primitive (stats.h): order-independent folding.
 constexpr std::uint64_t mix64(std::uint64_t x) { return digest_mix64(x); }
 
 /// Globally unique request key for the response digest and the live-copy
@@ -35,14 +35,17 @@ constexpr std::uint64_t request_key(std::size_t tenant, std::uint64_t id) {
 /// One coalesced dispatch: a batch of same-(model, rung) requests ground
 /// through a warm pipeline by whichever worker picks it up. The response
 /// CRCs come back index-aligned with `seeds`; an empty vector signals an
-/// execution error (cannot happen without a fault plan, but accounted as
-/// `failed` rather than lost). `cancel` is the pipeline cancel token the
-/// dispatcher flips when the batch's virtual outcome no longer needs the
-/// real work (hedge loser, quarantine drain) — the only dispatcher->worker
-/// signal besides the queue itself, and it never carries stats.
+/// execution error (a trace fault burst striking the home rung, accounted
+/// as a retry or `failed` rather than lost). `cancel` is the pipeline
+/// cancel token the dispatcher flips when the batch's virtual outcome no
+/// longer needs the real work (hedge loser, quarantine drain) — the only
+/// dispatcher->worker signal besides the queue itself, and it never
+/// carries stats.
 struct FleetJob {
   std::size_t model = 0;
   int rung = 0;
+  const FaultBurst* burst = nullptr;  ///< run with burst->plan installed
+  bool reset_first = false;           ///< retry path: reset() the pipeline
   std::shared_ptr<const arch::PrepackBundle> bundle;
   std::vector<std::uint32_t> seeds;
   std::atomic<bool> cancel{false};
@@ -50,6 +53,12 @@ struct FleetJob {
 };
 
 }  // namespace
+
+long long retry_backoff(const RetryConfig& cfg, int attempt) {
+  long long b = cfg.backoff_base_cycles;
+  for (int i = 1; i < attempt && b < cfg.backoff_cap_cycles; ++i) b <<= 1;
+  return std::min(b, cfg.backoff_cap_cycles);
+}
 
 std::string_view to_string(HealthEvent::Kind k) {
   switch (k) {
@@ -92,7 +101,10 @@ bool ModelStats::operator==(const ModelStats& o) const {
          rung_transitions == o.rung_transitions && scale_ups == o.scale_ups &&
          scale_downs == o.scale_downs && replica_peak == o.replica_peak &&
          cold_spinups == o.cold_spinups && warm_spinups == o.warm_spinups &&
-         spinup_cycles == o.spinup_cycles;
+         spinup_cycles == o.spinup_cycles && retries == o.retries &&
+         faults_absorbed == o.faults_absorbed &&
+         breaker_opens == o.breaker_opens &&
+         breaker_closes == o.breaker_closes && rung_cycles == o.rung_cycles;
 }
 
 bool FleetStats::accounted() const {
@@ -121,15 +133,17 @@ bool FleetStats::operator==(const FleetStats& o) const {
 
 std::string FleetStats::summary() const {
   std::ostringstream os;
-  os << "  tenant                       sub   rej  shed  done  miss   "
-        "p50        p99\n";
+  os << "  tenant                       sub   rej  shed  done  degr  fail  "
+        "miss   p50        p99\n";
   for (const TenantStats& t : tenants) {
-    char line[160];
+    char line[200];
     std::snprintf(line, sizeof(line),
-                  "  %-24s %7lld %5lld %5lld %5lld %5lld  %8lld  %9lld\n",
+                  "  %-24s %7lld %5lld %5lld %5lld %5lld %5lld %5lld  %8lld  "
+                  "%9lld\n",
                   t.name.c_str(), t.submitted, t.rejected_queue_full,
-                  t.shed_deadline, t.completed, t.deadline_misses,
-                  t.latency.p50(), t.latency.p99());
+                  t.shed_deadline, t.completed, t.completed_degraded,
+                  t.failed, t.deadline_misses, t.latency.p50(),
+                  t.latency.p99());
     os << line;
   }
   for (const ModelStats& m : models) {
@@ -142,6 +156,13 @@ std::string FleetStats::summary() const {
                   m.scale_ups, m.scale_downs, m.cold_spinups, m.warm_spinups,
                   m.spinup_cycles, m.rung_transitions);
     os << line;
+    os << "    retries " << m.retries << ", faults absorbed "
+       << m.faults_absorbed << ", breaker " << m.breaker_opens << " opens, "
+       << m.breaker_closes << " closes, rung cycles";
+    for (std::size_t r = 0; r < m.rung_cycles.size(); ++r) {
+      os << (r ? " / r" : " r") << r << ":" << m.rung_cycles[r];
+    }
+    os << "\n";
   }
   os << "  cache       " << cache.hits << " hits, " << cache.misses
      << " misses, " << cache.resident_bytes << " bytes resident (peak "
@@ -195,7 +216,11 @@ std::string FleetStats::to_json() const {
        << ", \"replica_peak\": " << m.replica_peak
        << ", \"cold_spinups\": " << m.cold_spinups
        << ", \"warm_spinups\": " << m.warm_spinups
-       << ", \"spinup_cycles\": " << m.spinup_cycles << "}";
+       << ", \"spinup_cycles\": " << m.spinup_cycles
+       << ", \"retries\": " << m.retries
+       << ", \"faults_absorbed\": " << m.faults_absorbed
+       << ", \"breaker_opens\": " << m.breaker_opens
+       << ", \"breaker_closes\": " << m.breaker_closes << "}";
   }
   os << "], \"cache\": {\"hits\": " << cache.hits
      << ", \"misses\": " << cache.misses
@@ -244,6 +269,12 @@ FleetServer::FleetServer(std::vector<FleetModel> models,
     throw ServeError(ServeError::Reason::kConfig,
                      "invalid health configuration (window/thresholds >= 1, "
                      "watchdog_factor > 1)");
+  }
+  const RetryConfig& rc = cfg_.retry;
+  if (rc.max_retries < 0 || rc.backoff_base_cycles < 0 ||
+      rc.backoff_cap_cycles < rc.backoff_base_cycles) {
+    throw ServeError(ServeError::Reason::kConfig,
+                     "invalid retry/backoff configuration");
   }
   if (cfg_.hedge.enabled && cfg_.hedge.delay_cycles < 0) {
     throw ServeError(ServeError::Reason::kConfig,
@@ -311,10 +342,6 @@ FleetStats FleetServer::run(const std::vector<ArrivalTrace>& traces,
                          std::to_string(traces.size()));
   }
   for (std::size_t t = 0; t < traces.size(); ++t) {
-    if (traces[t].burst.active()) {
-      throw ServeError(ServeError::Reason::kConfig,
-                       "fleet traces do not support fault bursts");
-    }
     for (std::size_t i = 0; i < traces[t].requests.size(); ++i) {
       if (traces[t].requests[i].id != i) {
         throw ServeError(ServeError::Reason::kConfig,
@@ -339,6 +366,7 @@ FleetStats FleetServer::run(const std::vector<ArrivalTrace>& traces,
   }
 
   rung_logs_.assign(models_.size(), {});
+  breaker_logs_.assign(models_.size(), {});
   scale_log_.clear();
   health_log_.clear();
 
@@ -352,6 +380,7 @@ FleetStats FleetServer::run(const std::vector<ArrivalTrace>& traces,
     stats.models[m].name = models_[m].name;
     stats.models[m].rung_completions.assign(models_[m].ladder.rungs.size(),
                                             0);
+    stats.models[m].rung_cycles.assign(models_[m].ladder.rungs.size(), 0);
   }
 
   // Merged arrival stream, ordered (cycle, tenant, id) — the global event
@@ -381,6 +410,12 @@ FleetStats FleetServer::run(const std::vector<ArrivalTrace>& traces,
     std::size_t tenant = 0;
     std::uint64_t id = 0;
     long long arrival = 0;
+    int attempt = 1;  ///< > 1 on retries after a failed home-rung batch
+  };
+  struct Retry {
+    long long eligible = 0;  ///< failure cycle + retry_backoff(attempt)
+    BatchItem item;
+    bool pinned = false;  ///< retry budget spent: conservative rung only
   };
   struct Replica {
     enum class Health : std::uint8_t { kHealthy, kQuarantined, kProbation };
@@ -420,6 +455,10 @@ FleetStats FleetServer::run(const std::vector<ArrivalTrace>& traces,
     std::vector<long long> service;  ///< per-rung service cycles
     std::deque<BatchItem> rescue;    ///< requeued at quarantine; served first
     std::deque<BatchItem> hedge_q;   ///< hedge copies awaiting a replica
+    std::vector<Retry> retries;      ///< failed home-rung requests
+    std::vector<const FaultBurst*> bursts;  ///< its tenants' trace bursts
+    CircuitBreaker breaker;          ///< fault breaker over home outcomes
+    bool breaker_degraded = false;   ///< last state pushed to the regimes
   };
   std::vector<ModelState> mstate(models_.size());
   std::vector<std::deque<std::uint64_t>> tq(tenants_.size());
@@ -427,6 +466,7 @@ FleetStats FleetServer::run(const std::vector<ArrivalTrace>& traces,
     ModelState& ms = mstate[tenants_[t].model];
     ms.tenant_ids.push_back(t);
     ms.cap_total += tenants_[t].queue_capacity;
+    if (traces[t].burst.active()) ms.bursts.push_back(&traces[t].burst);
   }
   for (std::size_t m = 0; m < models_.size(); ++m) {
     ModelState& ms = mstate[m];
@@ -435,6 +475,7 @@ FleetStats FleetServer::run(const std::vector<ArrivalTrace>& traces,
                        "model '" + models_[m].name + "' has no tenants");
     }
     ms.deficit.assign(ms.tenant_ids.size(), 0);
+    ms.breaker = CircuitBreaker(cfg_.breaker);
     ms.up_depth = static_cast<std::size_t>(
         cfg_.autoscale.up_queue_frac *
         static_cast<double>(ms.cap_total));
@@ -458,6 +499,7 @@ FleetStats FleetServer::run(const std::vector<ArrivalTrace>& traces,
     bool hedged = false;    ///< hedge copies were cloned off this batch
     bool is_hedge = false;  ///< this batch carries hedge copies
     bool is_probe = false;  ///< probation probe batch
+    bool breaker_probe = false;  ///< the model breaker's half-open probe
     std::vector<BatchItem> items;
     std::unique_ptr<FleetJob> job;
     std::future<std::vector<std::uint32_t>> fut;
@@ -523,18 +565,24 @@ FleetStats FleetServer::run(const std::vector<ArrivalTrace>& traces,
     return std::max<std::size_t>(cap, 1);
   };
 
-  const auto spawn_replica = [&](std::size_t m, long long now, bool initial) {
+  // The model breaker's open/half-open state moves every live replica's
+  // rung pointer off home (RegimeController::on_breaker); pushed on change.
+  const auto sync_breaker = [&](std::size_t m, long long now) {
     ModelState& ms = mstate[m];
-    Replica rep;
-    rep.id = ms.next_replica_id++;
-    rep.regime = std::make_unique<RegimeController>(
-        ms.service, models_[m].ladder.home, ms.cap_total, cfg_.regime);
-    rep.leases.resize(models_[m].ladder.rungs.size());
-    BreakerConfig gate_cfg;
-    gate_cfg.probe_successes = 1;  // single-probe probation
-    rep.gate = std::make_unique<CircuitBreaker>(gate_cfg);
-    // The home-rung bundle decides cold vs warm: a cold spin-up derives the
-    // constants, a warm one adopts the resident copy a peer already built.
+    const bool degraded = ms.breaker.current() != BreakerState::kClosed;
+    if (degraded == ms.breaker_degraded) return;
+    ms.breaker_degraded = degraded;
+    for (Replica& r : ms.replicas) {
+      if (!r.retired) r.regime->on_breaker(now, degraded);
+    }
+  };
+
+  // The home-rung bundle decides cold vs warm: a cold spin-up derives the
+  // constants, a warm one adopts the resident copy a peer already built.
+  // A charged spin-up takes the replica offline until ready_at; returns its
+  // cycles.
+  const auto spin_up = [&](std::size_t m, Replica& rep, long long now,
+                           bool charged) {
     const bool hit = acquire_rung(
         m, rep, static_cast<int>(models_[m].ladder.home), now);
     const long long spinup = hit ? cfg_.autoscale.spinup_warm_cycles
@@ -544,15 +592,34 @@ FleetStats FleetServer::run(const std::vector<ArrivalTrace>& traces,
     } else {
       ++stats.models[m].cold_spinups;
     }
-    if (initial) {
-      // Initial replicas are pre-warmed before traffic: ready at cycle 0,
-      // their (modeled) spin-up happened offline and is not charged.
-      rep.ready_at = 0;
-    } else {
+    if (charged) {
       rep.ready_at = now + spinup;
       rep.spinning = true;
       stats.models[m].spinup_cycles += spinup;
     }
+    return spinup;
+  };
+  const auto release_leases = [&](Replica& rep) {
+    for (auto& lease : rep.leases) {
+      if (lease) cache.release(*lease);
+      lease.reset();
+    }
+  };
+
+  const auto spawn_replica = [&](std::size_t m, long long now, bool initial) {
+    ModelState& ms = mstate[m];
+    Replica rep;
+    rep.id = ms.next_replica_id++;
+    rep.regime = std::make_unique<RegimeController>(
+        ms.service, models_[m].ladder.home, ms.cap_total, cfg_.regime);
+    if (ms.breaker_degraded) rep.regime->on_breaker(now, true);
+    rep.leases.resize(models_[m].ladder.rungs.size());
+    BreakerConfig gate_cfg;
+    gate_cfg.probe_successes = 1;  // single-probe probation
+    rep.gate = std::make_unique<CircuitBreaker>(gate_cfg);
+    // Initial replicas are pre-warmed before traffic: ready at cycle 0,
+    // their (modeled) spin-up happened offline and is not charged.
+    spin_up(m, rep, now, /*charged=*/!initial);
     ms.replicas.push_back(std::move(rep));
     stats.models[m].replica_peak =
         std::max(stats.models[m].replica_peak, live_count(ms));
@@ -587,10 +654,12 @@ FleetStats FleetServer::run(const std::vector<ArrivalTrace>& traces,
   workers.reserve(static_cast<std::size_t>(worker_count));
   for (int w = 0; w < worker_count; ++w) {
     workers.emplace_back([this, &exec_q] {
-      // Worker-owned warm pipelines, one per (model, rung) this worker
-      // actually serves — every one adopts the dispatcher's shared bundle,
-      // so construction skips the pack/transform work entirely.
-      std::map<std::pair<std::size_t, int>,
+      // Worker-owned warm pipelines, one per (model, rung, burst) this
+      // worker actually serves — every one adopts the dispatcher's shared
+      // bundle, so construction skips the pack/transform work entirely. A
+      // burst-struck pipeline carries the burst's plan and the rung's
+      // hardening.
+      std::map<std::tuple<std::size_t, int, const FaultBurst*>,
                std::unique_ptr<arch::FusionPipeline>>
           pipes;
       FleetJob* job = nullptr;
@@ -598,16 +667,20 @@ FleetStats FleetServer::run(const std::vector<ArrivalTrace>& traces,
         std::vector<std::uint32_t> crcs;
         arch::FusionPipeline* pipe = nullptr;
         try {
-          auto& slot = pipes[{job->model, job->rung}];
+          auto& slot = pipes[{job->model, job->rung, job->burst}];
           if (!slot) {
+            const ServingMode& mode =
+                models_[job->model]
+                    .ladder.rungs[static_cast<std::size_t>(job->rung)];
             slot = std::make_unique<arch::FusionPipeline>(
                 models_[job->model].net, models_[job->model].ws,
-                models_[job->model]
-                    .ladder.rungs[static_cast<std::size_t>(job->rung)]
-                    .choices,
-                job->bundle);
+                mode.choices, job->bundle);
+            if (job->burst) {
+              slot->install_fault_plan(job->burst->plan, mode.protect);
+            }
           }
           pipe = slot.get();
+          if (job->reset_first) pipe->reset();
           pipe->set_cancel_token(&job->cancel);
           crcs.reserve(job->seeds.size());
           for (const std::uint32_t seed : job->seeds) {
@@ -629,10 +702,11 @@ FleetStats FleetServer::run(const std::vector<ArrivalTrace>& traces,
   }
 
   // ---- The discrete-event loop. Event ties resolve fault strikes <
-  // completions < replica-ready < watchdog < hedge fire < batch-close
-  // timers < arrivals: faults land before anything else observes the cycle,
-  // capacity frees and comes online before sickness is judged, detection
-  // beats duplication, and both beat new admission.
+  // completions < replica-ready < retry-eligible < watchdog < hedge fire <
+  // batch-close timers < arrivals: faults land before anything else
+  // observes the cycle, capacity frees and comes online before sickness is
+  // judged, admitted work beats detection, detection beats duplication, and
+  // all of them beat new admission.
   // Deterministic batch close rule: dispatch when pending >= the effective
   // cap (min over tenants with queued work) OR the oldest pending request
   // of some tenant has aged past that tenant's budget. Otherwise arm the
@@ -706,40 +780,39 @@ FleetStats FleetServer::run(const std::vector<ArrivalTrace>& traces,
     return batch;
   };
 
+  // Free-replica scan: healthy first, then a probation replica whose single
+  // probe slot is open (index order == id order, so the pick is a pure
+  // function of the virtual schedule). {-1, false} when none can dispatch.
+  const auto free_replica = [&](const ModelState& ms) -> std::pair<int, bool> {
+    for (std::size_t i = 0; i < ms.replicas.size(); ++i) {
+      const Replica& r = ms.replicas[i];
+      if (r.retired || r.spinning || r.busy_until >= 0) continue;
+      if (r.health == Replica::Health::kHealthy) {
+        return {static_cast<int>(i), false};
+      }
+    }
+    for (std::size_t i = 0; i < ms.replicas.size(); ++i) {
+      const Replica& r = ms.replicas[i];
+      if (r.retired || r.spinning || r.busy_until >= 0) continue;
+      if (r.health == Replica::Health::kProbation && !r.probe_pending) {
+        return {static_cast<int>(i), true};
+      }
+    }
+    return {-1, false};
+  };
+
   const auto try_dispatch = [&](std::size_t m, long long now) {
     ModelState& ms = mstate[m];
     while (true) {
-      // Free-replica scan: healthy first, then a probation replica whose
-      // single probe slot is open (index order == id order, so the pick is
-      // a pure function of the virtual schedule).
-      int k = -1;
-      bool probe = false;
-      for (std::size_t i = 0; i < ms.replicas.size(); ++i) {
-        const Replica& r = ms.replicas[i];
-        if (r.retired || r.spinning || r.busy_until >= 0) continue;
-        if (r.health == Replica::Health::kHealthy) {
-          k = static_cast<int>(i);
-          break;
-        }
-      }
-      if (k < 0) {
-        for (std::size_t i = 0; i < ms.replicas.size(); ++i) {
-          const Replica& r = ms.replicas[i];
-          if (r.retired || r.spinning || r.busy_until >= 0) continue;
-          if (r.health == Replica::Health::kProbation && !r.probe_pending) {
-            k = static_cast<int>(i);
-            probe = true;
-            break;
-          }
-        }
-      }
+      const auto [k, probe] = free_replica(ms);
       if (k < 0) return;
-      // Batch class priority: quarantine rescues, then hedge copies, then
-      // fresh DRR work. Rescue/hedge batches bypass the close rule — their
-      // requests were already admitted and are already late.
+      // Batch class priority: quarantine rescues, then due retries, then
+      // hedge copies, then fresh DRR work. Rescue/retry/hedge batches
+      // bypass the close rule — their requests were already admitted.
       const std::size_t cap = model_cap(m);
       std::vector<BatchItem> batch;
       bool is_hedge = false;
+      bool pinned = false;
       while (!ms.rescue.empty() && batch.size() < cap) {
         const BatchItem it = ms.rescue.front();
         ms.rescue.pop_front();
@@ -751,6 +824,35 @@ FleetStats FleetServer::run(const std::vector<ArrivalTrace>& traces,
           continue;
         }
         batch.push_back(it);
+      }
+      if (batch.empty()) {
+        // Due retries, earliest eligibility first (ties by tenant, id); a
+        // batch never mixes pinned and home-bound retries.
+        while (batch.size() < cap) {
+          auto pick = ms.retries.end();
+          for (auto r = ms.retries.begin(); r != ms.retries.end(); ++r) {
+            if (r->eligible > now || (!batch.empty() && r->pinned != pinned)) {
+              continue;
+            }
+            if (pick == ms.retries.end() || r->eligible < pick->eligible ||
+                (r->eligible == pick->eligible &&
+                 std::tie(r->item.tenant, r->item.id) <
+                     std::tie(pick->item.tenant, pick->item.id))) {
+              pick = r;
+            }
+          }
+          if (pick == ms.retries.end()) break;
+          const Retry r = *pick;
+          ms.retries.erase(pick);
+          const TenantConfig& tc = tenants_[r.item.tenant];
+          if (tc.deadline_cycles > 0 &&
+              now > r.item.arrival + tc.deadline_cycles) {
+            ++stats.tenants[r.item.tenant].shed_deadline;
+            continue;
+          }
+          pinned = r.pinned;
+          batch.push_back(r.item);
+        }
       }
       if (batch.empty()) {
         while (!ms.hedge_q.empty() && batch.size() < cap) {
@@ -771,7 +873,29 @@ FleetStats FleetServer::run(const std::vector<ArrivalTrace>& traces,
       if (batch.empty()) batch = form_batch(m, now);
       if (batch.empty()) return;
       Replica& rep = ms.replicas[static_cast<std::size_t>(k)];
-      const int rung = rep.regime->rung();
+      const int home = static_cast<int>(models_[m].ladder.home);
+      int rung = rep.regime->conservative_rung();
+      bool breaker_probe = false;
+      if (!pinned) {
+        // Reading the breaker commits open -> half-open once the cooldown
+        // has passed; a half-open breaker tests home with one batch.
+        const BreakerState st = ms.breaker.state(now);
+        sync_breaker(m, now);
+        breaker_probe = st == BreakerState::kHalfOpen &&
+                        ms.breaker.try_acquire_probe(now);
+        rung = breaker_probe ? home : rep.regime->rung();
+      }
+      // A trace burst strikes the model's home design only: the hardened
+      // conservative rung and load-descended rungs run unstruck.
+      const FaultBurst* burst = nullptr;
+      if (rung == home) {
+        for (const FaultBurst* b : ms.bursts) {
+          if (b->covers(now)) {
+            burst = b;
+            break;
+          }
+        }
+      }
       acquire_rung(m, rep, rung, now);  // deterministic cache event
       const long long service =
           ms.service[static_cast<std::size_t>(rung)];
@@ -797,6 +921,7 @@ FleetStats FleetServer::run(const std::vector<ArrivalTrace>& traces,
       f.replica = static_cast<std::size_t>(k);
       f.rung = rung;
       f.is_hedge = is_hedge;
+      f.breaker_probe = breaker_probe;
       f.items = std::move(batch);
       if (cfg_.health.enabled) {
         f.watchdog_at =
@@ -822,6 +947,10 @@ FleetStats FleetServer::run(const std::vector<ArrivalTrace>& traces,
       f.job = std::make_unique<FleetJob>();
       f.job->model = m;
       f.job->rung = rung;
+      f.job->burst = burst;
+      f.job->reset_first =
+          std::any_of(f.items.begin(), f.items.end(),
+                      [](const BatchItem& it) { return it.attempt > 1; });
       f.job->bundle =
           rep.leases[static_cast<std::size_t>(rung)]->bundle;
       for (const BatchItem& it : f.items) {
@@ -865,10 +994,7 @@ FleetStats FleetServer::run(const std::vector<ArrivalTrace>& traces,
         }
         r.retired = true;
         r.regime->finish(now);
-        for (auto& lease : r.leases) {
-          if (lease) cache.release(*lease);
-          lease.reset();
-        }
+        release_leases(r);
         ++stats.models[m].scale_downs;
         scale_log_.push_back({now, m, false, live - 1});
         ms.idle_streak = 0;
@@ -896,6 +1022,12 @@ FleetStats FleetServer::run(const std::vector<ArrivalTrace>& traces,
         continue;
       }
       f.job->cancel.store(true, std::memory_order_relaxed);
+      if (f.breaker_probe) {
+        // The probe never reports back: count it failed, which frees the
+        // breaker's probe slot for a fresh cooldown.
+        ms.breaker.record_failure(now);
+        sync_breaker(m, now);
+      }
       for (const BatchItem& it : f.items) {
         auto st = req_state.find(request_key(it.tenant, it.id));
         if (--st->second.copies == 0) {
@@ -923,23 +1055,8 @@ FleetStats FleetServer::run(const std::vector<ArrivalTrace>& traces,
     rep.window_misses = 0;
     rep.consec_failures = 0;
     rep.health = Replica::Health::kQuarantined;
-    for (auto& lease : rep.leases) {
-      if (lease) cache.release(*lease);
-      lease.reset();
-    }
-    const bool hit = acquire_rung(
-        m, rep, static_cast<int>(models_[m].ladder.home), now);
-    const long long spinup = hit ? cfg_.autoscale.spinup_warm_cycles
-                                 : cfg_.autoscale.spinup_cold_cycles;
-    if (hit) {
-      ++stats.models[m].warm_spinups;
-    } else {
-      ++stats.models[m].cold_spinups;
-    }
-    stats.models[m].spinup_cycles += spinup;
-    rep.ready_at = now + spinup;
-    rep.spinning = true;
-    rep.gate->force_open(now, spinup);
+    release_leases(rep);
+    rep.gate->force_open(now, spin_up(m, rep, now, /*charged=*/true));
   };
 
   const auto handle_completion = [&](InFlight f) {
@@ -959,9 +1076,19 @@ FleetStats FleetServer::run(const std::vector<ArrivalTrace>& traces,
       ReqState& st = st_it->second;
       --st.copies;
       if (!ok) {
-        // Failed execution: terminal only when this was the last copy.
+        // Failed execution, decided by the last copy: a home-rung failure
+        // retries after backoff (pinned to the conservative rung once the
+        // budget is spent); a failure off home is terminal.
         if (st.copies == 0) {
-          if (!st.done) ++ts.failed;
+          if (!st.done && f.rung == home) {
+            ms.retries.push_back(
+                {now + retry_backoff(cfg_.retry, it.attempt),
+                 {it.tenant, it.id, it.arrival, it.attempt + 1},
+                 it.attempt > cfg_.retry.max_retries});
+            ++stats.models[f.model].retries;
+          } else if (!st.done) {
+            ++ts.failed;
+          }
           req_state.erase(st_it);
         }
         continue;
@@ -978,6 +1105,7 @@ FleetStats FleetServer::run(const std::vector<ArrivalTrace>& traces,
       ++ts.completed;
       ts.latency.record(lat);
       if (f.rung != home) ++ts.completed_degraded;
+      if (it.attempt > 1) ++stats.models[f.model].faults_absorbed;
       if (f.is_hedge) ++stats.hedge_wins;
       stats.response_hash += mix64(
           request_key(it.tenant, it.id) * 0x9E3779B97F4A7C15ull ^ crcs[i]);
@@ -990,6 +1118,16 @@ FleetStats FleetServer::run(const std::vector<ArrivalTrace>& traces,
     if (ok) {
       stats.models[f.model]
           .rung_completions[static_cast<std::size_t>(f.rung)] += delivered;
+    }
+    if (f.rung == home) {
+      // The breaker hears execution outcomes only: lateness is the regime's
+      // miss-window signal, never a breaker failure.
+      if (ok) {
+        ms.breaker.record_success(now);
+      } else {
+        ms.breaker.record_failure(now);
+      }
+      sync_breaker(f.model, now);
     }
 
     if (f.is_probe) {
@@ -1049,7 +1187,7 @@ FleetStats FleetServer::run(const std::vector<ArrivalTrace>& traces,
     for (std::size_t i = 0; i < inflight.size();) {
       InFlight& f = inflight[i];
       const Replica& rep = mstate[f.model].replicas[f.replica];
-      if (f.is_probe || rep.wedged || rep.crashed) {
+      if (f.is_probe || f.breaker_probe || rep.wedged || rep.crashed) {
         ++i;
         continue;
       }
@@ -1087,6 +1225,15 @@ FleetStats FleetServer::run(const std::vector<ArrivalTrace>& traces,
     }
     return -1;
   };
+  // A wedged or crashed replica never completes: its in-flight batch loses
+  // its completion event and the replica stays busy.
+  const auto stall = [&](std::size_t m, std::size_t ki) {
+    for (InFlight& f : inflight) {
+      if (f.model == m && f.replica == ki) f.completion = kInf;
+    }
+    Replica& rep = mstate[m].replicas[ki];
+    if (rep.busy_until >= 0) rep.busy_until = kInf;
+  };
   const auto apply_fault = [&](const fault::FleetFaultEvent& e) {
     const long long now = e.cycle;
     if (e.model >= models_.size()) return;
@@ -1115,15 +1262,8 @@ FleetStats FleetServer::run(const std::vector<ArrivalTrace>& traces,
         rep.wedged = true;
         health_log_.push_back(
             {now, HealthEvent::Kind::kWedged, e.model, rep.id});
-        // The in-flight batch will never virtually complete; only the
-        // watchdog (or a hedge) can save its requests now.
-        for (InFlight& f : inflight) {
-          if (f.model == e.model &&
-              f.replica == static_cast<std::size_t>(ki)) {
-            f.completion = kInf;
-          }
-        }
-        if (rep.busy_until >= 0) rep.busy_until = kInf;
+        // Only the watchdog (or a hedge) can save its requests now.
+        stall(e.model, static_cast<std::size_t>(ki));
         break;
       case fault::FleetFaultKind::kSlow:
         rep.slow_factor = e.slow_factor;
@@ -1141,13 +1281,7 @@ FleetStats FleetServer::run(const std::vector<ArrivalTrace>& traces,
           quarantine(e.model, static_cast<std::size_t>(ki), now);
           try_dispatch(e.model, now);
         } else {
-          for (InFlight& f : inflight) {
-            if (f.model == e.model &&
-                f.replica == static_cast<std::size_t>(ki)) {
-              f.completion = kInf;
-            }
-          }
-          if (rep.busy_until >= 0) rep.busy_until = kInf;
+          stall(e.model, static_cast<std::size_t>(ki));
         }
         break;
       case fault::FleetFaultKind::kCorruptBundle:
@@ -1162,7 +1296,9 @@ FleetStats FleetServer::run(const std::vector<ArrivalTrace>& traces,
       if (!q.empty()) return false;
     }
     for (const ModelState& ms : mstate) {
-      if (!ms.rescue.empty() || !ms.hedge_q.empty()) return false;
+      if (!ms.rescue.empty() || !ms.hedge_q.empty() || !ms.retries.empty()) {
+        return false;
+      }
     }
     return true;
   };
@@ -1173,6 +1309,22 @@ FleetStats FleetServer::run(const std::vector<ArrivalTrace>& traces,
       }
     }
     return false;
+  };
+
+  // The in-flight batch `due` selects with the smallest (model, replica),
+  // so same-cycle picks are a pure function of the virtual schedule.
+  const auto first_due = [&](auto due) {
+    std::size_t best = inflight.size();
+    for (std::size_t i = 0; i < inflight.size(); ++i) {
+      const InFlight& f = inflight[i];
+      if (!due(f)) continue;
+      if (best == inflight.size() ||
+          std::tie(f.model, f.replica) <
+              std::tie(inflight[best].model, inflight[best].replica)) {
+        best = i;
+      }
+    }
+    return best;
   };
 
   try {
@@ -1202,36 +1354,35 @@ FleetStats FleetServer::run(const std::vector<ArrivalTrace>& traces,
       for (const ModelState& ms : mstate) {
         t_timer = std::min(t_timer, ms.batch_timer);
       }
+      // A retry is an event only while its model has a replica to take it;
+      // otherwise the next completion's dispatch picks it up.
+      long long t_retry = kInf;
+      for (const ModelState& ms : mstate) {
+        if (ms.retries.empty() || free_replica(ms).first < 0) continue;
+        for (const Retry& r : ms.retries) {
+          t_retry = std::min(t_retry, r.eligible);
+        }
+      }
 
       if (t_fault < kInf && t_fault <= t_comp && t_fault <= t_ready &&
-          t_fault <= t_watch && t_fault <= t_hedge && t_fault <= t_timer &&
-          t_fault <= t_arr) {
+          t_fault <= t_retry && t_fault <= t_watch && t_fault <= t_hedge &&
+          t_fault <= t_timer && t_fault <= t_arr) {
         apply_fault(chaos.events[next_fault]);
         ++next_fault;
-      } else if (t_comp < kInf && t_comp <= t_ready && t_comp <= t_watch &&
-                 t_comp <= t_hedge && t_comp <= t_timer && t_comp <= t_arr) {
-        // Earliest completion; ties broken by (model, replica, first item)
-        // so the pick order is a pure function of the virtual schedule.
-        std::size_t best = 0;
-        for (std::size_t i = 1; i < inflight.size(); ++i) {
-          const InFlight& a = inflight[i];
-          const InFlight& b = inflight[best];
-          if (a.completion < b.completion ||
-              (a.completion == b.completion &&
-               (a.model < b.model ||
-                (a.model == b.model && a.replica < b.replica)))) {
-            best = i;
-          }
-        }
+      } else if (t_comp < kInf && t_comp <= t_ready && t_comp <= t_retry &&
+                 t_comp <= t_watch && t_comp <= t_hedge &&
+                 t_comp <= t_timer && t_comp <= t_arr) {
+        const std::size_t best = first_due(
+            [&](const InFlight& b) { return b.completion == t_comp; });
         InFlight f = std::move(inflight[best]);
         inflight.erase(inflight.begin() + static_cast<long>(best));
         const std::size_t m = f.model;
         handle_completion(std::move(f));
         reap_deduped(t_comp);
         try_dispatch(m, t_comp);
-      } else if (t_ready < kInf && t_ready <= t_watch &&
-                 t_ready <= t_hedge && t_ready <= t_timer &&
-                 t_ready <= t_arr) {
+      } else if (t_ready < kInf && t_ready <= t_retry &&
+                 t_ready <= t_watch && t_ready <= t_hedge &&
+                 t_ready <= t_timer && t_ready <= t_arr) {
         std::size_t best_m = 0;
         int best_r = -1;
         for (std::size_t m = 0; m < mstate.size() && best_r < 0; ++m) {
@@ -1256,21 +1407,25 @@ FleetStats FleetServer::run(const std::vector<ArrivalTrace>& traces,
           }
         }
         try_dispatch(best_m, t_ready);
+      } else if (t_retry < kInf && t_retry <= t_watch &&
+                 t_retry <= t_hedge && t_retry <= t_timer &&
+                 t_retry <= t_arr) {
+        for (std::size_t m = 0; m < mstate.size(); ++m) {
+          const ModelState& ms = mstate[m];
+          if (free_replica(ms).first < 0) continue;
+          if (std::any_of(
+                  ms.retries.begin(), ms.retries.end(),
+                  [&](const Retry& r) { return r.eligible == t_retry; })) {
+            try_dispatch(m, t_retry);
+            break;
+          }
+        }
       } else if (t_watch < kInf && t_watch <= t_hedge &&
                  t_watch <= t_timer && t_watch <= t_arr) {
         // Watchdog: a batch overdue past watchdog_factor x nominal means
         // its replica wedged. Quarantine cancels + rescues the batch.
-        std::size_t best = inflight.size();
-        for (std::size_t i = 0; i < inflight.size(); ++i) {
-          const InFlight& f = inflight[i];
-          if (f.watchdog_at != t_watch) continue;
-          if (best == inflight.size() ||
-              f.model < inflight[best].model ||
-              (f.model == inflight[best].model &&
-               f.replica < inflight[best].replica)) {
-            best = i;
-          }
-        }
+        const std::size_t best = first_due(
+            [&](const InFlight& b) { return b.watchdog_at == t_watch; });
         const std::size_t m = inflight[best].model;
         const std::size_t ki = inflight[best].replica;
         quarantine(m, ki, t_watch);
@@ -1278,18 +1433,9 @@ FleetStats FleetServer::run(const std::vector<ArrivalTrace>& traces,
       } else if (t_hedge < kInf && t_hedge <= t_timer && t_hedge <= t_arr) {
         // Hedge fire: clone the straggling batch's unfinished requests onto
         // the model's hedge queue; the next free replica picks them up.
-        std::size_t best = inflight.size();
-        for (std::size_t i = 0; i < inflight.size(); ++i) {
-          const InFlight& f = inflight[i];
-          if (f.hedged || f.hedge_at != t_hedge) continue;
-          if (best == inflight.size() ||
-              f.model < inflight[best].model ||
-              (f.model == inflight[best].model &&
-               f.replica < inflight[best].replica)) {
-            best = i;
-          }
-        }
-        InFlight& f = inflight[best];
+        InFlight& f = inflight[first_due([&](const InFlight& b) {
+          return !b.hedged && b.hedge_at == t_hedge;
+        })];
         f.hedged = true;
         ModelState& ms = mstate[f.model];
         for (const BatchItem& it : f.items) {
@@ -1379,16 +1525,21 @@ FleetStats FleetServer::run(const std::vector<ArrivalTrace>& traces,
   }
 
   // Close the rung timelines and fold them — plus the scale and
-  // fault-domain timelines — into the digest, exactly as Server does for
-  // its single ladder walk.
+  // fault-domain timelines — into the digest.
   for (std::size_t m = 0; m < models_.size(); ++m) {
     ModelState& ms = mstate[m];
+    ModelStats& mst = stats.models[m];
+    breaker_logs_[m] = ms.breaker.transitions();
+    mst.breaker_opens = ms.breaker.opens();
+    mst.breaker_closes = ms.breaker.closes();
     rung_logs_[m].resize(static_cast<std::size_t>(ms.next_replica_id));
     for (Replica& r : ms.replicas) {
       if (!r.retired) r.regime->finish(last_completion);
       rung_logs_[m][static_cast<std::size_t>(r.id)] = r.regime->log();
-      stats.models[m].rung_transitions +=
-          static_cast<long long>(r.regime->log().size());
+      mst.rung_transitions += static_cast<long long>(r.regime->log().size());
+      for (std::size_t i = 0; i < mst.rung_cycles.size(); ++i) {
+        mst.rung_cycles[i] += r.regime->cycles_in_rung()[i];
+      }
       for (const RungTransition& t : r.regime->log()) {
         stats.response_hash += mix64(
             static_cast<std::uint64_t>(t.cycle) * 0x2545F4914F6CDD1Dull ^

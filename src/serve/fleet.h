@@ -1,8 +1,9 @@
 #pragma once
-// Multi-tenant fleet simulator over the single-dispatcher virtual-time loop
-// (DESIGN.md §15). One FleetServer owns M models, each with its own
+// The serving runtime over the single-dispatcher virtual-time loop
+// (DESIGN.md §11/§14/§15). One FleetServer owns M models, each with its own
 // degradation ladder and a pool of replicas, serving T tenants whose
-// arrival traces interleave on one virtual clock:
+// arrival traces interleave on one virtual clock. `hetacc --serve` is the
+// one-model, one-tenant, batch-cap-1 case of the same loop.
 //
 //  * shared prepack cache — replicas of the same (model, rung) alias one
 //    refcounted PrepackBundle (serve/prepack_cache.h) instead of each
@@ -22,16 +23,23 @@
 //  * degradation ladders per (model, replica) — each replica runs its own
 //    RegimeController on the model's ladder, descending under queue and
 //    deadline pressure with the existing dwell-gated hysteresis.
+//  * trace fault bursts, retries and a per-model breaker — a burst on a
+//    tenant's trace strikes its model's home design; a failed home-rung
+//    batch retries after capped exponential backoff on a reset() pipeline,
+//    then on the conservative rung; the model's CircuitBreaker, fed by
+//    home-rung execution outcomes only, moves every replica off home while
+//    open and probes home with one batch when half-open.
 //  * autoscale — streaks of pressure (queue above the up-watermark at
 //    arrivals) add replicas, streaks of idleness retire them, both gated by
 //    a per-model dwell so an oscillating trace cannot thrash the pool.
 //
-// Determinism contract (same as serve/server.h): every stats-bearing
-// decision — admission, DRR order, batch composition and close cycle,
-// rung moves, scale moves, cache hits — is made by the dispatcher thread in
+// Determinism contract: every stats-bearing decision — admission, DRR
+// order, batch composition and close cycle, rung moves, retries, breaker
+// moves, scale moves, cache hits — is made by the dispatcher thread in
 // virtual time, so FleetStats (histograms, hash, timelines included) is
 // byte-identical for any worker-thread count. Worker threads only grind the
-// functional pipeline work that yields each response's CRC.
+// functional pipeline work that yields each response's CRC (or the fault
+// a burst provokes).
 
 #include <cstdint>
 #include <memory>
@@ -39,13 +47,39 @@
 #include <string_view>
 #include <vector>
 
+#include "arch/pipeline.h"
 #include "fault/fleet_fault.h"
+#include "serve/breaker.h"
 #include "serve/prepack_cache.h"
-#include "serve/server.h"
+#include "serve/regime.h"
 #include "serve/stats.h"
 #include "serve/trace.h"
 
 namespace hetacc::serve {
+
+/// One strategy a model can serve from: per-layer algorithm choices for
+/// the functional pipeline plus the modeled per-request service time (the
+/// strategy's end-to-end latency as priced by the cost layer).
+struct ServingMode {
+  std::vector<arch::LayerChoice> choices;
+  long long service_cycles = 0;
+  /// Hardening installed when this mode's pipeline runs inside a trace
+  /// fault burst (home rung only) — the detectors that absorb recoverable
+  /// SEUs.
+  fault::ProtectionConfig protect = fault::ProtectionConfig::all_on();
+  /// Display label for rung tables and the transition timeline.
+  std::string label;
+};
+
+/// The degradation ladder: rungs ordered most-conservative first, `home`
+/// the preferred operating point. Rungs deeper than home must be strictly
+/// faster (service_cycles strictly decreasing) — that is what makes load
+/// descent meaningful. toolflow::build_serving_ladder emits this shape;
+/// hand-built ladders are validated by the FleetServer constructor.
+struct ServingLadder {
+  std::vector<ServingMode> rungs;
+  std::size_t home = 0;
+};
 
 /// One model the fleet serves: a functional testbed network + weights (the
 /// request payload work) and its degradation ladder (service pricing +
@@ -129,6 +163,19 @@ struct HedgeConfig {
   long long delay_cycles = 0;  ///< grace past nominal completion; >= 0
 };
 
+/// Retry budget for requests whose home-rung batch failed: the request
+/// becomes eligible again after retry_backoff(attempt), on a reset()
+/// pipeline; once `max_retries` retries are spent it is pinned to the
+/// model's conservative rung.
+struct RetryConfig {
+  int max_retries = 2;
+  long long backoff_base_cycles = 1024;
+  long long backoff_cap_cycles = 16384;
+};
+
+/// Capped exponential backoff, jitter-free: min(base << (attempt-1), cap).
+[[nodiscard]] long long retry_backoff(const RetryConfig& cfg, int attempt);
+
 struct FleetConfig {
   int threads = 0;  ///< real worker threads; never affects FleetStats
   /// Share prepack bundles across replicas (false = per-replica-copy
@@ -139,6 +186,9 @@ struct FleetConfig {
   /// exactly the rung's service_cycles for any value.
   double batch_setup_frac = 0.35;
   RegimeConfig regime;
+  RetryConfig retry;
+  /// Per-model fault breaker over home-rung execution outcomes.
+  BreakerConfig breaker;
   AutoscaleConfig autoscale;
   HealthConfig health;
   HedgeConfig hedge;
@@ -176,6 +226,13 @@ struct ModelStats {
   long long cold_spinups = 0;
   long long warm_spinups = 0;
   long long spinup_cycles = 0;  ///< virtual cycles paid spinning up
+  // Trace-fault-burst accounting (all zero without a burst).
+  long long retries = 0;          ///< re-dispatches after a failed batch
+  long long faults_absorbed = 0;  ///< retried requests that completed
+  long long breaker_opens = 0;
+  long long breaker_closes = 0;
+  /// Virtual cycles replicas spent at each rung, summed over replicas.
+  std::vector<long long> rung_cycles;
 
   [[nodiscard]] double mean_batch() const;
   bool operator==(const ModelStats& o) const;
@@ -244,9 +301,9 @@ struct HealthEvent {
 
 class FleetServer {
  public:
-  /// Validates every model's ladder (Server rules: non-empty, home in
-  /// range, deeper rungs strictly faster) and every tenant (live model
-  /// index, weight >= 1, cap >= 1). Throws ServeError(kConfig) otherwise.
+  /// Validates every model's ladder (non-empty, home in range, deeper rungs
+  /// strictly faster), every tenant (live model index, weight >= 1, cap >=
+  /// 1) and the retry budget. Throws ServeError(kConfig) otherwise.
   FleetServer(std::vector<FleetModel> models,
               std::vector<TenantConfig> tenants, FleetConfig cfg);
   ~FleetServer();
@@ -255,9 +312,9 @@ class FleetServer {
   FleetServer& operator=(const FleetServer&) = delete;
 
   /// Serves the tenants' traces (index-aligned with the tenant list; ids
-  /// dense from 0 within each trace; fault bursts are not supported in the
-  /// fleet loop). Deterministic for a given (traces, config) regardless of
-  /// cfg.threads.
+  /// dense from 0 within each trace). A trace's fault burst strikes its
+  /// tenant's model on the home rung. Deterministic for a given (traces,
+  /// config) regardless of cfg.threads.
   [[nodiscard]] FleetStats run(const std::vector<ArrivalTrace>& traces);
 
   /// Chaos run: the same loop with `plan` merged in as the
@@ -278,6 +335,11 @@ class FleetServer {
   [[nodiscard]] const std::vector<ScaleEvent>& scale_log() const {
     return scale_log_;
   }
+  /// Fault-breaker transitions of the last run, one log per model.
+  [[nodiscard]] const std::vector<std::vector<BreakerTransition>>&
+  breaker_logs() const {
+    return breaker_logs_;
+  }
   /// Fault-domain timeline of the last run (strikes + recovery walk).
   [[nodiscard]] const std::vector<HealthEvent>& health_log() const {
     return health_log_;
@@ -297,6 +359,7 @@ class FleetServer {
   FleetConfig cfg_;
   std::vector<std::vector<std::vector<RungTransition>>> rung_logs_;
   std::vector<ScaleEvent> scale_log_;
+  std::vector<std::vector<BreakerTransition>> breaker_logs_;
   std::vector<HealthEvent> health_log_;
 };
 

@@ -28,8 +28,8 @@ RegimeController::RegimeController(std::vector<long long> service_cycles,
       miss_ring_(static_cast<std::size_t>(std::max(cfg.miss_window, 1)),
                  false),
       cycles_(service_cycles_.size(), 0) {
-  // PR 5 semantics: the breaker degrades onto the rung just above home (the
-  // --protect re-optimization). A home-rung-0 ladder has no conservative
+  // The breaker degrades onto the rung just above home (the --protect
+  // re-optimization). A home-rung-0 ladder has no conservative
   // rung above it, so the first deeper rung stands in; a ladder of one rung
   // degrades onto itself (shed-only operation).
   if (home_ > 0) {
@@ -96,8 +96,8 @@ void RegimeController::step(long long now) {
     calm_streak_ = 0;
     // Fast descent — but only onto rungs that actually buy throughput
     // (deeper-than-home rungs are strictly faster by construction). On a
-    // PR 5 pair [fallback, primary] home is the deepest rung, so load
-    // pressure never moves anything and the behavior is exactly PR 5.
+    // [fallback, primary] pair home is the deepest rung, so load pressure
+    // never moves anything.
     if (load_rung_ < deepest_ &&
         now - last_move_cycle_ >= cfg_.descend_dwell_cycles) {
       ++load_rung_;

@@ -1,10 +1,10 @@
 #pragma once
-// Load-regime controller: walks the degradation ladder deliberately instead
-// of the PR 5 binary primary/fallback flip. The ladder is an ordered vector
-// of ServingModes, rung 0 the most conservative (slowest, most hardened) and
-// the deepest rung the cheapest (int8 / conventional-i8 — maximum
-// throughput, degraded accuracy). `home` is the preferred operating point:
-// the 16-bit latency-optimal strategy the optimizer would pick offline.
+// Load-regime controller: walks one replica's degradation ladder. The
+// ladder is an ordered vector of ServingModes, rung 0 the most conservative
+// (slowest, most hardened) and the deepest rung the cheapest (int8 /
+// conventional-i8 — maximum throughput, degraded accuracy). `home` is the
+// preferred operating point: the 16-bit latency-optimal strategy the
+// optimizer would pick offline.
 //
 // Two independent axes move the current rung:
 //
@@ -14,11 +14,10 @@
 //            descent is fast (small dwell), ascent requires both a long
 //            dwell at the current rung and a sustained calm streak, so an
 //            oscillating arrival process cannot make the server flap.
-//  * fault — the circuit breaker's open/half-open transitions move the
-//            effective rung off `home` onto the conservative rung (the
+//  * fault — the model's circuit breaker's open/half-open transitions move
+//            the effective rung off `home` onto the conservative rung (the
 //            --protect re-optimization sitting just above home), restoring
-//            it when the breaker closes. This is exactly the PR 5 behavior
-//            when the ladder is [fallback, primary].
+//            it when the breaker closes.
 //
 // Every input is a virtual-time signal observed by the single dispatcher
 // thread, so the transition log and time-in-rung accounting are
@@ -72,7 +71,7 @@ class RegimeController {
  public:
   /// `service_cycles` is the per-rung modeled service time (index-aligned
   /// with the ladder); rungs deeper than `home` must be strictly faster —
-  /// the Server validates this before constructing the controller.
+  /// the FleetServer validates this before constructing the controller.
   RegimeController(std::vector<long long> service_cycles, std::size_t home,
                    std::size_t queue_capacity, RegimeConfig cfg);
 

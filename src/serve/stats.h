@@ -1,21 +1,18 @@
 #pragma once
-// Serving-runtime statistics snapshot. Every number here is derived from
-// virtual-clock events, so for a given trace + seed + server config the
-// whole struct — histogram included — is byte-identical for any worker
-// thread count (the determinism contract test_serve pins). The invariant
-// `accounted()` is the zero-lost-requests guarantee the CI soak asserts:
-// every submitted request ends in exactly one of completed / rejected /
-// shed / failed.
+// Serving-runtime statistics primitives shared by the fleet loop
+// (serve/fleet.h) and the benchmarks: the response-digest mixer and the
+// exact latency histogram. Every sample is a virtual-clock value, so a
+// histogram — like every FleetStats field — is byte-identical for any
+// worker thread count.
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace hetacc::serve {
 
 /// splitmix64 finalizer — the shared counter-hash primitive every serving
-/// response digest folds with (single server, fleet, and the fault layer's
-/// identity hashes all use the same mixer, so digests compose). Pure and
+/// response digest folds with (the fleet loop and the fault layer's
+/// identity hashes use the same mixer, so digests compose). Pure and
 /// constexpr: a digest is a function of virtual-time event order only.
 [[nodiscard]] constexpr std::uint64_t digest_mix64(std::uint64_t x) {
   x += 0x9E3779B97F4A7C15ull;
@@ -27,7 +24,6 @@ namespace hetacc::serve {
 /// Latency distribution in cycles. Samples are kept exactly (a serving
 /// trace is bounded), so percentiles are exact order statistics and
 /// equality is multiset equality — the strongest determinism check.
-/// summary() renders the conventional log2-bucketed histogram view.
 class LatencyHistogram {
  public:
   void record(long long cycles);
@@ -42,9 +38,6 @@ class LatencyHistogram {
   [[nodiscard]] long long max() const;
   [[nodiscard]] double mean() const;
 
-  /// "bucket_lo..bucket_hi: count" lines, log2 buckets, for reports.
-  [[nodiscard]] std::string summary() const;
-
   bool operator==(const LatencyHistogram& o) const;
 
  private:
@@ -53,53 +46,6 @@ class LatencyHistogram {
   mutable std::vector<long long> samples_;
   mutable bool sorted_ = true;
   void sort() const;
-};
-
-struct ServerStats {
-  // Request accounting (each submitted request lands in exactly one bin).
-  long long submitted = 0;
-  long long rejected_queue_full = 0;  ///< admission control said no
-  long long shed_deadline = 0;        ///< dropped: already late at dispatch
-  long long completed = 0;            ///< response delivered
-  long long failed = 0;               ///< every attempt + fallback faulted
-
-  // Lifecycle detail.
-  long long completed_degraded = 0;   ///< served from the fallback strategy
-  long long deadline_misses = 0;      ///< completed, but after the deadline
-  long long retries = 0;              ///< re-dispatches after a fault
-  long long faults_absorbed = 0;      ///< faulted attempts that a retry or
-                                      ///< the fallback strategy hid
-  long long breaker_opens = 0;
-  long long breaker_closes = 0;
-  long long queue_peak = 0;           ///< max virtual queue occupancy
-
-  // Degradation-ladder accounting (index-aligned with the ladder rungs;
-  // sized by Server::run). A two-rung PR 5 pair reports here too:
-  // rung_completions = {fallback, primary} completions.
-  std::vector<long long> rung_completions;
-  /// Virtual cycles the effective rung pointer spent at each rung.
-  std::vector<long long> rung_cycles;
-  long long rung_transitions = 0;     ///< moves in the rung-transition log
-
-  LatencyHistogram latency;           ///< completed requests, cycles
-
-  /// Order-independent digest of every delivered response payload (CRC-32
-  /// of the output tensor folded with the request id), plus the full rung
-  /// transition log folded in at the end of the run. Two runs that agree
-  /// here delivered bitwise-identical answers to every request *and*
-  /// walked the degradation ladder identically.
-  std::uint64_t response_hash = 0;
-
-  /// Zero-lost-requests invariant.
-  [[nodiscard]] bool accounted() const {
-    return submitted ==
-           rejected_queue_full + shed_deadline + completed + failed;
-  }
-
-  bool operator==(const ServerStats& o) const;
-
-  [[nodiscard]] std::string summary() const;
-  [[nodiscard]] std::string to_json() const;
 };
 
 }  // namespace hetacc::serve

@@ -4,7 +4,7 @@
 // a window of virtual time during which the primary accelerator is struck
 // by an installed FaultPlan. Traces are value types: generate one
 // synthetically from a seed, or load/save the CSV form (`hetacc --serve
-// trace.csv`). Same trace + same server config ⇒ same ServerStats, always.
+// trace.csv`). Same trace + same fleet config ⇒ same FleetStats, always.
 
 #include <cstdint>
 #include <string>

@@ -26,7 +26,7 @@
 #include "core/dp_optimizer.h"
 #include "core/report.h"
 #include "core/strategy_io.h"
-#include "serve/server.h"
+#include "serve/fleet.h"
 
 namespace hetacc::toolflow {
 

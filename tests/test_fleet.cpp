@@ -426,6 +426,9 @@ TEST(FleetDeterminismTest, StatsAreByteIdenticalForAnyThreadCount) {
   }
   ASSERT_TRUE(runs[0].accounted());
   EXPECT_GT(runs[0].completed_total(), 0);
+  // Pinned: the retry, breaker and burst paths are inert on a healthy
+  // fleet, so the digest must not move when they change.
+  EXPECT_EQ(runs[0].response_hash, 13050217049901503213ull);
   EXPECT_TRUE(runs[0] == runs[1]);
   EXPECT_TRUE(runs[0] == runs[2]);
   EXPECT_EQ(runs[0].to_json(), runs[1].to_json());
@@ -707,6 +710,9 @@ TEST(FleetChaosTest, ChaosStatsAreByteIdenticalForAnyThreadCount) {
   EXPECT_GE(runs[0].quarantines, 1);  // the campaign actually struck
   EXPECT_GE(runs[0].readmits, 1);
   EXPECT_GE(runs[0].bundles_scrubbed, 1);
+  // Pinned: no campaign strike is an execution failure, so the retry and
+  // breaker paths stay inert under chaos too.
+  EXPECT_EQ(runs[0].response_hash, 9113157340383100524ull);
   EXPECT_TRUE(runs[0] == runs[1]);
   EXPECT_TRUE(runs[0] == runs[2]);
   EXPECT_EQ(runs[0].to_json(), runs[1].to_json());

@@ -1,10 +1,12 @@
-// Resilient serving runtime: bounded-queue admission and back-pressure,
-// virtual-clock deadlines with load-shedding, deterministic retry/backoff,
-// circuit-breaker strategy downgrade with half-open recovery, and the
-// determinism contract — same trace + seed + config produces byte-identical
-// ServerStats for any worker-thread count. Also the pipeline-side hooks the
-// runtime depends on: reset() idempotence, cooperative cancellation, and
-// structured fault-identity payloads on escalation.
+// Resilient serving runtime in the `hetacc --serve` shape — a one-model,
+// one-tenant, batch-cap-1 FleetServer: bounded-queue admission and
+// back-pressure, virtual-clock deadlines with load-shedding, deterministic
+// capped-exponential retry backoff, circuit-breaker strategy downgrade with
+// half-open recovery under a trace fault burst, and the determinism
+// contract — same trace + seed + config produces byte-identical FleetStats
+// for any worker-thread count. Also the pipeline-side hooks the runtime
+// depends on: reset() idempotence, cooperative cancellation, and structured
+// fault-identity payloads on escalation.
 
 #include <gtest/gtest.h>
 
@@ -18,9 +20,8 @@
 #include "fault/fault.h"
 #include "nn/model_zoo.h"
 #include "serve/breaker.h"
-#include "serve/clock.h"
+#include "serve/fleet.h"
 #include "serve/queue.h"
-#include "serve/server.h"
 #include "serve/stats.h"
 #include "serve/trace.h"
 #include "support/error.h"
@@ -36,10 +37,14 @@ using serve::BoundedQueue;
 using serve::BreakerConfig;
 using serve::BreakerState;
 using serve::CircuitBreaker;
+using serve::FleetConfig;
+using serve::FleetModel;
+using serve::FleetServer;
+using serve::FleetStats;
 using serve::LatencyHistogram;
-using serve::ServerConfig;
-using serve::ServerStats;
 using serve::ServingMode;
+using serve::TenantConfig;
+using serve::TenantStats;
 
 // ------------------------------------------------------------ typed error --
 TEST(ServeErrorType, CarriesReasonAndMapsToExitCode5) {
@@ -135,7 +140,6 @@ TEST(BoundedQueueTest, MpmcStressDeliversEveryItemExactlyOnce) {
 BreakerConfig fast_breaker() {
   BreakerConfig c;
   c.failure_threshold = 2;
-  c.deadline_miss_threshold = 3;
   c.cooldown_cycles = 100;
   c.probe_successes = 2;
   return c;
@@ -150,15 +154,6 @@ TEST(CircuitBreakerTest, ConsecutiveFailuresOpenSuccessResetsTheStreak) {
   b.record_failure(50);  // second consecutive
   EXPECT_EQ(b.state(50), BreakerState::kOpen);
   EXPECT_EQ(b.opens(), 1);
-}
-
-TEST(CircuitBreakerTest, SustainedDeadlineMissesOpenLikeFailures) {
-  CircuitBreaker b(fast_breaker());
-  b.record_deadline_miss(1);
-  b.record_deadline_miss(2);
-  EXPECT_EQ(b.state(3), BreakerState::kClosed);
-  b.record_deadline_miss(3);
-  EXPECT_EQ(b.state(3), BreakerState::kOpen);
 }
 
 TEST(CircuitBreakerTest, HalfOpenRecoveryNeedsConfiguredProbeWins) {
@@ -181,7 +176,7 @@ TEST(CircuitBreakerTest, HalfOpenRecoveryNeedsConfiguredProbeWins) {
   EXPECT_EQ(b.transitions()[2].to, BreakerState::kClosed);
 }
 
-TEST(CircuitBreakerTest, FailedOrLateProbeReopensWithFreshCooldown) {
+TEST(CircuitBreakerTest, FailedProbeReopensWithFreshCooldown) {
   CircuitBreaker b(fast_breaker());
   b.record_failure(0);
   b.record_failure(0);
@@ -189,14 +184,9 @@ TEST(CircuitBreakerTest, FailedOrLateProbeReopensWithFreshCooldown) {
   ASSERT_TRUE(b.try_acquire_probe(100));
   b.record_failure(105);  // probe found the primary still sick
   EXPECT_EQ(b.state(106), BreakerState::kOpen);
+  EXPECT_EQ(b.state(204), BreakerState::kOpen);  // cooldown restarted at 105
   EXPECT_EQ(b.state(205), BreakerState::kHalfOpen);
-  // A probe that completes past its deadline must also release the slot
-  // and re-open — otherwise half-open wedges with the slot taken forever.
-  ASSERT_TRUE(b.try_acquire_probe(205));
-  b.record_deadline_miss(210);
-  EXPECT_EQ(b.state(210), BreakerState::kOpen);
-  EXPECT_EQ(b.state(310), BreakerState::kHalfOpen);
-  EXPECT_TRUE(b.try_acquire_probe(310));  // slot is free again
+  EXPECT_TRUE(b.try_acquire_probe(205));  // the failed probe freed the slot
 }
 
 // ------------------------------------------------------- latency histogram --
@@ -277,23 +267,55 @@ TEST(ArrivalTraceTest, FromCsvRejectsGarbageWithLineNumbers) {
 }
 
 // ------------------------------------------------------------ server stats --
-TEST(ServerStatsTest, AccountedRequiresEveryRequestToLandSomewhere) {
-  ServerStats s;
-  s.submitted = 10;
-  s.completed = 7;
-  s.rejected_queue_full = 1;
-  s.shed_deadline = 1;
+TEST(FleetStatsTest, AccountedRequiresEveryRequestToLandSomewhere) {
+  TenantStats t;
+  t.name = "t";
+  t.submitted = 10;
+  t.completed = 7;
+  t.rejected_queue_full = 1;
+  t.shed_deadline = 1;
+  EXPECT_FALSE(t.accounted());
+  FleetStats s;
+  s.tenants = {t};
   EXPECT_FALSE(s.accounted());
-  s.failed = 1;
+  s.tenants[0].failed = 1;
   EXPECT_TRUE(s.accounted());
   EXPECT_NE(s.to_json().find("\"submitted\": 10"), std::string::npos);
 }
 
+TEST(RetryBackoffTest, DoublesFromTheBaseUpToTheCap) {
+  serve::RetryConfig r;
+  r.backoff_base_cycles = 500;
+  r.backoff_cap_cycles = 1500;  // not base * 2^k: the cap must still bind
+  EXPECT_EQ(serve::retry_backoff(r, 1), 500);
+  EXPECT_EQ(serve::retry_backoff(r, 2), 1000);
+  EXPECT_EQ(serve::retry_backoff(r, 3), 1500);
+  EXPECT_EQ(serve::retry_backoff(r, 4), 1500);
+}
+
 // ----------------------------------------------------------------- server --
+// The `hetacc --serve` shape: one model on a [fallback 1600, primary 1000]
+// pair (home = primary), one tenant, batch cap 1, health scoring off.
 class ServerTest : public ::testing::Test {
  protected:
   nn::Network net_ = nn::tiny_net(4, 16);
   nn::WeightStore ws_ = nn::WeightStore::deterministic(net_, 21);
+
+  struct Config {
+    int replicas = 2;
+    TenantConfig tenant;
+    FleetConfig fleet;
+  };
+
+  /// What one run reports: the stats plus the model's breaker log.
+  struct Run {
+    FleetStats stats;
+    std::vector<serve::BreakerTransition> breaker_log;
+    [[nodiscard]] const TenantStats& req() const { return stats.tenants[0]; }
+    [[nodiscard]] const serve::ModelStats& model() const {
+      return stats.models[0];
+    }
+  };
 
   static ServingMode mode(long long cycles) {
     ServingMode m;
@@ -301,18 +323,34 @@ class ServerTest : public ::testing::Test {
     return m;
   }
 
-  static ServerConfig base_config() {
-    ServerConfig cfg;
-    cfg.queue_capacity = 64;
-    cfg.replicas = 2;
-    cfg.max_retries = 1;
-    cfg.backoff_base_cycles = 500;
-    cfg.backoff_cap_cycles = 2000;
-    cfg.breaker.failure_threshold = 2;
-    cfg.breaker.deadline_miss_threshold = 4;
-    cfg.breaker.cooldown_cycles = 2000;
-    cfg.breaker.probe_successes = 2;
-    return cfg;
+  static Config base_config() {
+    Config c;
+    c.tenant.name = "t";
+    c.tenant.queue_capacity = 64;
+    c.tenant.batch_cap = 1;
+    c.tenant.batch_age_cycles = 0;
+    c.fleet.health.enabled = false;
+    c.fleet.retry.max_retries = 1;
+    c.fleet.retry.backoff_base_cycles = 500;
+    c.fleet.retry.backoff_cap_cycles = 2000;
+    c.fleet.breaker.failure_threshold = 2;
+    c.fleet.breaker.cooldown_cycles = 2000;
+    c.fleet.breaker.probe_successes = 2;
+    return c;
+  }
+
+  FleetServer make(const Config& c, ServingMode primary = mode(1000),
+                   ServingMode fallback = mode(1600)) const {
+    FleetModel m;
+    m.name = "m";
+    m.net = net_;
+    m.ws = ws_;
+    m.ladder.rungs = {std::move(fallback), std::move(primary)};
+    m.ladder.home = 1;
+    m.replicas = c.replicas;
+    std::vector<FleetModel> models;
+    models.push_back(std::move(m));
+    return FleetServer(std::move(models), {c.tenant}, c.fleet);
   }
 
   /// A trace whose middle third wedges the primary pipeline: the hard,
@@ -329,144 +367,171 @@ class ServerTest : public ::testing::Test {
     return t;
   }
 
-  ServerStats run_once(const ArrivalTrace& trace, const ServerConfig& cfg,
-                       std::vector<serve::BreakerTransition>* log = nullptr) {
-    serve::Server s(net_, ws_, mode(1000), mode(1600), cfg);
-    const ServerStats st = s.run(trace);
-    if (log) *log = s.breaker_log();
-    return st;
+  Run run_once(const ArrivalTrace& trace, const Config& c) const {
+    FleetServer s = make(c);
+    Run r;
+    r.stats = s.run({trace});
+    r.breaker_log = s.breaker_logs()[0];
+    return r;
+  }
+
+  /// The burst was absorbed: nothing failed, the breaker routed around the
+  /// wedge, and it recovered open -> half-open -> closed exactly once.
+  static void expect_absorbed(const Run& r) {
+    EXPECT_TRUE(r.stats.accounted());
+    EXPECT_EQ(r.req().failed, 0);
+    EXPECT_GT(r.model().retries, 0);
+    EXPECT_GT(r.model().faults_absorbed, 0);
+    EXPECT_GT(r.req().completed_degraded, 0);
+    EXPECT_GE(r.model().breaker_opens, 1);
+    EXPECT_EQ(r.model().breaker_closes, 1);
+    ASSERT_FALSE(r.breaker_log.empty());
+    EXPECT_EQ(r.breaker_log.back().from, BreakerState::kHalfOpen);
+    EXPECT_EQ(r.breaker_log.back().to, BreakerState::kClosed);
+    bool saw_open = false;
+    for (const auto& tr : r.breaker_log) {
+      saw_open |= tr.to == BreakerState::kOpen;
+    }
+    EXPECT_TRUE(saw_open);
+  }
+
+  /// Runs at 1, 2 and 8 worker threads and requires identical stats and
+  /// breaker timelines.
+  void expect_thread_invariant(const ArrivalTrace& t, Config c) const {
+    Run first;
+    for (const int threads : {1, 2, 8}) {
+      c.fleet.threads = threads;
+      const Run r = run_once(t, c);
+      EXPECT_TRUE(r.stats.accounted());
+      if (threads == 1) {
+        first = r;
+        continue;
+      }
+      EXPECT_TRUE(r.stats == first.stats)
+          << "stats diverged at threads=" << threads;
+      EXPECT_EQ(r.stats.to_json(), first.stats.to_json());
+      ASSERT_EQ(r.breaker_log.size(), first.breaker_log.size());
+      for (std::size_t i = 0; i < r.breaker_log.size(); ++i) {
+        EXPECT_EQ(r.breaker_log[i].cycle, first.breaker_log[i].cycle);
+        EXPECT_EQ(r.breaker_log[i].to, first.breaker_log[i].to);
+      }
+    }
   }
 };
 
 TEST_F(ServerTest, RejectsUnusableConfigurations) {
-  ServerConfig cfg = base_config();
+  Config cfg = base_config();
   cfg.replicas = 0;
-  EXPECT_THROW(serve::Server(net_, ws_, mode(10), mode(10), cfg), ServeError);
+  EXPECT_THROW(make(cfg), ServeError);
   cfg = base_config();
-  cfg.queue_capacity = 0;
-  EXPECT_THROW(serve::Server(net_, ws_, mode(10), mode(10), cfg), ServeError);
+  cfg.tenant.queue_capacity = 0;
+  EXPECT_THROW(make(cfg), ServeError);
   cfg = base_config();
-  EXPECT_THROW(serve::Server(net_, ws_, mode(0), mode(10), cfg), ServeError);
+  cfg.fleet.retry.max_retries = -1;
+  EXPECT_THROW(make(cfg), ServeError);
+  cfg = base_config();
+  cfg.fleet.retry.backoff_cap_cycles = cfg.fleet.retry.backoff_base_cycles - 1;
+  EXPECT_THROW(make(cfg), ServeError);
+  cfg = base_config();
+  EXPECT_THROW(make(cfg, mode(0), mode(10)), ServeError);
   ServingMode bad = mode(10);
   bad.choices.resize(2);  // tiny_net has 4 accelerated layers
-  EXPECT_THROW(serve::Server(net_, ws_, bad, mode(10), base_config()),
-               ServeError);
-  try {
-    serve::Server s(net_, ws_, mode(10), mode(10), cfg);
-    (void)s;
-  } catch (const ServeError& e) {
-    FAIL() << "valid config rejected: " << e.what();
-  }
+  EXPECT_THROW(make(cfg, bad, mode(10)), ServeError);
+  EXPECT_NO_THROW(make(cfg, mode(10), mode(10)));
 }
 
 TEST_F(ServerTest, HealthyTraceCompletesEveryRequestOnThePrimary) {
   const ArrivalTrace t = ArrivalTrace::synthetic(40, 1500, 3);
-  const ServerStats s = run_once(t, base_config());
-  EXPECT_TRUE(s.accounted());
+  const Run r = run_once(t, base_config());
+  const TenantStats& s = r.req();
+  EXPECT_TRUE(r.stats.accounted());
   EXPECT_EQ(s.submitted, 40);
   EXPECT_EQ(s.completed, 40);
   EXPECT_EQ(s.completed_degraded, 0);
   EXPECT_EQ(s.rejected_queue_full, 0);
   EXPECT_EQ(s.shed_deadline, 0);
   EXPECT_EQ(s.failed, 0);
-  EXPECT_EQ(s.retries, 0);
-  EXPECT_EQ(s.breaker_opens, 0);
+  EXPECT_EQ(r.model().retries, 0);
+  EXPECT_EQ(r.model().breaker_opens, 0);
+  EXPECT_TRUE(r.breaker_log.empty());
   EXPECT_GE(s.latency.p50(), 1000);  // at least one service time
-  EXPECT_NE(s.response_hash, 0u);
+  EXPECT_NE(r.stats.response_hash, 0u);
 }
 
 TEST_F(ServerTest, OverloadIsRejectedAtTheQueueBoundNeverLost) {
   // One slow replica, a tiny queue, and a tight arrival burst: admission
   // control must refuse the overflow instead of queueing without bound.
-  ServerConfig cfg = base_config();
+  Config cfg = base_config();
   cfg.replicas = 1;
-  cfg.queue_capacity = 3;
+  cfg.tenant.queue_capacity = 3;
   const ArrivalTrace t = ArrivalTrace::synthetic(50, 100, 11);
-  const ServerStats s = run_once(t, cfg);
-  EXPECT_TRUE(s.accounted());
+  const Run r = run_once(t, cfg);
+  const TenantStats& s = r.req();
+  EXPECT_TRUE(r.stats.accounted());
   EXPECT_GT(s.rejected_queue_full, 0);
   EXPECT_LE(s.queue_peak, 3);
   EXPECT_EQ(s.completed + s.rejected_queue_full, s.submitted);
 }
 
 TEST_F(ServerTest, LateRequestsAreShedAndMissesCounted) {
-  ServerConfig cfg = base_config();
+  Config cfg = base_config();
   cfg.replicas = 1;
-  cfg.deadline_cycles = 2500;
+  cfg.tenant.deadline_cycles = 2500;
   const ArrivalTrace t = ArrivalTrace::synthetic(50, 300, 13);
-  const ServerStats s = run_once(t, cfg);
-  EXPECT_TRUE(s.accounted());
-  EXPECT_GT(s.shed_deadline, 0);           // shed before wasting a replica
-  EXPECT_EQ(s.failed, 0);
+  const Run r = run_once(t, cfg);
+  EXPECT_TRUE(r.stats.accounted());
+  EXPECT_GT(r.req().shed_deadline, 0);  // shed before wasting a replica
+  EXPECT_EQ(r.req().failed, 0);
   // Whatever completed either met the deadline or was counted as a miss.
-  EXPECT_GT(s.completed, 0);
+  EXPECT_GT(r.req().completed, 0);
 }
 
 TEST_F(ServerTest, FaultBurstIsAbsorbedByRetriesAndTheBreaker) {
-  std::vector<serve::BreakerTransition> log;
-  const ServerStats s = run_once(burst_trace(), base_config(), &log);
-  EXPECT_TRUE(s.accounted());
-  EXPECT_EQ(s.failed, 0);  // nothing escapes: retry or downgrade covers all
-  EXPECT_EQ(s.completed, s.submitted);
-  EXPECT_GT(s.retries, 0);
-  EXPECT_GT(s.faults_absorbed, 0);
-  EXPECT_GT(s.completed_degraded, 0);  // breaker routed around the wedge
-  EXPECT_GE(s.breaker_opens, 1);
-  // Recovery: the breaker must end closed after the burst passes, having
-  // gone open -> half-open -> closed.
-  ASSERT_FALSE(log.empty());
-  EXPECT_EQ(log.back().to, BreakerState::kClosed);
-  EXPECT_EQ(log.back().from, BreakerState::kHalfOpen);
-  bool saw_open = false;
-  for (const auto& tr : log) saw_open |= tr.to == BreakerState::kOpen;
-  EXPECT_TRUE(saw_open);
-  EXPECT_EQ(s.breaker_closes, 1);
+  const Run r = run_once(burst_trace(), base_config());
+  expect_absorbed(r);
+  EXPECT_EQ(r.req().completed, r.req().submitted);
 }
 
 // The determinism contract (DESIGN.md §11): worker threads only change how
 // fast the functional work grinds through, never any stat. Exercises every
 // path at once — overload, deadlines, fault burst, retries, breaker.
 TEST_F(ServerTest, StatsAreByteIdenticalForAnyWorkerCount) {
-  ArrivalTrace t = burst_trace(80, 17);
-  ServerConfig cfg = base_config();
-  cfg.queue_capacity = 8;
-  cfg.deadline_cycles = 20000;
-  ServerStats first;
-  std::vector<serve::BreakerTransition> first_log;
-  for (const int threads : {1, 2, 8}) {
-    cfg.threads = threads;
-    std::vector<serve::BreakerTransition> log;
-    const ServerStats s = run_once(t, cfg, &log);
-    EXPECT_TRUE(s.accounted());
-    if (threads == 1) {
-      first = s;
-      first_log = log;
-      continue;
-    }
-    EXPECT_EQ(s, first) << "stats diverged at threads=" << threads;
-    ASSERT_EQ(log.size(), first_log.size());
-    for (std::size_t i = 0; i < log.size(); ++i) {
-      EXPECT_EQ(log[i].cycle, first_log[i].cycle);
-      EXPECT_EQ(log[i].to, first_log[i].to);
-    }
-  }
+  Config cfg = base_config();
+  cfg.tenant.queue_capacity = 8;
+  cfg.tenant.deadline_cycles = 20000;
+  expect_thread_invariant(burst_trace(80, 17), cfg);
+}
+
+// Batching under a burst: a failed home-rung batch retries every request
+// it carried, and the breaker and thread invariance hold as at batch 1.
+TEST_F(ServerTest, BurstUnderBatchingIsAbsorbedAndThreadInvariant) {
+  Config cfg = base_config();
+  cfg.tenant.batch_cap = 4;
+  cfg.tenant.batch_age_cycles = 600;
+  const ArrivalTrace t = burst_trace(120, 9);
+  const Run r = run_once(t, cfg);
+  expect_absorbed(r);
+  EXPECT_EQ(r.req().completed, r.req().submitted);
+  EXPECT_GT(r.model().batches, 0);
+  EXPECT_LT(r.model().batches, r.req().completed + r.model().retries);
+  expect_thread_invariant(t, cfg);
 }
 
 TEST_F(ServerTest, ResponseDigestDependsOnRequestPayloads) {
   ArrivalTrace a = ArrivalTrace::synthetic(10, 2000, 5);
   ArrivalTrace b = a;
   for (auto& r : b.requests) r.input_seed += 1;  // same arrivals, new inputs
-  const ServerStats sa = run_once(a, base_config());
-  const ServerStats sb = run_once(b, base_config());
-  EXPECT_EQ(sa.completed, sb.completed);
-  EXPECT_NE(sa.response_hash, sb.response_hash);
+  const Run sa = run_once(a, base_config());
+  const Run sb = run_once(b, base_config());
+  EXPECT_EQ(sa.req().completed, sb.req().completed);
+  EXPECT_NE(sa.stats.response_hash, sb.stats.response_hash);
 }
 
 TEST_F(ServerTest, RejectsTracesWithNonDenseIds) {
   ArrivalTrace t = ArrivalTrace::synthetic(4, 100, 1);
   t.requests[2].id = 9;
-  serve::Server s(net_, ws_, mode(1000), mode(1600), base_config());
-  EXPECT_THROW((void)s.run(t), ServeError);
+  FleetServer s = make(base_config());
+  EXPECT_THROW((void)s.run({t}), ServeError);
 }
 
 // ---------------------------------------------- pipeline hooks (satellites) --

@@ -33,7 +33,6 @@
 #include "nn/model_zoo.h"
 #include "quant/calibration.h"
 #include "serve/fleet.h"
-#include "serve/server.h"
 #include "support/error.h"
 #include "toolflow/ladder.h"
 #include "toolflow/toolflow.h"
@@ -350,17 +349,23 @@ struct ServeCliOptions {
   std::string ladder;        ///< "" = binary pair, "auto" or rung count
 };
 
-/// --serve: run the resilient serving runtime over the optimized strategy.
-/// The primary mode is the unprotected latency-optimal strategy; the
-/// degraded fallback is the --protect re-optimization, round-tripped through
-/// its CSV form the way an operator would pre-compute and ship it. The
-/// functional work behind every request is the network's leading layers on a
-/// capped input (same testbed discipline as --fault-campaign) so a 10k
-/// request soak stays fast; service *times* come from the cost layer's
-/// full-strategy latencies.
+/// --serve: run the resilient serving runtime over the optimized strategy —
+/// a one-model, one-tenant, batch-cap-1 FleetServer. The primary mode is
+/// the unprotected latency-optimal strategy; the degraded fallback is the
+/// --protect re-optimization, round-tripped through its CSV form the way an
+/// operator would pre-compute and ship it. The functional work behind every
+/// request is the network's leading layers on a capped input (same testbed
+/// discipline as --fault-campaign) so a 10k request soak stays fast;
+/// service *times* come from the cost layer's full-strategy latencies.
 int run_serve(const nn::Network& net, const fpga::Device& dev,
               toolflow::ToolflowOptions opt, const ServeCliOptions& so,
               std::uint64_t fault_seed) {
+  // The trace defaults below divide by the replica count.
+  if (so.replicas < 1) {
+    throw ServeError(ServeError::Reason::kConfig,
+                     "--serve-replicas must be >= 1, got " +
+                         std::to_string(so.replicas));
+  }
   opt.generate_code = false;
   opt.protect = false;
   const auto primary_flow = toolflow::run_toolflow(net, dev, opt);
@@ -385,11 +390,11 @@ int run_serve(const nn::Network& net, const fpga::Device& dev,
   };
   const auto ws = nn::WeightStore::deterministic(snet, opt.weight_seed);
 
-  // The degradation ladder (--serve-ladder) or the PR 5 binary pair. The
-  // ladder is round-tripped through its multi-strategy CSV form the way an
-  // operator would pre-compute and ship it; per-rung numeric modes come
-  // from the testbed calibration (int8 rungs serve in the asymmetric int8
-  // activation grids).
+  // The degradation ladder (--serve-ladder) or the binary [fallback,
+  // primary] pair. The ladder is round-tripped through its multi-strategy
+  // CSV form the way an operator would pre-compute and ship it; per-rung
+  // numeric modes come from the testbed calibration (int8 rungs serve in
+  // the asymmetric int8 activation grids).
   serve::ServingLadder ladder;
   toolflow::ServingLadderPlan plan;
   const bool use_ladder = !so.ladder.empty();
@@ -443,16 +448,20 @@ int run_serve(const nn::Network& net, const fpga::Device& dev,
   const long long primary_cycles =
       ladder.rungs[ladder.home].service_cycles;
 
-  serve::ServerConfig cfg;
-  cfg.queue_capacity = so.queue;
-  cfg.replicas = so.replicas;
-  cfg.max_retries = so.retries;
-  cfg.deadline_cycles =
+  serve::TenantConfig tenant;
+  tenant.name = primary_flow.full_net.name();
+  tenant.queue_capacity = so.queue;
+  tenant.deadline_cycles =
       so.deadline >= 0 ? so.deadline : 4 * primary_cycles;
-  cfg.backoff_base_cycles = std::max<long long>(primary_cycles / 8, 1);
-  cfg.backoff_cap_cycles = 4 * cfg.backoff_base_cycles;
-  cfg.breaker.cooldown_cycles = 2 * primary_cycles;
+  tenant.batch_cap = 1;
+  tenant.batch_age_cycles = 0;
+  serve::FleetConfig cfg;
   cfg.threads = opt.threads;
+  cfg.health.enabled = false;
+  cfg.retry.max_retries = so.retries;
+  cfg.retry.backoff_base_cycles = std::max<long long>(primary_cycles / 8, 1);
+  cfg.retry.backoff_cap_cycles = 4 * cfg.retry.backoff_base_cycles;
+  cfg.breaker.cooldown_cycles = 2 * primary_cycles;
 
   // The trace: synthetic (synth:N[:MEAN[:SEED]]), square-wave oscillating
   // load (osc:P:K[:BURST[:LULL[:SEED]]]), or a CSV file.
@@ -532,8 +541,8 @@ int run_serve(const nn::Network& net, const fpga::Device& dev,
   std::printf("serving '%s' on %s: %zu requests, %d replica(s), queue %zu, "
               "deadline %lld cycles\n",
               primary_flow.full_net.name().c_str(), dev.name.c_str(),
-              trace.requests.size(), cfg.replicas, cfg.queue_capacity,
-              cfg.deadline_cycles);
+              trace.requests.size(), so.replicas, tenant.queue_capacity,
+              tenant.deadline_cycles);
   if (use_ladder) {
     // Rung table with per-rung accuracy: every rung's functional testbed
     // output against the float reference, so the table shows exactly what
@@ -571,39 +580,43 @@ int run_serve(const nn::Network& net, const fpga::Device& dev,
                 static_cast<unsigned long long>(fault_seed));
   }
 
-  serve::Server server(snet, ws, std::move(ladder), cfg);
-  const serve::ServerStats stats = server.run(trace);
+  std::vector<serve::FleetModel> models;
+  models.push_back({tenant.name, snet, ws, std::move(ladder), so.replicas});
+  serve::FleetServer server(std::move(models), {tenant}, cfg);
+  const serve::FleetStats stats = server.run({trace});
 
   std::printf("\nserver stats:\n%s", stats.summary().c_str());
-  if (!server.breaker_log().empty()) {
+  if (!server.breaker_logs()[0].empty()) {
     std::printf("breaker transitions:\n");
-    for (const auto& t : server.breaker_log()) {
+    for (const auto& t : server.breaker_logs()[0]) {
       std::printf("  cycle %10lld  %s -> %s\n", t.cycle,
                   std::string(serve::to_string(t.from)).c_str(),
                   std::string(serve::to_string(t.to)).c_str());
     }
   }
-  if (!server.rung_log().empty()) {
-    std::printf("rung transitions:\n");
-    for (const auto& t : server.rung_log()) {
+  for (std::size_t r = 0; r < server.rung_logs()[0].size(); ++r) {
+    const auto& log = server.rung_logs()[0][r];
+    if (log.empty()) continue;
+    std::printf("rung transitions replica %zu:\n", r);
+    for (const auto& t : log) {
       std::printf("  cycle %10lld  r%d -> r%d  (%s)\n", t.cycle, t.from,
                   t.to, std::string(serve::to_string(t.reason)).c_str());
     }
   }
   std::printf("json: %s\n", stats.to_json().c_str());
 
+  const serve::TenantStats& ts = stats.tenants[0];
   if (!stats.accounted()) {
     throw Error(ErrorCategory::kServe,
                 "request accounting mismatch: " +
-                    std::to_string(stats.submitted) + " submitted but only " +
-                    std::to_string(stats.rejected_queue_full +
-                                   stats.shed_deadline + stats.completed +
-                                   stats.failed) +
+                    std::to_string(ts.submitted) + " submitted but only " +
+                    std::to_string(ts.rejected_queue_full + ts.shed_deadline +
+                                   ts.completed + ts.failed) +
                     " accounted for");
   }
-  if (stats.failed > 0) {
+  if (ts.failed > 0) {
     throw Error(ErrorCategory::kServe,
-                std::to_string(stats.failed) +
+                std::to_string(ts.failed) +
                     " request(s) failed on a degraded rung");
   }
   return 0;
