@@ -11,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "arch/event_sim.h"
 #include "arch/pipeline.h"
 #include "bench_util.h"
 #include "fault/fault.h"
@@ -133,7 +132,7 @@ int main() {
   const double ev_none = time_ms([&] {
     for (int k = 0; k < kSimBatch; ++k) {
       g_sink_ll =
-          arch::simulate_dataflow(net, 1, net.size() - 1, impls, dev, 16)
+          arch::simulate_schedule(net, 1, net.size() - 1, impls, dev, 16)
               .makespan_cycles;
     }
   });
@@ -142,7 +141,7 @@ int main() {
   const fault::FaultInjector zero_inj{fault::FaultPlan{}};
   const double ev_zero = time_ms([&] {
     for (int k = 0; k < kSimBatch; ++k) {
-      g_sink_ll = arch::simulate_dataflow(net, 1, net.size() - 1, impls,
+      g_sink_ll = arch::simulate_schedule(net, 1, net.size() - 1, impls,
                                           dev, 16, &zero_inj)
                       .makespan_cycles;
     }
@@ -158,7 +157,7 @@ int main() {
   const fault::FaultInjector stall_inj(stall);
   const double ev_active = time_ms([&] {
     for (int k = 0; k < kSimBatch; ++k) {
-      g_sink_ll = arch::simulate_dataflow(net, 1, net.size() - 1, impls,
+      g_sink_ll = arch::simulate_schedule(net, 1, net.size() - 1, impls,
                                           dev, 16, &stall_inj)
                       .makespan_cycles;
     }

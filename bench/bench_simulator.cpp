@@ -1,10 +1,10 @@
 // SIM: architecture-model validation — the optimizer's analytic group
-// latency vs the row-level schedule simulation, and functional-pipeline FIFO
-// occupancy, for the fusion groups the optimizer actually picks.
+// latency vs the timing simulation for the fusion groups the optimizer
+// actually picks, functional-pipeline FIFO occupancy, and the makespan cost
+// of shallow FIFOs.
 
 #include <cstdio>
 
-#include "arch/event_sim.h"
 #include "arch/pipeline.h"
 #include "bench_util.h"
 #include "core/dp_optimizer.h"
@@ -72,28 +72,23 @@ int main() {
   std::printf("\n(all bounded by a few rows -> plain FIFO channels suffice, "
               "paper §6)\n");
 
-  // Discrete-event dataflow with finite FIFOs: how deep must the generated
-  // STREAM channels be before backpressure stops costing cycles?
+  // Finite FIFOs: how deep must the generated STREAM channels be before
+  // backpressure stops costing cycles? F(4x4,3x3) Winograd engines retire 4
+  // rows per tile pass, so each channel must hold a whole burst, and shallow
+  // ones stall the producer and stretch the makespan.
   {
-    const fpga::EngineModel m(dev);
+    const nn::Network chain = nn::conv_chain(3, 8, 32);
     std::vector<fpga::Implementation> impls;
-    for (std::size_t i = 1; i < small.size(); ++i) {
-      fpga::EngineConfig cfg;
-      if (small[i].kind == nn::LayerKind::kConv) {
-        cfg.algo = ch[i - 1].algo;
-        cfg.tn = 2;
-        cfg.tm = 4;
-      } else {
-        cfg.algo = fpga::ConvAlgo::kNone;
-        cfg.tn = 2;
-      }
-      impls.push_back(m.implement(small[i], cfg));
+    for (std::size_t i = 1; i < chain.size(); ++i) {
+      impls.push_back(
+          model.implement(chain[i], {fpga::ConvAlgo::kWinograd, 2, 4, 1, 4}));
     }
-    std::printf("\nfinite-FIFO event simulation (small-hetero group):\n");
+    std::printf("\nfinite-FIFO timing (3-conv chain, 8ch 32x32, all F(4,3) "
+                "Winograd):\n");
     std::printf("%10s %16s %14s\n", "depth", "makespan (cyc)", "stall (cyc)");
-    for (std::size_t cap : {4u, 8u, 16u, 64u}) {
-      const auto r =
-          arch::simulate_dataflow(small, 1, small.size() - 1, impls, dev, cap);
+    for (std::size_t cap : {3u, 4u, 6u, 7u, 8u, 16u, 64u}) {
+      const auto r = arch::simulate_schedule(chain, 1, chain.size() - 1,
+                                             impls, dev, cap);
       if (!r.completed) {
         std::printf("%10zu %16s %14s\n", cap, "deadlock", "-");
         continue;
@@ -101,8 +96,8 @@ int main() {
       std::printf("%10zu %16lld %14lld\n", cap, r.makespan_cycles,
                   r.producer_stall_cycles);
     }
-    const std::size_t depth = arch::minimal_fifo_depth_rows(
-        small, 1, small.size() - 1, impls, dev);
+    const std::size_t depth =
+        arch::minimal_fifo_depth_rows(chain, 1, chain.size() - 1, impls, dev);
     std::printf("minimal uniform FIFO depth within 2%% of unbounded: %zu "
                 "rows (codegen default depth is conservative)\n",
                 depth);

@@ -1,9 +1,7 @@
 #include "arch/pipeline.h"
 
 #include <algorithm>
-#include <cmath>
 
-#include "cost/cost_model.h"
 #include "fault/crc32.h"
 #include "kernels/parallel.h"
 #include "support/error.h"
@@ -575,70 +573,6 @@ void FusionPipeline::report_stall(
     }
   }
   throw FaultError("pipeline watchdog: stalled with all engines done", "");
-}
-
-ScheduleResult simulate_schedule(const nn::Network& net, std::size_t first,
-                                 std::size_t last,
-                                 const std::vector<fpga::Implementation>& impls,
-                                 const fpga::Device& dev) {
-  if (first > last || last >= net.size() ||
-      impls.size() != last - first + 1) {
-    throw std::invalid_argument("simulate_schedule: bad range");
-  }
-  const double bpc = dev.bytes_per_cycle();
-
-  // Ready times of the producer's rows; starts as the DDR load schedule of
-  // the group's input feature map.
-  const nn::Shape in_shape = net[first].in;
-  const double in_row_cycles =
-      cost::row_transfer_cycles(in_shape.w, in_shape.c, dev.data_bytes, bpc);
-  std::vector<double> prev(static_cast<std::size_t>(in_shape.h));
-  for (int r = 0; r < in_shape.h; ++r) {
-    prev[static_cast<std::size_t>(r)] = (r + 1) * in_row_cycles;
-  }
-
-  ScheduleResult res;
-  for (std::size_t li = first; li <= last; ++li) {
-    const nn::Layer& l = net[li];
-    const auto& ipl = impls[li - first];
-    const int out_rows = l.out.h;
-    const double row_cycles = static_cast<double>(ipl.compute_cycles) /
-                              std::max(1, out_rows);
-    const int window = l.window();
-    const int stride = l.stride();
-    const int pad = l.padding();
-    const bool wino = ipl.cfg.algo == fpga::ConvAlgo::kWinograd;
-    const int block = wino ? ipl.cfg.wino_m : 1;
-    const int reach = wino ? ipl.cfg.wino_m + window - 1 : window;
-
-    std::vector<double> cur(static_cast<std::size_t>(out_rows), 0.0);
-    double t = 0.0;
-    for (int i = 0; i < out_rows; ++i) {
-      // Deepest producer row this output row (or its tile block) touches.
-      const int base = wino ? (i / block) * block : i * stride;
-      long long need = static_cast<long long>(base) + reach - 1 - pad;
-      need = std::clamp<long long>(need, 0, l.in.h - 1);
-      const double dep = prev[static_cast<std::size_t>(need)];
-      t = std::max(t, dep) + row_cycles;
-      cur[static_cast<std::size_t>(i)] = t;
-    }
-    res.layer_finish.push_back(static_cast<long long>(std::ceil(t)));
-    if (li == last) {
-      res.first_output_cycle = static_cast<long long>(std::ceil(cur.front()));
-    }
-    prev = std::move(cur);
-  }
-
-  // Drain the group output to DDR.
-  const nn::Shape out_shape = net[last].out;
-  const double out_row_cycles =
-      cost::row_transfer_cycles(out_shape.w, out_shape.c, dev.data_bytes, bpc);
-  double t = 0.0;
-  for (int r = 0; r < out_shape.h; ++r) {
-    t = std::max(t, prev[static_cast<std::size_t>(r)]) + out_row_cycles;
-  }
-  res.makespan_cycles = static_cast<long long>(std::ceil(t));
-  return res;
 }
 
 }  // namespace hetacc::arch

@@ -5,13 +5,17 @@
 //    FIFOs exactly as in the generated DATAFLOW design; the result is
 //    compared against the reference executor in tests.
 //
-//  * simulate_schedule(): timing simulation — a row-level dependence
-//    recurrence that predicts the group's makespan (pipeline fill + steady
-//    state) from per-layer row costs and DDR bandwidth. Used to validate
-//    the optimizer's analytic latency model.
+//  * simulate_schedule(): timing simulation — a row-granular discrete-event
+//    simulation of the group's DATAFLOW region that predicts its makespan
+//    (pipeline fill + steady state) from per-layer row costs, DDR bandwidth
+//    and, optionally, finite FIFO depths. Used to validate the optimizer's
+//    analytic latency model and to size the generated STREAM depths.
 
 #include <atomic>
+#include <cstddef>
+#include <limits>
 #include <memory>
+#include <vector>
 
 #include "arch/engines.h"
 #include "fault/fault.h"
@@ -184,20 +188,47 @@ class FusionPipeline {
   const std::atomic<bool>* cancel_ = nullptr;
 };
 
-/// Result of the row-level timing recurrence.
+/// Result of a fusion group's timing simulation.
 struct ScheduleResult {
+  bool completed = false;  ///< false = deadlock (FIFO shallower than a burst)
   long long makespan_cycles = 0;        ///< load -> ... -> store completion
   long long first_output_cycle = 0;     ///< pipeline fill observed
   std::vector<long long> layer_finish;  ///< completion time per layer
+  std::vector<std::size_t> fifo_max_occupancy;  ///< per channel, DDR ends too
+  long long producer_stall_cycles = 0;  ///< time engines waited on full FIFOs
+  long long injected_delay_cycles = 0;  ///< cycles added by timing faults
 };
 
-/// Predicts the makespan of fusing `net`'s layers [first, last] with the
-/// given implementations, modeling row-granularity dataflow: each layer's
-/// row i starts once its producer has delivered the rows the window needs
-/// and the layer's own previous row is done. DDR feeds the first layer and
-/// drains the last at the device bandwidth.
+/// Simulates fusing `net`'s layers [first, last] with the given
+/// implementations at row granularity: an engine pulls input rows into its
+/// line buffer and emits output rows (blocks of m rows for Winograd) once
+/// its window's rows have arrived and its previous rows are done. DDR feeds
+/// the first layer and drains the last at the device bandwidth.
+///
+/// The layers are wired as a chain in index order: layer k reads layer k-1's
+/// output. On DAG ranges (branch arms, merges) that approximates the real
+/// wiring.
+///
+/// `fifo_capacity_rows` bounds every inter-layer channel (the DDR-facing
+/// source and sink are not bounded); omitted, the channels are unbounded. An
+/// emit that finds its output FIFO full waits for the consumer's pop that
+/// makes room for the whole burst, and the wait counts as producer stall.
+///
+/// `inj` (optional) injects timing faults: kEngineStall freezes an engine
+/// for plan.engine_stall_cycles before an emit burst; kFifoDelay delays a
+/// pushed row's availability by plan.fifo_delay_cycles. Null = identical to
+/// the fault-free simulation.
 [[nodiscard]] ScheduleResult simulate_schedule(
     const nn::Network& net, std::size_t first, std::size_t last,
-    const std::vector<fpga::Implementation>& impls, const fpga::Device& dev);
+    const std::vector<fpga::Implementation>& impls, const fpga::Device& dev,
+    std::size_t fifo_capacity_rows = std::numeric_limits<std::size_t>::max(),
+    const fault::FaultInjector* inj = nullptr);
+
+/// Smallest uniform FIFO capacity whose makespan is within `tolerance`
+/// (fractional) of the unbounded-channel makespan.
+[[nodiscard]] std::size_t minimal_fifo_depth_rows(
+    const nn::Network& net, std::size_t first, std::size_t last,
+    const std::vector<fpga::Implementation>& impls, const fpga::Device& dev,
+    double tolerance = 0.02);
 
 }  // namespace hetacc::arch

@@ -1,4 +1,4 @@
-#include "arch/event_sim.h"
+#include "arch/pipeline.h"
 
 #include <algorithm>
 #include <cmath>
@@ -17,16 +17,29 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 /// One bounded row channel: entries are the times their rows became
 /// available; space frees when the consumer pops.
 struct Channel {
-  std::size_t capacity = SIZE_MAX;
+  std::size_t capacity = std::numeric_limits<std::size_t>::max();
   std::deque<double> rows;  ///< availability time of each queued row
+  std::vector<double> pop_times;  ///< when each popped row left, in order
   std::size_t max_occupancy = 0;
   long long pushed = 0;
 
-  [[nodiscard]] bool full() const { return rows.size() >= capacity; }
   void push(double t) {
     rows.push_back(t);
     ++pushed;
     max_occupancy = std::max(max_occupancy, rows.size());
+  }
+  void pop(double t) {
+    rows.pop_front();
+    pop_times.push_back(t);
+  }
+  [[nodiscard]] bool fits(long long burst) const {
+    return rows.size() + static_cast<std::size_t>(burst) <= capacity;
+  }
+  /// Earliest time a burst that fits() could start: the pop that freed the
+  /// last slot it needs (0 when the channel never filled that far).
+  [[nodiscard]] double room_time(long long burst) const {
+    const auto need = static_cast<std::size_t>(pushed + burst);
+    return need <= capacity ? 0.0 : pop_times[need - capacity - 1];
   }
 };
 
@@ -44,16 +57,15 @@ struct Node {
   double busy_until = 0.0;
   double stall = 0.0;
 
+  /// Input row `offset` rows past the next output block's first window row.
+  [[nodiscard]] long long in_row(long long offset) const {
+    const long long base = (emitted / block) * block * stride - pad;
+    return std::clamp<long long>(base + offset, 0, in_rows - 1);
+  }
   /// Deepest real input row the next output block needs.
-  [[nodiscard]] long long dep() const {
-    const long long base = (emitted / block) * block * stride;
-    return std::clamp<long long>(base + reach - 1 - pad, 0, in_rows - 1);
-  }
+  [[nodiscard]] long long dep() const { return in_row(reach - 1); }
   /// Oldest input row the next output block still reads (line-buffer floor).
-  [[nodiscard]] long long oldest_needed() const {
-    const long long base = (emitted / block) * block * stride;
-    return std::clamp<long long>(base - pad, 0, in_rows - 1);
-  }
+  [[nodiscard]] long long oldest_needed() const { return in_row(0); }
   [[nodiscard]] bool done() const { return emitted >= out_rows; }
   [[nodiscard]] bool inputs_ready() const { return pulled > dep(); }
   [[nodiscard]] bool can_prefetch() const {
@@ -63,7 +75,7 @@ struct Node {
 
 }  // namespace
 
-EventSimResult simulate_dataflow(const nn::Network& net, std::size_t first,
+ScheduleResult simulate_schedule(const nn::Network& net, std::size_t first,
                                  std::size_t last,
                                  const std::vector<fpga::Implementation>& impls,
                                  const fpga::Device& dev,
@@ -71,10 +83,10 @@ EventSimResult simulate_dataflow(const nn::Network& net, std::size_t first,
                                  const fault::FaultInjector* inj) {
   if (first > last || last >= net.size() ||
       impls.size() != last - first + 1) {
-    throw std::invalid_argument("simulate_dataflow: bad range");
+    throw std::invalid_argument("simulate_schedule: bad range");
   }
   if (fifo_capacity_rows == 0) {
-    throw std::invalid_argument("simulate_dataflow: capacity must be >= 1");
+    throw std::invalid_argument("simulate_schedule: capacity must be >= 1");
   }
   const std::size_t n = impls.size();
 
@@ -116,6 +128,7 @@ EventSimResult simulate_dataflow(const nn::Network& net, std::size_t first,
   long long stored = 0;
   double sink_busy = 0.0;
   double makespan = 0.0;
+  double first_output = 0.0;
   long long injected_delay = 0;
 
   // Event loop: repeatedly perform the enabled action with the earliest
@@ -141,12 +154,13 @@ EventSimResult simulate_dataflow(const nn::Network& net, std::size_t first,
         // A whole output block must fit: an engine that computes m rows per
         // tile pass cannot retire them through a FIFO shallower than m —
         // the structural reason generated designs size STREAM depth by the
-        // largest tile height.
+        // largest tile height. A burst that found the FIFO full starts no
+        // earlier than the consumer's pop that made room for it.
         const long long burst =
             std::min<long long>(nd.block, nd.out_rows - nd.emitted);
-        if (ch[k + 1].rows.size() + static_cast<std::size_t>(burst) <=
-            ch[k + 1].capacity) {
-          const double t = nd.busy_until;
+        if (ch[k + 1].fits(burst)) {
+          const double t =
+              std::max(nd.busy_until, ch[k + 1].room_time(burst));
           if (t < best_t) {
             best_t = t;
             best_engine = static_cast<int>(k);
@@ -166,11 +180,11 @@ EventSimResult simulate_dataflow(const nn::Network& net, std::size_t first,
     }
 
     if (best_engine < 0) {
-      return EventSimResult{};  // deadlock (impossible for capacity >= 1)
+      return ScheduleResult{};  // deadlock: a FIFO shallower than a burst
     }
 
     if (best_engine == static_cast<int>(n)) {
-      ch[n].rows.pop_front();
+      ch[n].pop(best_t);
       sink_busy = best_t + out_row_cycles;
       ++stored;
       makespan = std::max(makespan, sink_busy);
@@ -178,7 +192,7 @@ EventSimResult simulate_dataflow(const nn::Network& net, std::size_t first,
     }
     Node& nd = nodes[static_cast<std::size_t>(best_engine)];
     if (best_is_pull) {
-      ch[static_cast<std::size_t>(best_engine)].rows.pop_front();
+      ch[static_cast<std::size_t>(best_engine)].pop(best_t);
       ++nd.pulled;
       nd.busy_until = std::max(nd.busy_until, best_t);
       continue;
@@ -201,6 +215,9 @@ EventSimResult simulate_dataflow(const nn::Network& net, std::size_t first,
     }
     for (long long i = 0; i < burst; ++i) {
       t += nd.produce_cycles;
+      if (best_engine + 1 == static_cast<int>(n) && nd.emitted + i == 0) {
+        first_output = t;
+      }
       // The whole block computes together; rows stream out back to back.
       double avail = t;
       Channel& out = ch[static_cast<std::size_t>(best_engine) + 1];
@@ -219,12 +236,15 @@ EventSimResult simulate_dataflow(const nn::Network& net, std::size_t first,
     nd.busy_until = t;
   }
 
-  EventSimResult res;
+  ScheduleResult res;
   res.completed = true;
   res.injected_delay_cycles = injected_delay;
   res.makespan_cycles = static_cast<long long>(std::ceil(makespan));
+  res.first_output_cycle = static_cast<long long>(std::ceil(first_output));
   for (const auto& c : ch) res.fifo_max_occupancy.push_back(c.max_occupancy);
   for (const auto& nd : nodes) {
+    res.layer_finish.push_back(
+        static_cast<long long>(std::ceil(nd.busy_until)));
     res.producer_stall_cycles += static_cast<long long>(nd.stall);
   }
   return res;
@@ -234,8 +254,7 @@ std::size_t minimal_fifo_depth_rows(
     const nn::Network& net, std::size_t first, std::size_t last,
     const std::vector<fpga::Implementation>& impls, const fpga::Device& dev,
     double tolerance) {
-  const auto unbounded =
-      simulate_dataflow(net, first, last, impls, dev, SIZE_MAX / 2);
+  const auto unbounded = simulate_schedule(net, first, last, impls, dev);
   if (!unbounded.completed) {
     throw std::runtime_error("minimal_fifo_depth_rows: baseline failed");
   }
@@ -244,13 +263,13 @@ std::size_t minimal_fifo_depth_rows(
   std::size_t lo = 1, hi = 64;
   // Ensure hi is sufficient.
   while (hi < 4096) {
-    const auto r = simulate_dataflow(net, first, last, impls, dev, hi);
+    const auto r = simulate_schedule(net, first, last, impls, dev, hi);
     if (r.completed && static_cast<double>(r.makespan_cycles) <= limit) break;
     hi *= 2;
   }
   while (lo < hi) {
     const std::size_t mid = (lo + hi) / 2;
-    const auto r = simulate_dataflow(net, first, last, impls, dev, mid);
+    const auto r = simulate_schedule(net, first, last, impls, dev, mid);
     if (r.completed && static_cast<double>(r.makespan_cycles) <= limit) {
       hi = mid;
     } else {

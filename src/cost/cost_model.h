@@ -90,8 +90,8 @@ namespace hetacc::cost {
 }
 
 /// DDR cycles (fractional) to move one feature-map row of
-/// `width` x `channels` elements — the row granularity of the schedule
-/// recurrence and the event simulator.
+/// `width` x `channels` elements — the row granularity of the fusion-group
+/// timing simulator (arch::simulate_schedule).
 [[nodiscard]] inline double row_transfer_cycles(int width, int channels,
                                                 int data_bytes,
                                                 double bytes_per_cycle) {

@@ -23,7 +23,8 @@
 namespace hetacc::fault {
 
 /// Where a fault strikes. The functional sites corrupt simulated data; the
-/// timing sites perturb the event simulator's clock.
+/// timing sites perturb the timing simulator's clock
+/// (arch::simulate_schedule).
 enum class FaultSite : std::uint8_t {
   kDdrBurst,     ///< bit flip in a DDR read/write burst
   kLineBuffer,   ///< SEU in a BRAM line-buffer row

@@ -349,7 +349,7 @@ TEST(Engines, LineBufferLinesMatchPaperDesign) {
   EXPECT_EQ(wino_pipe.engine(0).line_buffer_lines(), 6 + 4);  // n + m
 }
 
-// ------------------------------------------------------ schedule recurrence --
+// ----------------------------------------------------- schedule simulation --
 class ScheduleTest : public ::testing::Test {
  protected:
   fpga::Device dev_ = fpga::zc706();

@@ -9,7 +9,6 @@
 #include <cmath>
 
 #include "arch/ddr_trace.h"
-#include "arch/event_sim.h"
 #include "arch/pipeline.h"
 #include "core/dp_optimizer.h"
 #include "core/report.h"
@@ -165,7 +164,7 @@ TEST_F(Vgg16Agreement, EventSimCountsWithinBandOfPredictionPerGroup) {
   // (row-granularity effects keep it from being cycle-exact).
   for (const auto& g : r.strategy.groups) {
     const auto sim =
-        arch::simulate_dataflow(net_, g.first, g.last, g.impls, dev_, 64);
+        arch::simulate_schedule(net_, g.first, g.last, g.impls, dev_, 64);
     ASSERT_TRUE(sim.completed);
     const double ratio = static_cast<double>(sim.makespan_cycles) /
                          static_cast<double>(g.timing.latency_cycles);

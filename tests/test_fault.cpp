@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include "arch/ddr_trace.h"
-#include "arch/event_sim.h"
 #include "arch/pipeline.h"
 #include "cost/cost_model.h"
 #include "cost/group_timing.h"
@@ -328,10 +327,10 @@ class EventSimFaultTest : public ::testing::Test {
 TEST_F(EventSimFaultTest, NullInjectorAndZeroPlanAgreeExactly) {
   const auto is = impls();
   const auto base =
-      arch::simulate_dataflow(net_, 1, net_.size() - 1, is, dev_, 8);
+      arch::simulate_schedule(net_, 1, net_.size() - 1, is, dev_, 8);
   const FaultInjector zero{FaultPlan{}};
   const auto z =
-      arch::simulate_dataflow(net_, 1, net_.size() - 1, is, dev_, 8, &zero);
+      arch::simulate_schedule(net_, 1, net_.size() - 1, is, dev_, 8, &zero);
   ASSERT_TRUE(base.completed);
   EXPECT_EQ(z.makespan_cycles, base.makespan_cycles);
   EXPECT_EQ(z.injected_delay_cycles, 0);
@@ -341,14 +340,14 @@ TEST_F(EventSimFaultTest, NullInjectorAndZeroPlanAgreeExactly) {
 TEST_F(EventSimFaultTest, EngineStallsLengthenTheMakespan) {
   const auto is = impls();
   const auto base =
-      arch::simulate_dataflow(net_, 1, net_.size() - 1, is, dev_, 8);
+      arch::simulate_schedule(net_, 1, net_.size() - 1, is, dev_, 8);
   FaultPlan p;
   p.seed = 9;
   p.engine_stall_rate = 0.5;
   p.engine_stall_cycles = 50;
   const FaultInjector inj(p);
   const auto r =
-      arch::simulate_dataflow(net_, 1, net_.size() - 1, is, dev_, 8, &inj);
+      arch::simulate_schedule(net_, 1, net_.size() - 1, is, dev_, 8, &inj);
   ASSERT_TRUE(r.completed);
   EXPECT_GT(r.injected_delay_cycles, 0);
   EXPECT_GT(r.makespan_cycles, base.makespan_cycles);
@@ -362,9 +361,9 @@ TEST_F(EventSimFaultTest, FifoDelaysAreCountedAndDeterministic) {
   p.fifo_delay_cycles = 20;
   const FaultInjector a(p), b(p);
   const auto ra =
-      arch::simulate_dataflow(net_, 1, net_.size() - 1, is, dev_, 8, &a);
+      arch::simulate_schedule(net_, 1, net_.size() - 1, is, dev_, 8, &a);
   const auto rb =
-      arch::simulate_dataflow(net_, 1, net_.size() - 1, is, dev_, 8, &b);
+      arch::simulate_schedule(net_, 1, net_.size() - 1, is, dev_, 8, &b);
   ASSERT_TRUE(ra.completed);
   EXPECT_GT(ra.injected_delay_cycles, 0);
   EXPECT_EQ(ra.makespan_cycles, rb.makespan_cycles);

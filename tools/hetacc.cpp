@@ -16,11 +16,16 @@
 // 3 infeasible, 4 unrecovered fault, 5 serving-runtime failure, 1 internal.
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <type_traits>
 
 #include "arch/ddr_trace.h"
 #include "arch/pipeline.h"
@@ -131,6 +136,26 @@ void usage() {
       "                      replica ends the run unrecovered. Exit codes:\n"
       "                      0 ok, 2 parse/validate, 3 infeasible, 4 fault\n"
       "                      unabsorbed, 5 serve-layer failure\n");
+}
+
+/// Parses all of `text` as a base-10 integer of type T. Empty text, trailing
+/// characters, a sign on an unsigned type and out-of-range values fail.
+template <typename T>
+std::optional<T> parse_int(std::string_view text) {
+  T v{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc{} || ptr != end) return std::nullopt;
+  return v;
+}
+
+/// One integer field of a colon-separated spec (--serve, --fleet, ...): a
+/// malformed field is a typed config error, exit 5.
+template <typename T>
+T spec_field(const std::string& field, const std::string& spec) {
+  if (const auto v = parse_int<T>(field)) return *v;
+  throw ServeError(ServeError::Reason::kConfig,
+                   "'" + field + "' is not a valid integer in '" + spec + "'");
 }
 
 void print_report_line(const char* tag, const core::StrategyReport& r) {
@@ -403,13 +428,13 @@ int run_serve(const nn::Network& net, const fpga::Device& dev,
     lopt.optimizer = opt.optimizer;
     lopt.threads = opt.threads;
     if (so.ladder != "auto") {
-      const long long n = std::atoll(so.ladder.c_str());
-      if (n < 2) {
+      const auto n = parse_int<long long>(so.ladder);
+      if (!n || *n < 2) {
         throw ServeError(ServeError::Reason::kConfig,
                          "--serve-ladder wants a rung count >= 2 or 'auto', "
                          "got '" + so.ladder + "'");
       }
-      lopt.max_rungs = static_cast<std::size_t>(n);
+      lopt.max_rungs = static_cast<std::size_t>(*n);
     }
     const auto& built = toolflow::cached_serving_ladder(net, dev, lopt);
     plan = toolflow::ServingLadderPlan::from_csv_rungs(
@@ -473,9 +498,9 @@ int run_serve(const nn::Network& net, const fpga::Device& dev,
     long long mean =
         std::max<long long>(3 * primary_cycles / so.replicas, 1);
     std::uint64_t seed = 1;
-    if (std::getline(is, f, ':')) n = std::stoull(f);
-    if (std::getline(is, f, ':')) mean = std::stoll(f);
-    if (std::getline(is, f, ':')) seed = std::stoull(f);
+    if (std::getline(is, f, ':')) n = spec_field<std::size_t>(f, so.spec);
+    if (std::getline(is, f, ':')) mean = spec_field<long long>(f, so.spec);
+    if (std::getline(is, f, ':')) seed = spec_field<std::uint64_t>(f, so.spec);
     if (n == 0) {
       throw ServeError(ServeError::Reason::kConfig,
                        "synth trace needs a request count: " + so.spec);
@@ -492,11 +517,13 @@ int run_serve(const nn::Network& net, const fpga::Device& dev,
     long long lull =
         std::max<long long>(4 * primary_cycles / so.replicas, 1);
     std::uint64_t seed = 1;
-    if (std::getline(is, f, ':')) periods = std::stoull(f);
-    if (std::getline(is, f, ':')) per_phase = std::stoull(f);
-    if (std::getline(is, f, ':')) burst = std::stoll(f);
-    if (std::getline(is, f, ':')) lull = std::stoll(f);
-    if (std::getline(is, f, ':')) seed = std::stoull(f);
+    if (std::getline(is, f, ':')) periods = spec_field<std::size_t>(f, so.spec);
+    if (std::getline(is, f, ':')) {
+      per_phase = spec_field<std::size_t>(f, so.spec);
+    }
+    if (std::getline(is, f, ':')) burst = spec_field<long long>(f, so.spec);
+    if (std::getline(is, f, ':')) lull = spec_field<long long>(f, so.spec);
+    if (std::getline(is, f, ':')) seed = spec_field<std::uint64_t>(f, so.spec);
     if (periods == 0 || per_phase == 0) {
       throw ServeError(ServeError::Reason::kConfig,
                        "osc trace needs periods and per-phase counts: " +
@@ -528,8 +555,10 @@ int run_serve(const nn::Network& net, const fpga::Device& dev,
                          "--serve-fault wants LO:HI or auto, got '" +
                              so.fault + "'");
       }
-      trace.burst.from_cycle = std::stoll(so.fault.substr(0, colon));
-      trace.burst.until_cycle = std::stoll(so.fault.substr(colon + 1));
+      trace.burst.from_cycle =
+          spec_field<long long>(so.fault.substr(0, colon), so.fault);
+      trace.burst.until_cycle =
+          spec_field<long long>(so.fault.substr(colon + 1), so.fault);
     }
     // A wedged FIFO: deterministic hard failure on every struck run, the
     // worst case the watchdog + retry + breaker chain must absorb.
@@ -644,9 +673,15 @@ int run_fleet(const fpga::Device& dev, const toolflow::ToolflowOptions& opt,
   {
     std::istringstream is(fo.spec);
     std::string f;
-    if (std::getline(is, f, ':') && !f.empty()) replicas = std::atoi(f.c_str());
-    if (std::getline(is, f, ':') && !f.empty()) requests = std::stoull(f);
-    if (std::getline(is, f, ':') && !f.empty()) seed = std::stoull(f);
+    if (std::getline(is, f, ':') && !f.empty()) {
+      replicas = spec_field<int>(f, fo.spec);
+    }
+    if (std::getline(is, f, ':') && !f.empty()) {
+      requests = spec_field<std::size_t>(f, fo.spec);
+    }
+    if (std::getline(is, f, ':') && !f.empty()) {
+      seed = spec_field<std::uint64_t>(f, fo.spec);
+    }
   }
   if (replicas < 1 || requests == 0) {
     throw ServeError(ServeError::Reason::kConfig,
@@ -727,7 +762,7 @@ int run_fleet(const fpga::Device& dev, const toolflow::ToolflowOptions& opt,
   if (!fo.chaos.empty()) {
     std::string spec = fo.chaos;
     if (const auto pos = spec.find(':'); pos != std::string::npos) {
-      chaos_seed = std::stoull(spec.substr(pos + 1));
+      chaos_seed = spec_field<std::uint64_t>(spec.substr(pos + 1), fo.chaos);
       spec = spec.substr(0, pos);
     }
     plan = fault::make_fleet_campaign(spec, chaos_seed, models.size(),
@@ -864,6 +899,17 @@ int run_cli(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // A malformed number exits 2 like a missing value.
+    auto number = [&]<typename T>(const char* flag, T& out) {
+      const char* text = next(flag);
+      const auto v = parse_int<T>(text);
+      if (!v) {
+        std::printf("%s wants %s integer, got '%s'\n", flag,
+                    std::is_unsigned_v<T> ? "a non-negative" : "an", text);
+        std::exit(2);
+      }
+      out = *v;
+    };
     if (!std::strcmp(argv[i], "--net")) {
       net_path = next("--net");
     } else if (!std::strcmp(argv[i], "--model")) {
@@ -874,7 +920,14 @@ int run_cli(int argc, char** argv) {
       else if (d == "zc706") dev = fpga::zc706();
       else { std::printf("unknown device '%s'\n", d.c_str()); return 2; }
     } else if (!std::strcmp(argv[i], "--budget-mb")) {
-      opt.transfer_budget_bytes = std::atoll(next("--budget-mb")) * 1024 * 1024;
+      long long mb = 0;
+      number("--budget-mb", mb);
+      constexpr long long kMaxMb = std::numeric_limits<long long>::max() >> 20;
+      if (mb < 0 || mb > kMaxMb) {
+        std::printf("--budget-mb wants 0..%lld, got %lld\n", kMaxMb, mb);
+        return 2;
+      }
+      opt.transfer_budget_bytes = mb * 1024 * 1024;
     } else if (!std::strcmp(argv[i], "--out")) {
       out_dir = next("--out");
     } else if (!std::strcmp(argv[i], "--no-codegen")) {
@@ -888,30 +941,28 @@ int run_cli(int argc, char** argv) {
     } else if (!std::strcmp(argv[i], "--conventional-only")) {
       params.enable_winograd = false;
     } else if (!std::strcmp(argv[i], "--wino-tile")) {
-      params.wino_tile_m = std::atoi(next("--wino-tile"));
+      number("--wino-tile", params.wino_tile_m);
     } else if (!std::strcmp(argv[i], "--int8")) {
       params.enable_int8 = true;
     } else if (!std::strcmp(argv[i], "--threads")) {
-      opt.threads = std::atoi(next("--threads"));
+      number("--threads", opt.threads);
       opt.optimizer.threads = opt.threads;
     } else if (!std::strcmp(argv[i], "--protect")) {
       opt.protect = true;
     } else if (!std::strcmp(argv[i], "--fault-campaign")) {
       fault_campaign = true;
     } else if (!std::strcmp(argv[i], "--fault-seed")) {
-      fault_seed = static_cast<std::uint64_t>(
-          std::strtoull(next("--fault-seed"), nullptr, 10));
+      number("--fault-seed", fault_seed);
     } else if (!std::strcmp(argv[i], "--serve")) {
       serve_opts.spec = next("--serve");
     } else if (!std::strcmp(argv[i], "--serve-deadline")) {
-      serve_opts.deadline = std::atoll(next("--serve-deadline"));
+      number("--serve-deadline", serve_opts.deadline);
     } else if (!std::strcmp(argv[i], "--serve-queue")) {
-      serve_opts.queue =
-          static_cast<std::size_t>(std::atoll(next("--serve-queue")));
+      number("--serve-queue", serve_opts.queue);
     } else if (!std::strcmp(argv[i], "--serve-replicas")) {
-      serve_opts.replicas = std::atoi(next("--serve-replicas"));
+      number("--serve-replicas", serve_opts.replicas);
     } else if (!std::strcmp(argv[i], "--serve-retries")) {
-      serve_opts.retries = std::atoi(next("--serve-retries"));
+      number("--serve-retries", serve_opts.retries);
     } else if (!std::strcmp(argv[i], "--serve-ladder")) {
       serve_opts.ladder = next("--serve-ladder");
     } else if (!std::strcmp(argv[i], "--serve-fault")) {
