@@ -48,86 +48,54 @@ nn::Tensor conv_im2col(const nn::Tensor& in, const nn::FilterBank& filters,
   return out;
 }
 
-nn::Tensor conv_im2col_scalar(const nn::Tensor& in,
-                              const nn::FilterBank& filters,
-                              const std::vector<float>& bias, int stride,
-                              int pad, bool fused_relu) {
-  const nn::Shape s = in.shape();
-  const int k = filters.kernel();
-  const int oh = (s.h + 2 * pad - k) / stride + 1;
-  const int ow = (s.w + 2 * pad - k) / stride + 1;
-  const std::size_t cols = static_cast<std::size_t>(oh) * ow;
-  const std::size_t rows = static_cast<std::size_t>(s.c) * k * k;
-  const std::vector<float> mat = im2col(in, k, stride, pad, oh, ow);
-
-  nn::Tensor out(filters.out_channels(), oh, ow);
-  for (int n = 0; n < filters.out_channels(); ++n) {
-    const float* w = filters.data() + static_cast<std::size_t>(n) * rows;
-    float* dst = out.data() + static_cast<std::size_t>(n) * cols;
-    const float b = bias.empty() ? 0.0f : bias[n];
-    for (std::size_t j = 0; j < cols; ++j) dst[j] = b;
-    for (std::size_t r = 0; r < rows; ++r) {
-      const float wv = w[r];
-      if (wv == 0.0f) continue;
-      const float* src = mat.data() + r * cols;
-      for (std::size_t j = 0; j < cols; ++j) dst[j] += wv * src[j];
-    }
-    if (fused_relu) {
-      for (std::size_t j = 0; j < cols; ++j) dst[j] = std::max(dst[j], 0.0f);
-    }
-  }
-  return out;
-}
-
 nn::Tensor conv_direct_fixed(const nn::Tensor& in,
                              const nn::FilterBank& filters,
                              const std::vector<float>& bias, int stride,
                              int pad, bool fused_relu, int data_frac,
                              int weight_frac, int out_frac) {
-  using fixed::Fixed16;
   const nn::Shape s = in.shape();
   const int k = filters.kernel();
   const int oh = (s.h + 2 * pad - k) / stride + 1;
   const int ow = (s.w + 2 * pad - k) / stride + 1;
   const int cols = oh * ow;
   const int rows = s.c * k * k;
+  kernels::require_exact_q16_depth(rows, "conv_direct_fixed");
   nn::Tensor out(filters.out_channels(), oh, ow);
 
-  // Quantize operands up front (this is what the DDR/BRAM contents are).
-  // Quantization is elementwise, so the index space chunks freely.
+  // Quantize operands up front (this is what the DDR/BRAM contents are),
+  // held as floats on the Q grid. Quantization is elementwise, so the index
+  // space chunks freely.
   kernels::ScratchArena& arena = kernels::ScratchArena::tls();
   kernels::ScratchArena::Scope scope(arena);
-  std::int16_t* inq =
-      arena.alloc<std::int16_t>(static_cast<std::size_t>(in.size()));
+  float* inq = arena.alloc<float>(static_cast<std::size_t>(in.size()));
   kernels::parallel_for(static_cast<std::size_t>(in.size()), 4096, 0,
                         [&](std::size_t i) {
-                          inq[i] = Fixed16::quantize(in.data()[i], data_frac);
+                          inq[i] = fixed::quantize_to_float(in.data()[i],
+                                                            data_frac);
                         });
-  std::int16_t* wq =
-      arena.alloc<std::int16_t>(static_cast<std::size_t>(filters.size()));
+  float* wq = arena.alloc<float>(static_cast<std::size_t>(filters.size()));
   kernels::parallel_for(
       static_cast<std::size_t>(filters.size()), 4096, 0, [&](std::size_t i) {
-        wq[i] = Fixed16::quantize(filters.data()[i], weight_frac);
+        wq[i] = fixed::quantize_to_float(filters.data()[i], weight_frac);
       });
 
-  std::int16_t* mat =
-      arena.alloc<std::int16_t>(static_cast<std::size_t>(rows) * cols);
-  kernels::im2col_i16(inq, s.c, s.h, s.w, k, stride, pad, oh, ow, mat,
+  float* mat = arena.alloc<float>(static_cast<std::size_t>(rows) * cols);
+  kernels::im2col_f32(inq, s.c, s.h, s.w, k, stride, pad, oh, ow, mat,
                       /*threads=*/0);
-  std::int64_t* acc = arena.alloc<std::int64_t>(
+  // acc = the int64 MAC sum times 2^-(data_frac + weight_frac), exactly.
+  double* acc = arena.alloc<double>(
       static_cast<std::size_t>(filters.out_channels()) * cols);
-  kernels::gemm_i16(filters.out_channels(), cols, rows, wq, rows, mat, cols,
-                    acc, cols, /*threads=*/0);
+  kernels::gemm_f32d(filters.out_channels(), cols, rows, wq, rows, mat, cols,
+                     acc, cols, /*bias=*/nullptr, /*relu=*/false,
+                     /*threads=*/0);
 
-  const double scale = std::ldexp(1.0, -(data_frac + weight_frac));
   kernels::parallel_for(
       static_cast<std::size_t>(filters.out_channels()), [&](std::size_t n) {
         const float b = bias.empty() ? 0.0f : bias[n];
-        const std::int64_t* arow = acc + n * cols;
+        const double* arow = acc + n * cols;
         float* dst = out.data() + n * cols;
         for (int j = 0; j < cols; ++j) {
-          float val =
-              static_cast<float>(static_cast<double>(arow[j]) * scale) + b;
+          float val = static_cast<float>(arow[j]) + b;
           if (fused_relu) val = std::max(val, 0.0f);
           dst[j] = fixed::quantize_to_float(val, out_frac);
         }

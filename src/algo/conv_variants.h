@@ -5,8 +5,8 @@
 //
 // The hot paths run on the blocked kernels in src/kernels/ and honor the
 // kernel-layer thread default (kernels::set_num_threads); the retained
-// `*_scalar` variants are the seed implementations, kept as golden
-// references for equivalence tests and as the bench baseline.
+// `*_scalar` variants are the seed implementations, kept as the bit-exactness
+// oracles of the fixed-point and int8 paths and as the bench baseline.
 
 #include "algo/int8_quant.h"
 #include "nn/tensor.h"
@@ -26,19 +26,13 @@ namespace hetacc::algo {
                                      const std::vector<float>& bias,
                                      int stride, int pad, bool fused_relu);
 
-/// Seed scalar implementation of conv_im2col (golden reference / bench
-/// baseline).
-[[nodiscard]] nn::Tensor conv_im2col_scalar(const nn::Tensor& in,
-                                            const nn::FilterBank& filters,
-                                            const std::vector<float>& bias,
-                                            int stride, int pad,
-                                            bool fused_relu);
-
 /// Direct convolution on a 16-bit fixed datapath: inputs/weights quantized
 /// to Q(data_frac)/Q(weight_frac), 32-bit products, wide accumulation,
 /// output re-quantized to Q(out_frac). Models a DSP48E MAC tree. Runs as
-/// int16 im2col + exact int64 GEMM — bit-exact with the scalar seed for any
-/// thread count (integer accumulation commutes).
+/// im2col + gemm_f32d on operands snapped to their Q formats, where every
+/// product and partial sum is exact in double (kernels::kExactQ16MaxDepth;
+/// a deeper in_c * k * k throws std::invalid_argument) — bit-exact with the
+/// scalar seed for any thread count.
 [[nodiscard]] nn::Tensor conv_direct_fixed(const nn::Tensor& in,
                                            const nn::FilterBank& filters,
                                            const std::vector<float>& bias,

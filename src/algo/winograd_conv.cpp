@@ -6,6 +6,7 @@
 #include <string>
 
 #include "fixed/fixed16.h"
+#include "kernels/gemm.h"
 #include "kernels/parallel.h"
 
 namespace hetacc::algo {
@@ -37,7 +38,7 @@ Matrix extract_tile(const nn::Tensor& in, int channel, int tile_i, int tile_j,
   return d;
 }
 
-/// Flattens the transform matrices shared by both plan flavors.
+/// Flattens the transform matrices into the plan's row-major arrays.
 void flatten_transforms(const WinogradTransform& t, std::vector<double>& bt,
                         std::vector<double>& at) {
   const int n = t.n();
@@ -168,7 +169,8 @@ nn::Tensor run_plan(const kernels::WinogradPlan& plan, const nn::Tensor& in,
   nn::Tensor out(plan.out_c, oh, ow);
   kernels::winograd_conv_f32(plan, in.data(), is.h, is.w, pad,
                              bias.empty() ? nullptr : bias.data(), fused_relu,
-                             out.data(), oh, ow, /*threads=*/0);
+                             /*v_frac=*/-1, /*out_frac=*/-1, out.data(), oh, ow,
+                             /*threads=*/0);
   return out;
 }
 
@@ -179,60 +181,6 @@ nn::Tensor winograd_conv_pretransformed(const TransformedFilters& tf,
                                         const std::vector<float>& bias,
                                         int pad, bool fused_relu) {
   return run_plan(plan_of(tf), in, bias, pad, fused_relu);
-}
-
-nn::Tensor winograd_conv_pretransformed_scalar(const TransformedFilters& tf,
-                                               const nn::Tensor& in,
-                                               const std::vector<float>& bias,
-                                               int pad, bool fused_relu) {
-  const WinogradTransform& t = tf.t;
-  const nn::Shape is = in.shape();
-  if (is.c != tf.in_channels) {
-    throw std::invalid_argument("winograd_conv: channel mismatch");
-  }
-  const int n = t.n();
-  const int oh = is.h + 2 * pad - t.r + 1;  // stride 1
-  const int ow = is.w + 2 * pad - t.r + 1;
-  nn::Tensor out(tf.out_channels, oh, ow);
-
-  const int tiles_h = (oh + t.m - 1) / t.m;
-  const int tiles_w = (ow + t.m - 1) / t.m;
-  std::vector<Matrix> v(static_cast<std::size_t>(is.c));
-
-  for (int ti = 0; ti < tiles_h; ++ti) {
-    for (int tj = 0; tj < tiles_w; ++tj) {
-      for (int c = 0; c < is.c; ++c) {
-        v[static_cast<std::size_t>(c)] =
-            input_transform(t, extract_tile(in, c, ti, tj, n, t.m, pad));
-      }
-      for (int oc = 0; oc < tf.out_channels; ++oc) {
-        // Channel accumulation happens in the transform domain: one inverse
-        // transform per output tile, not per channel.
-        Matrix acc(n, n);
-        for (int c = 0; c < is.c; ++c) {
-          const Matrix& u = tf.at(oc, c);
-          const Matrix& vv = v[static_cast<std::size_t>(c)];
-          for (int a = 0; a < n; ++a) {
-            for (int b = 0; b < n; ++b) acc.at(a, b) += u.at(a, b) * vv.at(a, b);
-          }
-        }
-        const Matrix y = t.at * acc * t.at.transposed();
-        const float b = bias.empty() ? 0.0f : bias[oc];
-        for (int a = 0; a < t.m; ++a) {
-          const int h = ti * t.m + a;
-          if (h >= oh) break;
-          for (int bcol = 0; bcol < t.m; ++bcol) {
-            const int w = tj * t.m + bcol;
-            if (w >= ow) break;
-            float val = static_cast<float>(y.at(a, bcol)) + b;
-            if (fused_relu) val = std::max(val, 0.0f);
-            out.at(oc, h, w) = val;
-          }
-        }
-      }
-    }
-  }
-  return out;
 }
 
 nn::Tensor winograd_conv(const WinogradTransform& t, const nn::Tensor& in,
@@ -246,17 +194,11 @@ namespace {
 
 /// Numeric-format selection shared by the fixed path and its scalar twin.
 /// Mirrors the seed exactly: u_frac from the largest transformed-filter
-/// magnitude, v_frac from the B^T row gain applied twice times max|d|.
-void choose_winograd_fracs(const WinogradTransform& t,
-                           const TransformedFilters& tf, const nn::Tensor& in,
-                           int* u_frac, int* v_frac) {
+/// magnitude `u_max`, v_frac from the B^T row gain applied twice times
+/// max|d|.
+void choose_winograd_fracs(const WinogradTransform& t, double u_max,
+                           const nn::Tensor& in, int* u_frac, int* v_frac) {
   const int n = t.n();
-  double u_max = 0.0;
-  for (const Matrix& u : tf.u) {
-    for (int a = 0; a < n; ++a) {
-      for (int b = 0; b < n; ++b) u_max = std::max(u_max, std::abs(u.at(a, b)));
-    }
-  }
   *u_frac = fixed::choose_frac_bits(static_cast<float>(u_max));
 
   double bt_gain = 0.0;
@@ -278,45 +220,53 @@ nn::Tensor winograd_conv_fixed(const WinogradTransform& t,
                                const nn::FilterBank& filters,
                                const std::vector<float>& bias, int pad,
                                bool fused_relu, int data_frac, int out_frac) {
-  using fixed::Fixed16;
-  const TransformedFilters tf = transform_filters(t, filters);
   const nn::Shape is = in.shape();
-  const int n = t.n();
-  const int oh = is.h + 2 * pad - t.r + 1;
-  const int ow = is.w + 2 * pad - t.r + 1;
-  nn::Tensor out(tf.out_channels, oh, ow);
+  if (is.c != filters.in_channels()) {
+    throw std::invalid_argument("winograd_conv_fixed: channel mismatch");
+  }
+  // The transform-domain GEMM reduces over input channels.
+  kernels::require_exact_q16_depth(is.c, "winograd_conv_fixed");
+  kernels::WinogradPlan plan = winograd_plan(t, filters);
 
+  double u_max = 0.0;
+  for (const kernels::PackedLhsF64& p : plan.planes) {
+    for (int pb = 0; pb < p.pblocks(); ++pb) {
+      for (int ib = 0; ib < p.iblocks(); ++ib) {
+        for (double x : p.block(pb, ib)) u_max = std::max(u_max, std::abs(x));
+      }
+    }
+  }
   int u_frac = 0, v_frac = 0;
-  choose_winograd_fracs(t, tf, in, &u_frac, &v_frac);
+  choose_winograd_fracs(t, u_max, in, &u_frac, &v_frac);
 
-  kernels::WinogradPlanFixed plan;
-  plan.m = t.m;
-  plan.r = t.r;
-  plan.n = n;
-  plan.out_c = tf.out_channels;
-  plan.in_c = tf.in_channels;
-  plan.u_frac = u_frac;
-  flatten_transforms(t, plan.bt, plan.at);
-  // The seed quantized the same filter values once per tile; quantization is
-  // deterministic, so hoisting it to the plan is bit-identical.
-  plan.u.resize(static_cast<std::size_t>(n) * n * tf.out_channels *
-                tf.in_channels);
-  const std::size_t plane = static_cast<std::size_t>(tf.out_channels) *
-                            tf.in_channels;
-  for (int oc = 0; oc < tf.out_channels; ++oc) {
-    for (int ic = 0; ic < tf.in_channels; ++ic) {
-      const Matrix& u = tf.at(oc, ic);
-      const std::size_t off = static_cast<std::size_t>(oc) * tf.in_channels + ic;
-      for (int ab = 0; ab < n * n; ++ab) {
-        plan.u[static_cast<std::size_t>(ab) * plane + off] = Fixed16::quantize(
-            static_cast<float>(u.at(ab / n, ab % n)), u_frac);
+  // Snap every filter plane element to its 16-bit multiplier input. Planes
+  // share one layout, so each (oc, ic) is located once for all of them.
+  for (int oc = 0; oc < plan.out_c; ++oc) {
+    for (int ic = 0; ic < plan.in_c; ++ic) {
+      const auto slot = plan.planes.front().slot(oc, ic);
+      for (kernels::PackedLhsF64& p : plan.planes) {
+        double& u = p.at(slot);
+        u = fixed::quantize_to_float(static_cast<float>(u), u_frac);
       }
     }
   }
 
-  kernels::winograd_conv_i16(plan, in.data(), is.h, is.w, pad,
+  // Samples enter the datapath already quantized; quantizing the map once is
+  // value-identical to the seed's per-tile quantization (zero padding
+  // quantizes to zero).
+  nn::Tensor qin = in;
+  float* q = qin.data();
+  kernels::parallel_for(static_cast<std::size_t>(qin.size()), 4096, 0,
+                        [&](std::size_t i) {
+                          q[i] = fixed::quantize_to_float(q[i], data_frac);
+                        });
+
+  const int oh = is.h + 2 * pad - t.r + 1;
+  const int ow = is.w + 2 * pad - t.r + 1;
+  nn::Tensor out(plan.out_c, oh, ow);
+  kernels::winograd_conv_f32(plan, qin.data(), is.h, is.w, pad,
                              bias.empty() ? nullptr : bias.data(), fused_relu,
-                             data_frac, v_frac, out_frac, out.data(), oh, ow,
+                             v_frac, out_frac, out.data(), oh, ow,
                              /*threads=*/0);
   return out;
 }
@@ -335,8 +285,14 @@ nn::Tensor winograd_conv_fixed_scalar(const WinogradTransform& t,
   const int ow = is.w + 2 * pad - t.r + 1;
   nn::Tensor out(tf.out_channels, oh, ow);
 
+  double u_max = 0.0;
+  for (const Matrix& u : tf.u) {
+    for (int a = 0; a < n; ++a) {
+      for (int b = 0; b < n; ++b) u_max = std::max(u_max, std::abs(u.at(a, b)));
+    }
+  }
   int u_frac = 0, v_frac = 0;
-  choose_winograd_fracs(t, tf, in, &u_frac, &v_frac);
+  choose_winograd_fracs(t, u_max, in, &u_frac, &v_frac);
 
   const int tiles_h = (oh + t.m - 1) / t.m;
   const int tiles_w = (ow + t.m - 1) / t.m;

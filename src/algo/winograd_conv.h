@@ -48,15 +48,13 @@ struct TransformedFilters {
     const TransformedFilters& tf, const nn::Tensor& in,
     const std::vector<float>& bias, int pad, bool fused_relu);
 
-/// Seed per-tile scalar implementation (golden reference / bench baseline).
-[[nodiscard]] nn::Tensor winograd_conv_pretransformed_scalar(
-    const TransformedFilters& tf, const nn::Tensor& in,
-    const std::vector<float>& bias, int pad, bool fused_relu);
-
 /// 16-bit datapath model: the element-wise multiplier inputs (transformed
 /// data and transformed filters) are quantized to 16 bits before the DSP
 /// multiply, accumulation is wide, output re-quantized to Q(out_frac).
-/// This mirrors a DSP48E-based Winograd PE.
+/// This mirrors a DSP48E-based Winograd PE. Runs on the float band kernel
+/// with the plan and V snapped to their Q formats, where the f64 GEMM is
+/// exact (kernels::kExactQ16MaxDepth; more input channels than that throw
+/// std::invalid_argument).
 [[nodiscard]] nn::Tensor winograd_conv_fixed(const WinogradTransform& t,
                                              const nn::Tensor& in,
                                              const nn::FilterBank& filters,

@@ -367,8 +367,8 @@ class WinogradEngine final : public RowWindowBase {
     kernels::winograd_band(*plan_, band_.data(), band_w_, rows_b, tiles_w_,
                            out_rows_.data(), rows_out, layer_.out.w,
                            bias_.empty() ? nullptr : bias_.data(),
-                           layer_.conv().fused_relu, mode_.out_frac,
-                           /*threads=*/0);
+                           layer_.conv().fused_relu, /*v_frac=*/-1,
+                           mode_.out_frac, /*threads=*/0);
   }
 
   std::shared_ptr<const kernels::WinogradPlan> plan_;

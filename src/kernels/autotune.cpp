@@ -39,11 +39,9 @@ struct Workload {
   int M = 64, N = 56 * 56, K = 64 * 9;
   std::vector<float> af, bf;
   std::vector<double> cf64ab;  // f64 path reuses double operands
-  std::vector<std::int16_t> a16, b16;
   std::vector<std::int8_t> a8, b8;
   std::vector<float> cf;
   std::vector<double> cd;
-  std::vector<std::int64_t> c64;
   std::vector<std::int32_t> c32;
   std::vector<std::int8_t> c8;
   std::vector<float> scales;
@@ -70,13 +68,6 @@ struct Workload {
         fill_pattern(cf64ab);
         cd.resize(mn);
         break;
-      case Datapath::kI16:
-        a16.resize(mk);
-        b16.resize(kn);
-        fill_pattern(a16);
-        fill_pattern(b16);
-        c64.resize(mn);
-        break;
       case Datapath::kI8:
         a8.resize(mk);
         b8.resize(kn);
@@ -102,10 +93,6 @@ struct Workload {
         gemm_f64(M, N, K, cf64ab.data(), K,
                  cf64ab.data() + static_cast<std::size_t>(M) * K, N,
                  cd.data(), N, threads);
-        break;
-      case Datapath::kI16:
-        gemm_i16(M, N, K, a16.data(), K, b16.data(), N, c64.data(), N,
-                 threads);
         break;
       case Datapath::kI8: {
         QuantParams q;

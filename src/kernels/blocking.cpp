@@ -25,8 +25,7 @@ Registry& registry() {
   return r;
 }
 
-constexpr const char* kNames[kNumDatapaths] = {"f32", "f32d", "f64", "i16",
-                                               "i8"};
+constexpr const char* kNames[kNumDatapaths] = {"f32", "f32d", "f64", "i8"};
 
 /// Clamp a candidate into the ranges the driver's packing logic supports.
 /// MC stays a multiple of MR (4) so packed A blocks hold whole panels.
@@ -102,7 +101,7 @@ BlockingParams default_blocking(Datapath dp) {
 }
 
 bool kc_tunable(Datapath dp) {
-  return dp == Datapath::kI16 || dp == Datapath::kI8;
+  return dp == Datapath::kI8;
 }
 
 BlockingParams blocking_for(Datapath dp) {

@@ -3,8 +3,8 @@
 // per-(datapath, machine) tuning cache the autotuner writes and gemm_run
 // consults at dispatch.
 //
-// Determinism contract (the reason KC is special): integer datapaths (i16,
-// i8) accumulate exactly, so any KC regrouping is bit-identical and KC is
+// Determinism contract (the reason KC is special): the integer datapath (i8)
+// accumulates exactly, so any KC regrouping is bit-identical and KC is
 // freely tunable. Float datapaths accumulate C += per-KC partials, so the
 // per-element addition order depends on KC; for them KC is pinned to the
 // default and only MC / NC / grain — which never change any element's
@@ -16,11 +16,12 @@
 namespace hetacc::kernels {
 
 /// The GEMM datapaths that dispatch through blocking_for().
-enum class Datapath : int { kF32 = 0, kF32d, kF64, kI16, kI8 };
-inline constexpr int kNumDatapaths = 5;
+enum class Datapath : int { kF32 = 0, kF32d, kF64, kI8 };
+inline constexpr int kNumDatapaths = 4;
 
 [[nodiscard]] const char* datapath_name(Datapath dp);
-/// Inverse of datapath_name; returns false on unknown names.
+/// Inverse of datapath_name; returns false on unknown names (a tuning cache
+/// written by a build with other datapaths skips those entries).
 [[nodiscard]] bool datapath_from_name(const std::string& name, Datapath& out);
 
 /// Cache-level blocking of one GEMM dispatch. The defaults reproduce the

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <stdexcept>
+#include <string>
 #include <type_traits>
 
 #include "kernels/arena.h"
@@ -71,9 +73,7 @@ typedef float vf4 __attribute__((vector_size(16)));
 typedef float vf8 __attribute__((vector_size(32)));
 typedef double vd4 __attribute__((vector_size(32)));
 typedef std::int8_t vb8 __attribute__((vector_size(8)));
-typedef std::int16_t vs8 __attribute__((vector_size(16)));
 typedef std::int32_t vi8 __attribute__((vector_size(32)));
-typedef std::int64_t vl8 __attribute__((vector_size(64)));
 
 template <typename V, typename T>
 __attribute__((always_inline)) inline V vload(const T* p) {
@@ -176,27 +176,6 @@ struct MK<double, double> {
     (void)simd;
 #endif
     return &micro_scalar<double, double, NR>;
-  }
-};
-
-template <>
-struct MK<std::int16_t, std::int64_t> {
-  static constexpr int NR = 8;
-  static constexpr Datapath dp = Datapath::kI16;
-  using Fn = void (*)(int, const std::int16_t*, const std::int16_t*,
-                      std::int64_t*);
-  static Fn pick(bool simd) {
-#ifdef HETACC_VEC
-    if (simd) {
-#ifdef HETACC_X86_DISPATCH
-      if (cpu_has_avx2_fma()) return &micro_i16_avx2;
-#endif
-      return &micro_i16_base;
-    }
-#else
-    (void)simd;
-#endif
-    return &micro_scalar<std::int16_t, std::int64_t, NR>;
   }
 };
 
@@ -573,12 +552,13 @@ void gemm_f64(const PackedLhsF64& A, int N, const double* B, int ldb,
                                            blocking_for(Datapath::kF64));
 }
 
-void gemm_i16(int M, int N, int K, const std::int16_t* A, int lda,
-              const std::int16_t* B, int ldb, std::int64_t* C, int ldc,
-              int threads) {
-  gemm_run<std::int16_t, std::int64_t, std::int64_t, std::int64_t>(
-      M, N, K, A, lda, nullptr, B, ldb, C, ldc, nullptr, false, threads, true,
-      blocking_for(Datapath::kI16));
+void require_exact_q16_depth(long long K, const char* what) {
+  if (K > kExactQ16MaxDepth) {
+    throw std::invalid_argument(
+        std::string(what) + ": reduction depth " + std::to_string(K) +
+        " exceeds the exact 16-bit bound of " +
+        std::to_string(kExactQ16MaxDepth));
+  }
 }
 
 namespace {
@@ -652,14 +632,6 @@ void gemm_f64(int M, int N, int K, const double* A, int lda, const double* B,
                                            C, ldc, nullptr, false, threads,
                                            false,
                                            blocking_for(Datapath::kF64));
-}
-
-void gemm_i16(int M, int N, int K, const std::int16_t* A, int lda,
-              const std::int16_t* B, int ldb, std::int64_t* C, int ldc,
-              int threads) {
-  gemm_run<std::int16_t, std::int64_t, std::int64_t, std::int64_t>(
-      M, N, K, A, lda, nullptr, B, ldb, C, ldc, nullptr, false, threads,
-      false, blocking_for(Datapath::kI16));
 }
 
 void gemm_i8(int M, int N, int K, const std::int8_t* A, int lda,
@@ -739,13 +711,6 @@ void im2col_f32(const float* in, int C, int H, int W, int kernel, int stride,
                 int pad, int out_h, int out_w, float* mat, int threads) {
   im2col_impl(in, C, H, W, kernel, stride, pad, out_h, out_w, mat, 0.0f,
               threads);
-}
-
-void im2col_i16(const std::int16_t* in, int C, int H, int W, int kernel,
-                int stride, int pad, int out_h, int out_w, std::int16_t* mat,
-                int threads) {
-  im2col_impl(in, C, H, W, kernel, stride, pad, out_h, out_w, mat,
-              std::int16_t{0}, threads);
 }
 
 void im2col_i8(const std::int8_t* in, int C, int H, int W, int kernel,

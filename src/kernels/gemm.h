@@ -1,9 +1,10 @@
 #pragma once
 // Cache-blocked, register-tiled packed GEMM — the shared compute core of the
 // functional simulation paths (im2col convolution, transform-domain Winograd,
-// fixed-point datapaths). Operands are packed into MR/NR-interleaved panels
-// (BLIS-style) so the micro-kernel streams contiguously; K is blocked into
-// fixed KC panels that accumulate into C.
+// the 16-bit fixed-point DSP models and the int8 datapath). Operands are
+// packed into MR/NR-interleaved panels (BLIS-style) so the micro-kernel
+// streams contiguously; K is blocked into fixed KC panels that accumulate
+// into C.
 //
 // The micro-kernel is register-blocked SIMD built on the portable GCC/Clang
 // vector extensions, with runtime dispatch to an AVX2+FMA stamp on x86-64 and
@@ -143,11 +144,18 @@ void gemm_f64(int M, int N, int K, const double* A, int lda, const double* B,
 void gemm_f64(const PackedLhsF64& A, int N, const double* B, int ldb,
               double* C, int ldc, int threads);
 
-/// int16 x int16 -> exact int64 accumulation (DSP MAC-tree model; integer
-/// addition commutes, so any restructuring is bit-exact). C is overwritten.
-void gemm_i16(int M, int N, int K, const std::int16_t* A, int lda,
-              const std::int16_t* B, int ldb, std::int64_t* C, int ldc,
-              int threads);
+/// Deepest K at which gemm_f32d and gemm_f64 compute a 16-bit fixed-point
+/// MAC tree exactly. An operand snapped to Q(f) (fixed::quantize_to_float)
+/// is a 16-bit integer times 2^-f, so each product is an integer of at most
+/// 2^30 times 2^-(fa+fb), and K <= 2^22 of them keep every partial sum below
+/// 2^52 of that unit: every addition is exact in double, in any order, and C
+/// equals the int64 MAC sum times 2^-(fa+fb) for any blocking, thread count
+/// and ISA stamp.
+inline constexpr long long kExactQ16MaxDepth = 1LL << 22;
+
+/// Throws std::invalid_argument naming `what` when K exceeds
+/// kExactQ16MaxDepth, so a 16-bit model never returns a rounded sum.
+void require_exact_q16_depth(long long K, const char* what);
 
 /// Requantize-on-writeback parameters of the int8 datapath. The i32
 /// accumulator of output row i is offset by bias[i] (a per-channel i32 bias
@@ -203,9 +211,6 @@ void gemm_i8_i32(int M, int N, int K, const std::int8_t* A, int lda,
 /// workers (same knob semantics as the GEMMs; default 1 = serial).
 void im2col_f32(const float* in, int C, int H, int W, int kernel, int stride,
                 int pad, int out_h, int out_w, float* mat, int threads = 1);
-void im2col_i16(const std::int16_t* in, int C, int H, int W, int kernel,
-                int stride, int pad, int out_h, int out_w, std::int16_t* mat,
-                int threads = 1);
 /// int8 im2col with an explicit padding value: asymmetric activation
 /// quantization maps real 0.0 to the zero-point, not to byte 0, so the
 /// padded extent must be filled with `pad_value` (= the input zero-point).
@@ -217,8 +222,9 @@ void im2col_i8(const std::int8_t* in, int C, int H, int W, int kernel,
 /// blocking, packing, and accumulation order as the SIMD paths, but the
 /// micro-kernel is the plain scalar loop regardless of what the CPU
 /// supports. Used by the differential tests (SIMD vs fallback equivalence:
-/// bit-exact for integer datapaths, ULP-bounded for float) and available as
-/// an escape hatch when debugging vectorized codegen.
+/// bit-exact for int8 and for Q-snapped float operands, ULP-bounded for
+/// general float) and available as an escape hatch when debugging
+/// vectorized codegen.
 namespace fallback {
 void gemm_f32(int M, int N, int K, const float* A, int lda, const float* B,
               int ldb, float* C, int ldc, const float* bias, bool relu,
@@ -228,9 +234,6 @@ void gemm_f32d(int M, int N, int K, const float* A, int lda, const float* B,
                int threads);
 void gemm_f64(int M, int N, int K, const double* A, int lda, const double* B,
               int ldb, double* C, int ldc, int threads);
-void gemm_i16(int M, int N, int K, const std::int16_t* A, int lda,
-              const std::int16_t* B, int ldb, std::int64_t* C, int ldc,
-              int threads);
 void gemm_i8(int M, int N, int K, const std::int8_t* A, int lda,
              const std::int8_t* B, int ldb, std::int8_t* C, int ldc,
              const QuantParams& q, int threads);

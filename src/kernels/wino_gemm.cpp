@@ -1,7 +1,6 @@
 #include "kernels/wino_gemm.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <stdexcept>
 #include <string>
@@ -113,7 +112,7 @@ int winograd_band_rows(int tiles_h, int tiles_w) {
 void winograd_band(const WinogradPlan& plan, const float* band, int band_w,
                    int band_rows, int tiles_w, float* const* out_rows,
                    int rows_out, int out_w, const float* bias, bool relu,
-                   int out_frac, int threads) {
+                   int v_frac, int out_frac, int threads) {
   const int n = plan.n, m = plan.m;
   check_tile_size(n);
   const int T = band_rows * tiles_w;
@@ -147,6 +146,16 @@ void winograd_band(const WinogradPlan& plan, const float* band, int band_w,
                        vt[ab];
                  }
                });
+
+  // The 16-bit model's multiplier inputs. A pass of its own keeps the
+  // transform loop above free of the quantizer call on the float path.
+  if (v_frac >= 0) {
+    parallel_for(static_cast<std::size_t>(n) * n * vplane, 4096, threads,
+                 [&](std::size_t i) {
+                   v[i] = fixed::quantize_to_float(static_cast<float>(v[i]),
+                                                   v_frac);
+                 });
+  }
 
   parallel_for(static_cast<std::size_t>(n) * n, threads, [&](std::size_t ab) {
     gemm_f64(plan.planes[ab], T, v + ab * vplane, T, mm + ab * mplane, T,
@@ -205,99 +214,13 @@ void fill_band(const float* in, int C, int H, int W, int pad, int top,
   });
 }
 
-/// Fixed-datapath twin of winograd_band (same window and output layout):
-/// `band` holds Q(data_frac)-quantized samples; V is quantized to Q(v_frac)
-/// int16 and multiplied in the exact int16 x int16 -> int64 GEMM.
-void winograd_band_fixed(const WinogradPlanFixed& plan, const float* band,
-                         int band_w, int band_rows, int tiles_w,
-                         float* const* out_rows, int rows_out, int out_w,
-                         const float* bias, bool relu, int v_frac,
-                         int out_frac, int threads) {
-  const int n = plan.n, m = plan.m;
-  check_tile_size(n);
-  const int T = band_rows * tiles_w;
-  const std::size_t band_plane =
-      static_cast<std::size_t>((band_rows - 1) * m + n) * band_w;
-  const std::size_t vplane = static_cast<std::size_t>(plan.in_c) * T;
-  const std::size_t mplane = static_cast<std::size_t>(plan.out_c) * T;
-  ScratchArena& arena = ScratchArena::tls();
-  ScratchArena::Scope scope(arena);
-  std::int16_t* vq =
-      arena.alloc<std::int16_t>(static_cast<std::size_t>(n) * n * vplane);
-  std::int64_t* mi =
-      arena.alloc<std::int64_t>(static_cast<std::size_t>(n) * n * mplane);
+}  // namespace
 
-  parallel_for(static_cast<std::size_t>(plan.in_c) * T, tile_grain(T), threads,
-               [&](std::size_t g) {
-                 const std::size_t c = g / T;
-                 const int t = static_cast<int>(g % T);
-                 const float* cplane =
-                     band + c * band_plane +
-                     static_cast<std::size_t>(t / tiles_w) * m * band_w;
-                 double d[kWinogradMaxN * kWinogradMaxN];
-                 double tmp[kWinogradMaxN * kWinogradMaxN];
-                 double vt[kWinogradMaxN * kWinogradMaxN];
-                 gather_tile(cplane, band_w, t % tiles_w, m, n, d);
-                 matmul_nn(plan.bt.data(), n, n, d, n, tmp);
-                 matmul_nt(tmp, n, n, plan.bt.data(), n, vt);
-                 for (int ab = 0; ab < n * n; ++ab) {
-                   // 16-bit multiplier inputs, exactly as the seed quantized
-                   // per tile.
-                   vq[static_cast<std::size_t>(ab) * vplane + c * T + t] =
-                       fixed::Fixed16::quantize(static_cast<float>(vt[ab]),
-                                                v_frac);
-                 }
-               });
-
-  parallel_for(static_cast<std::size_t>(n) * n, threads, [&](std::size_t ab) {
-    gemm_i16(plan.out_c, T, plan.in_c, plan.plane(static_cast<int>(ab)),
-             plan.in_c, vq + ab * vplane, T, mi + ab * mplane, T,
-             /*threads=*/1);
-  });
-
-  const double scale = std::ldexp(1.0, -(plan.u_frac + v_frac));
-  parallel_for(
-      static_cast<std::size_t>(plan.out_c) * T, tile_grain(T), threads,
-      [&](std::size_t g) {
-        const std::size_t oc = g / T;
-        const int t = static_cast<int>(g % T);
-        const int tj = t % tiles_w;
-        const int top = (t / tiles_w) * m;
-        if (top >= rows_out) return;
-        double macc[kWinogradMaxN * kWinogradMaxN];
-        double p[kWinogradMaxN * kWinogradMaxN];
-        double y[kWinogradMaxN * kWinogradMaxN];
-        const float bia = bias ? bias[oc] : 0.0f;
-        for (int ab = 0; ab < n * n; ++ab) {
-          macc[ab] = static_cast<double>(
-                         mi[static_cast<std::size_t>(ab) * mplane + oc * T +
-                            t]) *
-                     scale;
-        }
-        matmul_nn(plan.at.data(), m, n, macc, n, p);
-        matmul_nt(p, m, n, plan.at.data(), m, y);
-        for (int a = 0; a < std::min(m, rows_out - top); ++a) {
-          float* orow =
-              out_rows[static_cast<std::size_t>(top + a) * plan.out_c + oc];
-          for (int b = 0; b < m; ++b) {
-            const int col = tj * m + b;
-            if (col >= out_w) break;
-            float val = static_cast<float>(y[a * m + b]) + bia;
-            if (relu) val = std::max(val, 0.0f);
-            orow[col] = fixed::quantize_to_float(val, out_frac);
-          }
-        }
-      });
-}
-
-/// Streams a whole CHW map through a band kernel: cuts the map into bands
-/// of winograd_band_rows tile rows, fills each band's zero-padded window and
-/// output-row table, and calls run(band, band_w, rows_b, tiles_w, out_rows,
-/// rows_out) once per band.
-template <typename RunBand>
-void for_each_band(const float* in, int C, int H, int W, int pad, int m,
-                   int n, int out_c, float* out, int out_h, int out_w,
-                   int threads, RunBand run) {
+void winograd_conv_f32(const WinogradPlan& plan, const float* in, int H, int W,
+                       int pad, const float* bias, bool relu, int v_frac,
+                       int out_frac, float* out, int out_h, int out_w,
+                       int threads) {
+  const int m = plan.m, n = plan.n, C = plan.in_c, out_c = plan.out_c;
   const int tiles_h = (out_h + m - 1) / m;
   const int tiles_w = (out_w + m - 1) / m;
   const int band_w = (tiles_w - 1) * m + n;
@@ -320,54 +243,9 @@ void for_each_band(const float* in, int C, int H, int W, int pad, int m,
             out + (static_cast<std::size_t>(oc) * out_h + top + a) * out_w;
       }
     }
-    run(band, band_w, rows_b, tiles_w, out_rows, rows_out);
+    winograd_band(plan, band, band_w, rows_b, tiles_w, out_rows, rows_out,
+                  out_w, bias, relu, v_frac, out_frac, threads);
   }
-}
-
-}  // namespace
-
-void winograd_conv_f32(const WinogradPlan& plan, const float* in, int H, int W,
-                       int pad, const float* bias, bool relu, float* out,
-                       int out_h, int out_w, int threads) {
-  for_each_band(in, plan.in_c, H, W, pad, plan.m, plan.n, plan.out_c, out,
-                out_h, out_w, threads,
-                [&](const float* band, int band_w, int rows_b, int tiles_w,
-                    float* const* out_rows, int rows_out) {
-                  winograd_band(plan, band, band_w, rows_b, tiles_w, out_rows,
-                                rows_out, out_w, bias, relu,
-                                /*out_frac=*/-1, threads);
-                });
-}
-
-void winograd_conv_i16(const WinogradPlanFixed& plan, const float* in, int H,
-                       int W, int pad, const float* bias, bool relu,
-                       int data_frac, int v_frac, int out_frac, float* out,
-                       int out_h, int out_w, int threads) {
-  ScratchArena& arena = ScratchArena::tls();
-  ScratchArena::Scope scope(arena);
-
-  // Samples enter the datapath already quantized; hoisting the per-tile
-  // quantization of the seed is value-identical (zero padding quantizes to
-  // zero and real samples quantize the same wherever they are read).
-  float* qin = arena.alloc<float>(static_cast<std::size_t>(plan.in_c) * H * W);
-  parallel_for(static_cast<std::size_t>(plan.in_c), threads,
-               [&](std::size_t c) {
-                 const std::size_t base = c * static_cast<std::size_t>(H) * W;
-                 for (std::size_t i = 0;
-                      i < static_cast<std::size_t>(H) * W; ++i) {
-                   qin[base + i] =
-                       fixed::quantize_to_float(in[base + i], data_frac);
-                 }
-               });
-
-  for_each_band(qin, plan.in_c, H, W, pad, plan.m, plan.n, plan.out_c, out,
-                out_h, out_w, threads,
-                [&](const float* band, int band_w, int rows_b, int tiles_w,
-                    float* const* out_rows, int rows_out) {
-                  winograd_band_fixed(plan, band, band_w, rows_b, tiles_w,
-                                      out_rows, rows_out, out_w, bias, relu,
-                                      v_frac, out_frac, threads);
-                });
 }
 
 }  // namespace hetacc::kernels

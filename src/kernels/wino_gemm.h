@@ -16,16 +16,17 @@
 // (in_c, KC), never on the thread count, the grid chunking, or how many tile
 // rows share a band: the GEMM's columns are independent lanes.
 //
-// Scratch (transform planes, band windows, quantized copies) comes from the
-// calling thread's ScratchArena, so repeated bands/images run with zero
-// steady-state heap allocations.
+// Scratch (transform planes, band windows) comes from the calling thread's
+// ScratchArena, so repeated bands/images run with zero steady-state heap
+// allocations.
 //
-// The fixed-point band reproduces algo::winograd_conv_fixed bit-for-bit:
-// int16 x int16 -> int64 transform-domain accumulation commutes exactly, and
-// the float/double pre- and post-transforms mirror the accumulation order of
-// algo::Matrix::operator*.
+// The same band kernel runs the 16-bit DSP model (algo::winograd_conv_fixed):
+// with the plan's planes snapped to Q(u_frac) and V snapped to Q(v_frac),
+// every transform-domain product and sum is exact in double (see
+// kExactQ16MaxDepth in gemm.h), so the f64 GEMM yields the int64 MAC sums
+// times 2^-(u_frac + v_frac) bit for bit; the pre- and post-transforms
+// mirror the accumulation order of algo::Matrix::operator*.
 
-#include <cstdint>
 #include <vector>
 
 #include "kernels/gemm.h"
@@ -75,22 +76,6 @@ struct WinogradPlan {
 /// columns), capped at the map. A function of the geometry only.
 [[nodiscard]] int winograd_band_rows(int tiles_h, int tiles_w);
 
-/// Fixed-point variant: filters quantized to Q(u_frac) int16 once (the seed
-/// re-quantized the same values per tile; quantization is deterministic, so
-/// hoisting it is value-identical).
-struct WinogradPlanFixed {
-  int m = 0, r = 0, n = 0;
-  int out_c = 0, in_c = 0;
-  std::vector<double> bt;      ///< n x n, row-major
-  std::vector<double> at;      ///< m x n, row-major
-  std::vector<std::int16_t> u; ///< [n*n][out_c][in_c], Q(u_frac)
-  int u_frac = 0;
-
-  [[nodiscard]] const std::int16_t* plane(int ab) const {
-    return u.data() + static_cast<std::size_t>(ab) * out_c * in_c;
-  }
-};
-
 /// Computes a band of `band_rows` tile rows (every tile column of each).
 ///
 /// `band` is the pre-padded input window, [in_c][(band_rows - 1) * m + n]
@@ -99,31 +84,23 @@ struct WinogradPlanFixed {
 /// `out_rows`: one pointer per (row, output channel) —
 /// out_rows[row * out_c + oc] — each addressing at least out_w floats;
 /// rows_out (<= band_rows * m) bottom-clips the band, out_w right-clips the
-/// tiles. `out_frac < 0` leaves outputs in float; otherwise each output is
-/// quantized to Q(out_frac) (streaming-engine fixed mode). Every output
+/// tiles. `v_frac < 0` multiplies the transformed input V as computed;
+/// otherwise each V element is snapped to Q(v_frac) before the GEMM (the
+/// 16-bit multiplier input of the DSP model). `out_frac < 0` leaves outputs
+/// in float; otherwise each output is quantized to Q(out_frac). Every output
 /// byte equals what band_rows one-row calls would write. Transform planes
 /// live in the calling thread's ScratchArena for the duration of the call.
 void winograd_band(const WinogradPlan& plan, const float* band, int band_w,
                    int band_rows, int tiles_w, float* const* out_rows,
                    int rows_out, int out_w, const float* bias, bool relu,
-                   int out_frac, int threads);
+                   int v_frac, int out_frac, int threads);
 
-/// Whole-tensor float Winograd conv over a CHW image (stride 1), run band by
-/// band through winograd_band. `out` is (out_c, out_h, out_w) CHW with
-/// out_h = H + 2*pad - r + 1.
+/// Whole-tensor Winograd conv over a CHW image (stride 1), run band by band
+/// through winograd_band with the same `v_frac` / `out_frac` meaning. `out`
+/// is (out_c, out_h, out_w) CHW with out_h = H + 2*pad - r + 1.
 void winograd_conv_f32(const WinogradPlan& plan, const float* in, int H, int W,
-                       int pad, const float* bias, bool relu, float* out,
-                       int out_h, int out_w, int threads);
-
-/// Whole-tensor fixed Winograd conv, run band by band like
-/// winograd_conv_f32: input quantized to Q(data_frac) once up front
-/// (value-identical to the seed's per-tile quantization), V quantized to
-/// Q(v_frac) int16 before the transform-domain multiply, exact int64
-/// accumulation, outputs re-quantized to Q(out_frac). Bit-exact with the
-/// seed per-tile implementation for any thread count and band size.
-void winograd_conv_i16(const WinogradPlanFixed& plan, const float* in, int H,
-                       int W, int pad, const float* bias, bool relu,
-                       int data_frac, int v_frac, int out_frac, float* out,
-                       int out_h, int out_w, int threads);
+                       int pad, const float* bias, bool relu, int v_frac,
+                       int out_frac, float* out, int out_h, int out_w,
+                       int threads);
 
 }  // namespace hetacc::kernels

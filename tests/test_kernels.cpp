@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <functional>
@@ -112,25 +113,81 @@ TEST(Gemm, PackedLhsMatchesRawBitwise) {
                            raw.size() * sizeof(float)));
 }
 
-TEST(Gemm, I16ExactAgainstNaiveInt64) {
-  std::mt19937 rng(13);
-  std::uniform_int_distribution<int> d(-500, 500);
-  const int M = 19, N = 23, K = 301;
-  std::vector<std::int16_t> A(std::size_t(M) * K), B(std::size_t(K) * N);
-  for (auto& x : A) x = std::int16_t(d(rng));
-  for (auto& x : B) x = std::int16_t(d(rng));
-  std::vector<std::int64_t> got(std::size_t(M) * N), want(std::size_t(M) * N);
-  kernels::gemm_i16(M, N, K, A.data(), K, B.data(), N, got.data(), N, 1);
-  for (int i = 0; i < M; ++i) {
-    for (int j = 0; j < N; ++j) {
-      std::int64_t acc = 0;
-      for (int k = 0; k < K; ++k) {
-        acc += std::int64_t(A[i * K + k]) * B[k * N + j];
-      }
-      want[std::size_t(i) * N + j] = acc;
-    }
+/// 16-bit integers snapped to Q(frac) — the operands the 16-bit fixed-point
+/// models hand the float GEMMs (fixed::quantize_to_float) — with the raw
+/// integers kept for a naive int64 reference.
+struct Q16Operand {
+  int frac = 0;
+  std::vector<std::int32_t> raw;
+  std::vector<float> q;
+
+  void set(std::size_t i, std::int32_t v) {
+    raw[i] = v;
+    q[i] = std::ldexp(static_cast<float>(v), -frac);
   }
-  EXPECT_EQ(got, want);
+};
+
+Q16Operand random_q16(std::size_t n, int frac, std::mt19937& rng) {
+  std::uniform_int_distribution<int> d(-32767, 32767);
+  Q16Operand op{frac, std::vector<std::int32_t>(n), std::vector<float>(n)};
+  for (std::size_t i = 0; i < n; ++i) op.set(i, d(rng));
+  return op;
+}
+
+TEST(Gemm, Q16OperandsExactOnF32dAndF64) {
+  // A 16-bit MAC tree run on the float GEMMs: on operands snapped to Q(fa)
+  // and Q(fb), C must equal the int64 MAC sum times 2^-(fa+fb) exactly, up
+  // to VGG conv5's reduction depth (512 * 3 * 3) with operands on the
+  // +-32767 rails.
+  std::mt19937 rng(13);
+  const int cases[][3] = {{19, 23, 301}, {6, 9, 4608}};
+  for (const auto& c : cases) {
+    const int M = c[0], N = c[1], K = c[2];
+    Q16Operand A = random_q16(std::size_t(M) * K, 13, rng);
+    Q16Operand B = random_q16(std::size_t(K) * N, 12, rng);
+    // Rows 0/1 of A against column 0 of B sum K products on the rails.
+    for (int k = 0; k < K; ++k) {
+      A.set(std::size_t(k), 32767);
+      A.set(std::size_t(K) + k, -32767);
+      B.set(std::size_t(k) * N, 32767);
+    }
+    std::vector<double> want(std::size_t(M) * N);
+    for (int i = 0; i < M; ++i) {
+      for (int j = 0; j < N; ++j) {
+        std::int64_t acc = 0;
+        for (int k = 0; k < K; ++k) {
+          acc += std::int64_t(A.raw[std::size_t(i) * K + k]) *
+                 B.raw[std::size_t(k) * N + j];
+        }
+        want[std::size_t(i) * N + j] =
+            std::ldexp(static_cast<double>(acc), -(A.frac + B.frac));
+      }
+    }
+    std::vector<double> got(std::size_t(M) * N);
+    kernels::gemm_f32d(M, N, K, A.q.data(), K, B.q.data(), N, got.data(), N,
+                       nullptr, false, 1);
+    EXPECT_EQ(got, want) << "f32d K=" << K;
+    const std::vector<double> Ad(A.q.begin(), A.q.end());
+    const std::vector<double> Bd(B.q.begin(), B.q.end());
+    std::vector<double> got64(std::size_t(M) * N);
+    kernels::gemm_f64(M, N, K, Ad.data(), K, Bd.data(), N, got64.data(), N, 1);
+    EXPECT_EQ(got64, want) << "f64 K=" << K;
+  }
+}
+
+TEST(Gemm, ExactQ16DepthBoundIsEnforced) {
+  EXPECT_NO_THROW(kernels::require_exact_q16_depth(kernels::kExactQ16MaxDepth,
+                                                   "gemm"));
+  EXPECT_THROW(kernels::require_exact_q16_depth(
+                   kernels::kExactQ16MaxDepth + 1, "gemm"),
+               std::invalid_argument);
+  // The direct model checks in_c * k * k (34665 * 121 = 2^22 + 161) before
+  // it computes anything.
+  const Tensor in(34665, 1, 1);
+  const FilterBank f(1, 34665, 11);
+  EXPECT_THROW((void)algo::conv_direct_fixed(in, f, {}, 1, 5, false, 12, 13,
+                                             10),
+               std::invalid_argument);
 }
 
 TEST(Gemm, ThreadCountInvarianceBytewise) {
@@ -233,6 +290,46 @@ TEST(ConvKernels, FixedPathsBitExactAgainstScalarSeed) {
       EXPECT_EQ(0.0f, wgot.max_abs_diff(wwant));
     }
   }
+
+  // A deep reduction (in_c = 256: depth 2304 direct, 256 per Winograd
+  // plane) and a saturating layer: inputs and filters scaled past Q(12)'s
+  // +-8 and Q(13)'s +-4 clip to the rails, and the outputs overflow Q(10).
+  struct Extra {
+    int in_c, out_c, hw;
+    float gain;
+  };
+  for (const Extra& e : {Extra{256, 6, 7, 1.0f}, Extra{16, 5, 9, 40.0f}}) {
+    SCOPED_TRACE(::testing::Message() << "in_c=" << e.in_c
+                                      << " gain=" << e.gain);
+    Tensor in(e.in_c, e.hw, e.hw);
+    FilterBank f(e.out_c, e.in_c, 3);
+    std::vector<float> bias(static_cast<std::size_t>(e.out_c));
+    nn::fill_deterministic(in, 700);
+    nn::fill_deterministic(f, 701);
+    nn::fill_deterministic(bias, 702);
+    for (float& x : in.vec()) x *= e.gain;
+    for (std::int64_t i = 0; i < f.size(); ++i) f.data()[i] *= e.gain;
+
+    const Tensor want =
+        algo::conv_direct_fixed_scalar(in, f, bias, 1, 1, true, 12, 13, 10);
+    const Tensor got =
+        algo::conv_direct_fixed(in, f, bias, 1, 1, true, 12, 13, 10);
+    EXPECT_EQ(0, std::memcmp(want.data(), got.data(),
+                             std::size_t(want.size()) * sizeof(float)));
+    if (e.gain > 1.0f) {
+      int railed = 0;
+      for (float v : want.vec()) railed += std::abs(v) >= 31.0f;
+      EXPECT_GT(railed, 0) << "the saturating case must reach Q(10)'s rails";
+    }
+
+    const algo::WinogradTransform t = algo::winograd(4, 3);
+    const Tensor wwant =
+        algo::winograd_conv_fixed_scalar(t, in, f, bias, 1, true, 12, 10);
+    const Tensor wgot =
+        algo::winograd_conv_fixed(t, in, f, bias, 1, true, 12, 10);
+    EXPECT_EQ(0, std::memcmp(wwant.data(), wgot.data(),
+                             std::size_t(wwant.size()) * sizeof(float)));
+  }
 }
 
 TEST(ConvKernels, PretransformedMatchesOnTheFlyExactly) {
@@ -303,13 +400,15 @@ TEST(WinoGemm, BandRowsFillTwoGemmPanels) {
 TEST(WinoGemm, BandEqualsSingleRowCallsBytewise) {
   // A band of k tile rows runs one GEMM per plane over all of its tiles;
   // every output byte must equal what k one-row calls write. Geometries
-  // clip the bottom and right tiles and use out_c % 4 != 0.
+  // clip the bottom and right tiles and use out_c % 4 != 0; one snaps V and
+  // the outputs to Q formats, as the 16-bit model does.
   ThreadGuard guard;
   struct Case {
-    int m, r, in_c, out_c, h, w, out_frac;
+    int m, r, in_c, out_c, h, w, v_frac, out_frac;
   };
-  for (const Case& c : {Case{2, 3, 5, 6, 11, 9, -1}, Case{4, 3, 6, 7, 14, 13, 10},
-                        Case{2, 5, 4, 5, 10, 11, -1}}) {
+  for (const Case& c :
+       {Case{2, 3, 5, 6, 11, 9, -1, -1}, Case{4, 3, 6, 7, 14, 13, 11, 10},
+        Case{2, 5, 4, 5, 10, 11, -1, -1}}) {
     const algo::WinogradTransform t = algo::winograd(c.m, c.r);
     FilterBank f(c.out_c, c.in_c, c.r);
     std::vector<float> bias(static_cast<std::size_t>(c.out_c));
@@ -357,7 +456,8 @@ TEST(WinoGemm, BandEqualsSingleRowCallsBytewise) {
         }
         kernels::winograd_band(plan, band.data(), band_w, rows_b, tiles_w,
                                rows.data(), rows_out, out_w, bias.data(),
-                               /*relu=*/true, c.out_frac, threads);
+                               /*relu=*/true, c.v_frac, c.out_frac,
+                               threads);
       }
       return out;
     };
@@ -451,7 +551,9 @@ TEST(PipelineKernels, RunBatchWinogradSharesCachedPlans) {
 // The fallback:: entry points run the identical blocking/packing/accumulation
 // structure with the scalar micro-kernel. Integer datapaths must match
 // bit-exactly (integer addition commutes); float datapaths may differ only by
-// FMA contraction inside the AVX2 stamp, so they are tolerance-bounded.
+// FMA contraction inside the AVX2 stamp, so they are tolerance-bounded —
+// except on Q-snapped 16-bit operands, where every product and partial sum
+// is exact and they must match bit for bit.
 
 TEST(Gemm, SimdMatchesScalarFallbackF32) {
   std::mt19937 rng(101);
@@ -497,21 +599,29 @@ TEST(Gemm, SimdMatchesScalarFallbackDoubleAccum) {
   }
 }
 
-TEST(Gemm, SimdBitExactAgainstScalarFallbackI16) {
+TEST(Gemm, SimdBitExactAgainstScalarFallbackQ16) {
   std::mt19937 rng(107);
-  std::uniform_int_distribution<int> d(-2000, 2000);
   const int cases[][3] = {{4, 8, 16}, {19, 23, 301}, {120, 70, 512}};
   for (const auto& c : cases) {
     const int M = c[0], N = c[1], K = c[2];
-    std::vector<std::int16_t> A(std::size_t(M) * K), B(std::size_t(K) * N);
-    for (auto& x : A) x = std::int16_t(d(rng));
-    for (auto& x : B) x = std::int16_t(d(rng));
-    std::vector<std::int64_t> simd(std::size_t(M) * N),
-        scalar(std::size_t(M) * N);
-    kernels::gemm_i16(M, N, K, A.data(), K, B.data(), N, simd.data(), N, 1);
-    kernels::fallback::gemm_i16(M, N, K, A.data(), K, B.data(), N,
+    const Q16Operand A = random_q16(std::size_t(M) * K, 12, rng);
+    const Q16Operand B = random_q16(std::size_t(K) * N, 14, rng);
+    std::vector<double> simd(std::size_t(M) * N), scalar(std::size_t(M) * N);
+    kernels::gemm_f32d(M, N, K, A.q.data(), K, B.q.data(), N, simd.data(), N,
+                       nullptr, false, 1);
+    kernels::fallback::gemm_f32d(M, N, K, A.q.data(), K, B.q.data(), N,
+                                 scalar.data(), N, nullptr, false, 1);
+    EXPECT_EQ(0, std::memcmp(simd.data(), scalar.data(),
+                             simd.size() * sizeof(double)))
+        << "f32d M=" << M << " N=" << N << " K=" << K;
+    const std::vector<double> Ad(A.q.begin(), A.q.end());
+    const std::vector<double> Bd(B.q.begin(), B.q.end());
+    kernels::gemm_f64(M, N, K, Ad.data(), K, Bd.data(), N, simd.data(), N, 1);
+    kernels::fallback::gemm_f64(M, N, K, Ad.data(), K, Bd.data(), N,
                                 scalar.data(), N, 1);
-    EXPECT_EQ(simd, scalar) << "M=" << M << " N=" << N << " K=" << K;
+    EXPECT_EQ(0, std::memcmp(simd.data(), scalar.data(),
+                             simd.size() * sizeof(double)))
+        << "f64 M=" << M << " N=" << N << " K=" << K;
   }
 }
 
@@ -528,13 +638,11 @@ TEST(Gemm, ThreadInvarianceAcrossMcBlocks2D) {
   std::vector<float> serial(std::size_t(M) * N);
   kernels::gemm_f32(M, N, K, A.data(), K, B.data(), N, serial.data(), N,
                     bias.data(), true, 1);
-  std::vector<std::int16_t> Ai(std::size_t(M) * K), Bi(std::size_t(K) * N);
-  std::uniform_int_distribution<int> d(-500, 500);
-  for (auto& x : Ai) x = std::int16_t(d(rng));
-  for (auto& x : Bi) x = std::int16_t(d(rng));
-  std::vector<std::int64_t> serial_i(std::size_t(M) * N);
-  kernels::gemm_i16(M, N, K, Ai.data(), K, Bi.data(), N, serial_i.data(), N,
-                    1);
+  const Q16Operand Aq = random_q16(std::size_t(M) * K, 12, rng);
+  const Q16Operand Bq = random_q16(std::size_t(K) * N, 12, rng);
+  std::vector<double> serial_q(std::size_t(M) * N);
+  kernels::gemm_f32d(M, N, K, Aq.q.data(), K, Bq.q.data(), N, serial_q.data(),
+                     N, nullptr, false, 1);
   for (int t : {2, 3, 5, 8}) {
     std::vector<float> par(std::size_t(M) * N);
     kernels::gemm_f32(M, N, K, A.data(), K, B.data(), N, par.data(), N,
@@ -542,9 +650,12 @@ TEST(Gemm, ThreadInvarianceAcrossMcBlocks2D) {
     EXPECT_EQ(0, std::memcmp(serial.data(), par.data(),
                              serial.size() * sizeof(float)))
         << "f32 threads=" << t;
-    std::vector<std::int64_t> par_i(std::size_t(M) * N);
-    kernels::gemm_i16(M, N, K, Ai.data(), K, Bi.data(), N, par_i.data(), N, t);
-    EXPECT_EQ(serial_i, par_i) << "i16 threads=" << t;
+    std::vector<double> par_q(std::size_t(M) * N);
+    kernels::gemm_f32d(M, N, K, Aq.q.data(), K, Bq.q.data(), N, par_q.data(),
+                       N, nullptr, false, t);
+    EXPECT_EQ(0, std::memcmp(serial_q.data(), par_q.data(),
+                             serial_q.size() * sizeof(double)))
+        << "f32d threads=" << t;
   }
 }
 
@@ -1038,6 +1149,35 @@ TEST(Blocking, CacheJsonRoundTripsAndIgnoresForeignEntries) {
   EXPECT_EQ(0, kernels::load_tuning_cache_json(stale));
   EXPECT_EQ(kernels::default_blocking(kernels::Datapath::kF32),
             kernels::blocking_for(kernels::Datapath::kF32));
+}
+
+TEST(Blocking, CacheSkipsUnknownDatapathNames) {
+  BlockingGuard guard;
+  // A cache written by a build with another datapath set (an "i16" GEMM
+  // entry) still applies its known entries and skips the unknown one.
+  const std::string me = kernels::machine_topology_key();
+  const auto entry = [&me](const char* dp, int mc, int kc) {
+    return std::string("    {\"datapath\": \"") + dp + "\", \"machine\": \"" +
+           me + "\", \"mc\": " + std::to_string(mc) +
+           ", \"kc\": " + std::to_string(kc) + ", \"nc\": 0, \"grain\": 0}";
+  };
+  const std::string doc =
+      "{\n  \"version\": " + std::to_string(kernels::kTuningCacheVersion) +
+      ",\n  \"machine\": \"" + me + "\",\n  \"entries\": [\n" +
+      entry("f64", 64, 256) + ",\n" + entry("i16", 32, 128) + ",\n" +
+      entry("i8", 256, 128) + "\n  ]\n}\n";
+
+  kernels::clear_tuned_blocking();
+  EXPECT_EQ(2, kernels::load_tuning_cache_json(doc));
+  EXPECT_EQ((kernels::BlockingParams{64, 256, 0, 0}),
+            kernels::blocking_for(kernels::Datapath::kF64));
+  EXPECT_EQ((kernels::BlockingParams{256, 128, 0, 0}),
+            kernels::blocking_for(kernels::Datapath::kI8));
+  for (const kernels::Datapath dp :
+       {kernels::Datapath::kF32, kernels::Datapath::kF32d}) {
+    EXPECT_EQ(kernels::default_blocking(dp), kernels::blocking_for(dp))
+        << kernels::datapath_name(dp);
+  }
 }
 
 }  // namespace
