@@ -1,6 +1,6 @@
 // Release-mode performance tripwire, run by the CI release-perf job.
 //
-// Four guards, exit 0 = pass, 1 = fail:
+// Five guards, exit 0 = pass, 1 = fail:
 //  1. Relative: the blocked im2col+GEMM path must beat the retained scalar
 //     seed convolution by >= 2x single-threaded (a debug/-O0 build will not
 //     pass; that is the point — the check catches regressions that quietly
@@ -24,6 +24,13 @@
 //     plan on every call; the second does exactly the engine's arithmetic,
 //     so it isolates what streaming rows through a line buffer costs. All
 //     are timed in this process, so the ratios hold on any machine.
+//  5. Element-wise engines: one-layer 16-bit FusionPipelines on AlexNet's
+//     norm1 (LRN, local_size 5) and pool1 (3x3 stride-2 max pool) geometry,
+//     96x55x55, must each run within 3x of nn::lrn_reference and
+//     nn::pool_reference on the same input. The pipeline also snaps every
+//     element onto the Q16 grid on the way in and out, which the float
+//     reference does not. Repetitions of the four are interleaved and the
+//     best of each kept, because a shared VM's speed drifts within seconds.
 //
 // Regenerate the baseline after an intentional perf change:
 //   perf_smoke --write-baseline path/to/perf_baseline.json
@@ -32,6 +39,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -49,19 +57,28 @@ using namespace hetacc;
 
 namespace {
 
-template <typename Fn>
-double best_ms(const Fn& fn, int reps) {
+/// Best-of-`reps` wall time of each function, the repetitions interleaved
+/// (one call of each per round) so speed drift hits all of them alike.
+std::vector<double> interleaved_best_ms(
+    const std::vector<std::function<void()>>& fns, int reps) {
   using clock = std::chrono::steady_clock;
-  fn();  // warmup: pages, scratch-arena high water, worker pool
-  double best = 1e30;
+  // Warmup: pages, scratch-arena high water, worker pool.
+  for (const auto& fn : fns) fn();
+  std::vector<double> best(fns.size(), 1e30);
   for (int i = 0; i < reps; ++i) {
-    const auto t0 = clock::now();
-    fn();
-    const auto t1 = clock::now();
-    best = std::min(
-        best, std::chrono::duration<double, std::milli>(t1 - t0).count());
+    for (std::size_t k = 0; k < fns.size(); ++k) {
+      const auto t0 = clock::now();
+      fns[k]();
+      const auto t1 = clock::now();
+      best[k] = std::min(
+          best[k], std::chrono::duration<double, std::milli>(t1 - t0).count());
+    }
   }
   return best;
+}
+
+double best_ms(const std::function<void()>& fn, int reps) {
+  return interleaved_best_ms({fn}, reps)[0];
 }
 
 volatile float g_sink = 0.0f;
@@ -237,6 +254,34 @@ int main(int argc, char** argv) {
       },
       5);
 
+  // Element-wise engines on AlexNet's norm1 and pool1 geometry, 16-bit.
+  const nn::Shape norm1_shape{96, 55, 55};
+  nn::Network norm1("alexnet-norm1");
+  norm1.input(norm1_shape);
+  norm1.lrn(5, 1e-4f, 0.75f, "norm1");
+  nn::Network pool1("alexnet-pool1");
+  pool1.input(norm1_shape);
+  pool1.max_pool(3, 2, "pool1");
+  const arch::NumericMode q16{kDataFrac, kDataFrac};
+  arch::FusionPipeline norm1_pipe(
+      norm1, nn::WeightStore::deterministic(norm1, 6),
+      {arch::LayerChoice{fpga::ConvAlgo::kConventional, 4, q16}});
+  arch::FusionPipeline pool1_pipe(
+      pool1, nn::WeightStore::deterministic(pool1, 6),
+      {arch::LayerChoice{fpga::ConvAlgo::kConventional, 4, q16}});
+  nn::Tensor elem_in(norm1_shape);
+  nn::fill_deterministic(elem_in, 7);
+  const nn::LrnParam& norm1_p = norm1[1].lrn();
+  const std::vector<double> elem_ms = interleaved_best_ms(
+      {[&] { g_sink = norm1_pipe.run(elem_in).at(0, 0, 0); },
+       [&] { g_sink = nn::lrn_reference(elem_in, norm1_p).at(0, 0, 0); },
+       [&] { g_sink = pool1_pipe.run(elem_in).at(0, 0, 0); },
+       [&] {
+         g_sink = nn::pool_reference(elem_in, nn::PoolMethod::kMax, 3, 2, 0)
+                      .at(0, 0, 0);
+       }},
+      7);
+
   const double blocked = measured[0].ms;
   std::printf("perf_smoke: scalar %.2f ms (1 thread, 64x56x56 * 64 3x3 "
               "filters), SIMD %s\n",
@@ -299,6 +344,24 @@ int main(int argc, char** argv) {
       std::printf("perf_smoke: FAIL — the streamed Winograd layer must run "
                   "within 1.5x of %s\n",
                   ref.reference);
+      ok = false;
+    }
+  }
+
+  const struct {
+    const char* layer;
+    double pipe_ms, ref_ms;
+  } elem_gates[] = {{"norm1 LRN", elem_ms[0], elem_ms[1]},
+                    {"pool1 max pool", elem_ms[2], elem_ms[3]}};
+  for (const auto& g : elem_gates) {
+    const double ratio = g.pipe_ms / g.ref_ms;
+    std::printf("perf_smoke: streamed 16-bit %s %.2f ms vs reference %.2f ms "
+                "— %.2fx (limit 3x)\n",
+                g.layer, g.pipe_ms, g.ref_ms, ratio);
+    if (ratio > 3.0) {
+      std::printf("perf_smoke: FAIL — the streamed %s must run within 3x of "
+                  "the reference executor\n",
+                  g.layer);
       ok = false;
     }
   }

@@ -2,38 +2,46 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "algo/int8_quant.h"
 #include "fixed/fixed16.h"
+#include "nn/reference.h"
 
 namespace hetacc::arch {
 
 namespace {
 
-float maybe_quantize(float v, int frac) {
-  return frac >= 0 ? fixed::quantize_to_float(v, frac) : v;
+/// Snaps `n` values onto one grid of the mode: the i8 activation grid
+/// (`scale`, `zp`) in int8 mode (round-trip through the code so buffered
+/// floats are exactly representable and later re-quantization recovers the
+/// same code), the Q(frac) grid when frac >= 0, identity otherwise. The mode
+/// is picked once per row, not per element. `dst` may alias `src`.
+void snap_row(bool i8, float scale, std::int32_t zp, int frac,
+              const float* src, float* dst, std::size_t n) {
+  if (i8) {
+    for (std::size_t i = 0; i < n; ++i) {
+      dst[i] = algo::dequantize_act_i8(algo::quantize_act_i8(src[i], scale, zp),
+                                       scale, zp);
+    }
+  } else if (frac >= 0) {
+    for (std::size_t i = 0; i < n; ++i) {
+      dst[i] = fixed::quantize_to_float(src[i], frac);
+    }
+  } else if (dst != src) {
+    std::copy(src, src + n, dst);
+  }
 }
 
-/// Snap a value onto the mode's input grid: the i8 activation grid in int8
-/// mode (round-trip through the code so buffered floats are exactly
-/// representable and later re-quantization recovers the same code), the
-/// Q(in_frac) grid in fixed mode, identity in float mode.
-float quantize_mode_in(const NumericMode& m, float v) {
-  if (m.int8()) {
-    return algo::dequantize_act_i8(
-        algo::quantize_act_i8(v, m.in_scale, m.in_zp), m.in_scale, m.in_zp);
-  }
-  return maybe_quantize(v, m.in_frac);
+/// Snaps onto the mode's input grid.
+void snap_in(const NumericMode& m, const float* src, float* dst,
+             std::size_t n) {
+  snap_row(m.int8(), m.in_scale, m.in_zp, m.in_frac, src, dst, n);
 }
 
-float quantize_mode_out(const NumericMode& m, float v) {
-  if (m.int8()) {
-    return algo::dequantize_act_i8(
-        algo::quantize_act_i8(v, m.out_scale, m.out_zp), m.out_scale,
-        m.out_zp);
-  }
-  return maybe_quantize(v, m.out_frac);
+/// Snaps onto the mode's output grid.
+void snap_out(const NumericMode& m, const float* src, float* dst,
+              std::size_t n) {
+  snap_row(m.int8(), m.out_scale, m.out_zp, m.out_frac, src, dst, n);
 }
 
 /// Common row-ingestion machinery: presents the input as a padded stream of
@@ -113,9 +121,7 @@ class RowWindowBase : public StreamEngine {
       const float* src =
           r.data.data() + static_cast<std::size_t>(c) * layer_.in.w;
       std::fill(d, d + pad_, 0.0f);
-      for (int w = 0; w < layer_.in.w; ++w) {
-        d[pad_ + w] = quantize_mode_in(mode_, src[w]);
-      }
+      snap_in(mode_, src, d + pad_, static_cast<std::size_t>(layer_.in.w));
       std::fill(d + pad_ + layer_.in.w, d + padded_w_, 0.0f);
     }
     lb_.commit_row();
@@ -229,15 +235,18 @@ class ConvDirectEngine final : public RowWindowBase {
                        /*relu=*/false, /*threads=*/0);
 
     Row r;
-    r.data.resize(static_cast<std::size_t>(layer_.out.c) * ow);
-    for (int n = 0; n < layer_.out.c; ++n) {
-      for (int j = 0; j < ow; ++j) {
-        float val = static_cast<float>(acc_[static_cast<std::size_t>(n) * ow + j]);
-        if (cp.fused_relu) val = std::max(val, 0.0f);
-        r.data[static_cast<std::size_t>(n) * ow + j] =
-            maybe_quantize(val, mode_.out_frac);
+    r.data.resize(acc_.size());
+    float* dst = r.data.data();
+    if (cp.fused_relu) {
+      for (std::size_t i = 0; i < acc_.size(); ++i) {
+        dst[i] = std::max(static_cast<float>(acc_[i]), 0.0f);
+      }
+    } else {
+      for (std::size_t i = 0; i < acc_.size(); ++i) {
+        dst[i] = static_cast<float>(acc_[i]);
       }
     }
+    snap_out(mode_, dst, dst, r.data.size());
     return r;
   }
 
@@ -387,7 +396,8 @@ class WinogradEngine final : public RowWindowBase {
 class PoolEngine final : public RowWindowBase {
  public:
   PoolEngine(const nn::Layer& layer, NumericMode mode)
-      : RowWindowBase(layer, layer.pool().kernel + layer.pool().stride, mode) {}
+      : RowWindowBase(layer, layer.pool().kernel + layer.pool().stride, mode),
+        rows_(static_cast<std::size_t>(layer.pool().kernel)) {}
 
  private:
   [[nodiscard]] bool window_ready() const override {
@@ -403,44 +413,40 @@ class PoolEngine final : public RowWindowBase {
   [[nodiscard]] Row emit_row() override {
     const auto& pp = layer_.pool();
     const long long top = static_cast<long long>(rows_emitted_) * pp.stride;
+    // Window rows holding real input: padding rows and the ceil overhang
+    // are clipped once per output row, columns inside nn::pool_row.
+    const int u_lo = static_cast<int>(std::max<long long>(0, pad_ - top));
+    const int u_hi = static_cast<int>(
+        std::min<long long>(pp.kernel, pad_ + layer_.in.h - top));
+    const int n_rows = std::max(u_hi - u_lo, 0);
+    const int ow = layer_.out.w;
     Row r;
-    r.data.resize(static_cast<std::size_t>(layer_.out.c) * layer_.out.w);
+    r.data.resize(static_cast<std::size_t>(layer_.out.c) * ow);
     for (int c = 0; c < layer_.in.c; ++c) {
-      for (int j = 0; j < layer_.out.w; ++j) {
-        float best = -std::numeric_limits<float>::infinity();
-        float sum = 0.0f;
-        int count = 0;
-        for (int u = 0; u < pp.kernel; ++u) {
-          const long long hp = top + u;
-          const long long h = hp - pad_;  // real input row
-          if (h < 0 || h >= layer_.in.h) continue;
-          for (int v = 0; v < pp.kernel; ++v) {
-            const int wp = j * pp.stride + v;
-            const int w = wp - pad_;
-            if (w < 0 || w >= layer_.in.w) continue;
-            const float x = lb_.at(c, hp, wp);
-            best = std::max(best, x);
-            sum += x;
-            ++count;
-          }
-        }
-        const float val =
-            (pp.method == nn::PoolMethod::kMax)
-                ? best
-                : (count ? sum / static_cast<float>(count) : 0.0f);
-        r.data[static_cast<std::size_t>(c) * layer_.out.w + j] =
-            quantize_mode_out(mode_, val);
+      // Buffered rows carry the horizontal padding; skip past it.
+      for (int u = 0; u < n_rows; ++u) {
+        rows_[static_cast<std::size_t>(u)] =
+            lb_.row_ptr(c, top + u_lo + u) + pad_;
       }
+      nn::pool_row(pp.method, pp.kernel, pp.stride, pad_, rows_.data(),
+                   n_rows, layer_.in.w,
+                   r.data.data() + static_cast<std::size_t>(c) * ow, ow);
     }
+    snap_out(mode_, r.data.data(), r.data.data(), r.data.size());
     return r;
   }
+
+  std::vector<const float*> rows_;  ///< the window's in-range rows
 };
 
 // --------------------------------------------------------------------------
 class LrnEngine final : public StreamEngine {
  public:
   LrnEngine(const nn::Layer& layer, NumericMode mode)
-      : layer_(layer), mode_(mode) {}
+      : layer_(layer),
+        mode_(mode),
+        sq_(static_cast<std::size_t>(layer.in.c) * layer.in.w),
+        acc_(static_cast<std::size_t>(layer.in.w)) {}
 
   [[nodiscard]] const nn::Layer& layer() const override { return layer_; }
   [[nodiscard]] int line_buffer_lines() const override { return 2; }
@@ -451,31 +457,19 @@ class LrnEngine final : public StreamEngine {
 
   bool step(RowFifo& in, RowFifo& out) override {
     if (done() || in.empty() || out.full()) return false;
-    const Row r = in.pop();
-    const auto& p = layer_.lrn();
-    const int C = layer_.in.c, W = layer_.in.w;
-    const int half = p.local_size / 2;
-    Row o;
-    o.data.resize(r.data.size());
-    for (int c = 0; c < C; ++c) {
-      const int lo = std::max(0, c - half);
-      const int hi = std::min(C - 1, c + half);
-      for (int w = 0; w < W; ++w) {
-        float ss = 0.0f;
-        for (int cc = lo; cc <= hi; ++cc) {
-          const float x = quantize_mode_in(
-              mode_, r.data[static_cast<std::size_t>(cc) * W + w]);
-          ss += x * x;
-        }
-        const float denom = std::pow(
-            p.k + p.alpha / static_cast<float>(p.local_size) * ss, p.beta);
-        const float x = quantize_mode_in(
-            mode_, r.data[static_cast<std::size_t>(c) * W + w]);
-        o.data[static_cast<std::size_t>(c) * W + w] =
-            quantize_mode_out(mode_, x / denom);
-      }
+    Row r = in.pop();
+    if (r.data.size() != sq_.size()) {
+      throw std::runtime_error("engine '" + layer_.name +
+                               "': unexpected input row width");
     }
-    out.push(std::move(o));
+    // Snapped once, in place; the output overwrites the popped row too.
+    float* x = r.data.data();
+    snap_in(mode_, x, x, r.data.size());
+    nn::lrn_row(layer_.lrn(), layer_.in.c, layer_.in.w, x,
+                static_cast<std::size_t>(layer_.in.w), sq_.data(),
+                acc_.data(), x);
+    snap_out(mode_, x, x, r.data.size());
+    out.push(std::move(r));
     ++rows_emitted_;
     return true;
   }
@@ -484,6 +478,8 @@ class LrnEngine final : public StreamEngine {
   const nn::Layer layer_;
   const NumericMode mode_;
   int rows_emitted_ = 0;
+  std::vector<float> sq_;   ///< nn::lrn_row scratch: the row's squares
+  std::vector<float> acc_;  ///< nn::lrn_row scratch: window sums
 };
 
 // --------------------------------------------------------------------------
@@ -502,9 +498,8 @@ class ReluEngine final : public StreamEngine {
   bool step(RowFifo& in, RowFifo& out) override {
     if (done() || in.empty() || out.full()) return false;
     Row r = in.pop();
-    for (auto& x : r.data) {
-      x = quantize_mode_out(mode_, std::max(x, 0.0f));
-    }
+    for (auto& x : r.data) x = std::max(x, 0.0f);
+    snap_out(mode_, r.data.data(), r.data.data(), r.data.size());
     out.push(std::move(r));
     ++rows_emitted_;
     return true;

@@ -30,6 +30,28 @@ std::uint32_t crc_wino_planes(const kernels::WinogradPlan& p,
   return crc;
 }
 
+/// Row h of a CHW tensor as a streamed row: channel-major, width-minor.
+Row read_row(const nn::Tensor& t, int h) {
+  const nn::Shape& s = t.shape();
+  Row r;
+  r.data.resize(static_cast<std::size_t>(s.c) * s.w);
+  for (int c = 0; c < s.c; ++c) {
+    const float* src = t.row_ptr(c, h);
+    std::copy(src, src + s.w,
+              r.data.data() + static_cast<std::size_t>(c) * s.w);
+  }
+  return r;
+}
+
+/// Stores a streamed row as row h of a CHW tensor.
+void write_row(const Row& r, nn::Tensor& t, int h) {
+  const nn::Shape& s = t.shape();
+  for (int c = 0; c < s.c; ++c) {
+    const float* src = r.data.data() + static_cast<std::size_t>(c) * s.w;
+    std::copy(src, src + s.w, t.row_ptr(c, h));
+  }
+}
+
 }  // namespace
 
 long long PrepackBundle::resident_bytes() const {
@@ -341,16 +363,7 @@ nn::Tensor FusionPipeline::run_with(
     }
     const bool can_feed = fed_rows < input.shape().h && !fifos[0].full();
     if (can_feed) {
-      Row r;
-      r.data.resize(static_cast<std::size_t>(input.shape().c) *
-                    input.shape().w);
-      for (int c = 0; c < input.shape().c; ++c) {
-        for (int w = 0; w < input.shape().w; ++w) {
-          r.data[static_cast<std::size_t>(c) * input.shape().w + w] =
-              input.at(c, fed_rows, w);
-        }
-      }
-      fifos[0].push(std::move(r));
+      fifos[0].push(read_row(input, fed_rows));
       ++fed_rows;
     }
 
@@ -369,12 +382,7 @@ nn::Tensor FusionPipeline::run_with(
         if (out_rows >= out_shape.h) {
           throw std::runtime_error("pipeline produced too many rows");
         }
-        for (int c = 0; c < out_shape.c; ++c) {
-          for (int w = 0; w < out_shape.w; ++w) {
-            out.at(c, out_rows, w) =
-                r.data[static_cast<std::size_t>(c) * out_shape.w + w];
-          }
-        }
+        write_row(r, out, out_rows);
         ++out_rows;
         progressed = true;
       }
@@ -472,16 +480,7 @@ nn::Tensor FusionPipeline::stream_layer(StreamEngine& eng,
     }
     const bool can_feed = fed_rows < input.shape().h && !in_fifo.full();
     if (can_feed) {
-      Row r;
-      r.data.resize(static_cast<std::size_t>(input.shape().c) *
-                    input.shape().w);
-      for (int c = 0; c < input.shape().c; ++c) {
-        for (int w = 0; w < input.shape().w; ++w) {
-          r.data[static_cast<std::size_t>(c) * input.shape().w + w] =
-              input.at(c, fed_rows, w);
-        }
-      }
-      in_fifo.push(std::move(r));
+      in_fifo.push(read_row(input, fed_rows));
       ++fed_rows;
     }
 
@@ -497,12 +496,7 @@ nn::Tensor FusionPipeline::stream_layer(StreamEngine& eng,
         if (out_rows >= out_shape.h) {
           throw std::runtime_error("pipeline produced too many rows");
         }
-        for (int c = 0; c < out_shape.c; ++c) {
-          for (int w = 0; w < out_shape.w; ++w) {
-            out.at(c, out_rows, w) =
-                r.data[static_cast<std::size_t>(c) * out_shape.w + w];
-          }
-        }
+        write_row(r, out, out_rows);
         ++out_rows;
         progressed = true;
       }

@@ -279,7 +279,7 @@ nn::Network import_prototxt(std::string_view text) {
       lp.local_size = p ? checked_int(*p, "local_size", 5, "LRN") : 5;
       lp.alpha = p ? static_cast<float>(p->number("alpha", 1e-4)) : 1e-4f;
       lp.beta = p ? static_cast<float>(p->number("beta", 0.75)) : 0.75f;
-      net.add_from(nn::Layer{nn::LayerKind::kLrn, r.name, lp, {}, {}},
+      net.add_from(nn::Layer{nn::LayerKind::kLrn, r.name, lp, {}, {}, {}},
                    {ins.front()});
       bind_tops(r, net.size() - 1);
     } else if (r.type == "InnerProduct") {
@@ -292,12 +292,12 @@ nn::Network import_prototxt(std::string_view text) {
       nn::FcParam fp;
       fp.out_features = checked_int(*p, "num_output", 0, "InnerProduct");
       net.add_from(
-          nn::Layer{nn::LayerKind::kFullyConnected, r.name, fp, {}, {}},
+          nn::Layer{nn::LayerKind::kFullyConnected, r.name, fp, {}, {}, {}},
           {ins.front()});
       bind_tops(r, net.size() - 1);
     } else if (r.type == "Softmax" || r.type == "SoftmaxWithLoss") {
       net.add_from(nn::Layer{nn::LayerKind::kSoftmax, r.name,
-                             nn::SoftmaxParam{}, {}, {}},
+                             nn::SoftmaxParam{}, {}, {}, {}},
                    {ins.front()});
       bind_tops(r, net.size() - 1);
     } else if (r.type == "Concat") {

@@ -2,14 +2,6 @@
 
 namespace hetacc::fixed {
 
-std::int16_t Fixed16::quantize(float v, int frac) {
-  const float scaled = v * static_cast<float>(1 << frac);
-  const float rounded = std::nearbyint(scaled);
-  const float clamped = std::clamp(rounded, static_cast<float>(kMin),
-                                   static_cast<float>(kMax));
-  return static_cast<std::int16_t>(clamped);
-}
-
 Fixed16 Fixed16::add_sat(Fixed16 other) const {
   const std::int32_t sum =
       static_cast<std::int32_t>(raw_) + static_cast<std::int32_t>(other.raw_);

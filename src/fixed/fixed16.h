@@ -5,6 +5,7 @@
 // datapath with saturation logic.
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -45,7 +46,26 @@ class Fixed16 {
   /// Saturating multiply: full 32-bit product, round-to-nearest shift back.
   [[nodiscard]] Fixed16 mul_sat(Fixed16 other) const;
 
-  static std::int16_t quantize(float v, int frac);
+  /// The one Q16 rounding routine: v * 2^frac rounded to nearest, ties to
+  /// even, saturated to [kMin, kMax]. Adding and subtracting 1.5 * 2^23
+  /// rounds exactly like std::nearbyint for |scaled| < 2^22, and any larger
+  /// value lands on the same saturation rail either way. The pair must
+  /// survive compilation, so this header must not be built with -ffast-math
+  /// or -fassociative-math (they would fold it to a no-op).
+  static std::int16_t quantize(float v, int frac) {
+    constexpr float kRound = 12582912.0f;  // 1.5 * 2^23
+    const float scaled = v * pow2(frac);
+    const float rounded = (scaled + kRound) - kRound;
+    const float clamped = std::clamp(rounded, static_cast<float>(kMin),
+                                     static_cast<float>(kMax));
+    return static_cast<std::int16_t>(clamped);
+  }
+
+  /// Exact 2^e for |e| < 127, built from its bit pattern (no libm call, no
+  /// division).
+  static float pow2(int e) {
+    return std::bit_cast<float>(static_cast<std::uint32_t>(127 + e) << 23);
+  }
 
  private:
   int frac_ = 8;
@@ -55,8 +75,8 @@ class Fixed16 {
 /// Round-trip a float through the 16-bit grid (the operation applied to all
 /// feature maps and weights before they enter a fixed-point datapath).
 [[nodiscard]] inline float quantize_to_float(float v, int frac) {
-  return static_cast<float>(Fixed16::quantize(v, frac)) /
-         static_cast<float>(1 << frac);
+  return static_cast<float>(Fixed16::quantize(v, frac)) *
+         Fixed16::pow2(-frac);
 }
 
 void quantize_in_place(std::vector<float>& data, int frac);

@@ -121,13 +121,15 @@ Layer& Network::add_from(Layer layer, std::vector<std::size_t> from) {
 }
 
 Layer& Network::input(Shape s, std::string name) {
-  return add(Layer{LayerKind::kInput, std::move(name), InputParam{s}, {}, {}});
+  return add(
+      Layer{LayerKind::kInput, std::move(name), InputParam{s}, {}, {}, {}});
 }
 
 Layer& Network::conv(int out_channels, int kernel, int stride, int pad,
                      std::string name, bool fused_relu) {
   return add(Layer{LayerKind::kConv, std::move(name),
                    ConvParam{out_channels, kernel, stride, pad, fused_relu},
+                   {},
                    {},
                    {}});
 }
@@ -136,12 +138,14 @@ Layer& Network::max_pool(int kernel, int stride, std::string name, int pad) {
   return add(Layer{LayerKind::kPool, std::move(name),
                    PoolParam{PoolMethod::kMax, kernel, stride, pad},
                    {},
+                   {},
                    {}});
 }
 
 Layer& Network::avg_pool(int kernel, int stride, std::string name, int pad) {
   return add(Layer{LayerKind::kPool, std::move(name),
                    PoolParam{PoolMethod::kAverage, kernel, stride, pad},
+                   {},
                    {},
                    {}});
 }
@@ -151,23 +155,26 @@ Layer& Network::lrn(int local_size, float alpha, float beta,
   return add(Layer{LayerKind::kLrn, std::move(name),
                    LrnParam{local_size, alpha, beta, 1.0f},
                    {},
+                   {},
                    {}});
 }
 
 Layer& Network::relu(std::string name) {
-  return add(Layer{LayerKind::kRelu, std::move(name), ReluParam{}, {}, {}});
+  return add(
+      Layer{LayerKind::kRelu, std::move(name), ReluParam{}, {}, {}, {}});
 }
 
 Layer& Network::fc(int out_features, std::string name, bool fused_relu) {
   return add(Layer{LayerKind::kFullyConnected, std::move(name),
                    FcParam{out_features, fused_relu},
                    {},
+                   {},
                    {}});
 }
 
 Layer& Network::softmax(std::string name) {
   return add(
-      Layer{LayerKind::kSoftmax, std::move(name), SoftmaxParam{}, {}, {}});
+      Layer{LayerKind::kSoftmax, std::move(name), SoftmaxParam{}, {}, {}, {}});
 }
 
 std::size_t Network::conv_from(std::size_t from, int out_channels, int kernel,
@@ -175,6 +182,7 @@ std::size_t Network::conv_from(std::size_t from, int out_channels, int kernel,
                                bool fused_relu) {
   add_from(Layer{LayerKind::kConv, std::move(name),
                  ConvParam{out_channels, kernel, stride, pad, fused_relu},
+                 {},
                  {},
                  {}},
            {from});
@@ -186,6 +194,7 @@ std::size_t Network::max_pool_from(std::size_t from, int kernel, int stride,
   add_from(Layer{LayerKind::kPool, std::move(name),
                  PoolParam{PoolMethod::kMax, kernel, stride, pad},
                  {},
+                 {},
                  {}},
            {from});
   return layers_.size() - 1;
@@ -196,28 +205,30 @@ std::size_t Network::avg_pool_from(std::size_t from, int kernel, int stride,
   add_from(Layer{LayerKind::kPool, std::move(name),
                  PoolParam{PoolMethod::kAverage, kernel, stride, pad},
                  {},
+                 {},
                  {}},
            {from});
   return layers_.size() - 1;
 }
 
 std::size_t Network::relu_from(std::size_t from, std::string name) {
-  add_from(Layer{LayerKind::kRelu, std::move(name), ReluParam{}, {}, {}},
+  add_from(Layer{LayerKind::kRelu, std::move(name), ReluParam{}, {}, {}, {}},
            {from});
   return layers_.size() - 1;
 }
 
 std::size_t Network::concat(std::vector<std::size_t> from, std::string name) {
-  add_from(Layer{LayerKind::kConcat, std::move(name), ConcatParam{}, {}, {}},
-           std::move(from));
+  add_from(
+      Layer{LayerKind::kConcat, std::move(name), ConcatParam{}, {}, {}, {}},
+      std::move(from));
   return layers_.size() - 1;
 }
 
 std::size_t Network::eltwise_add(std::vector<std::size_t> from,
                                  std::string name) {
-  add_from(
-      Layer{LayerKind::kEltwiseAdd, std::move(name), EltwiseParam{}, {}, {}},
-      std::move(from));
+  add_from(Layer{LayerKind::kEltwiseAdd, std::move(name), EltwiseParam{}, {},
+                 {}, {}},
+           std::move(from));
   return layers_.size() - 1;
 }
 
@@ -386,6 +397,7 @@ Network Network::coarsen(std::size_t first, std::size_t last,
   }
   Layer pseudo{LayerKind::kConv, std::move(module_name),
                ConvParam{target.c, stride, stride, 0, true, fan_in},
+               {},
                {},
                {}};
   out.add_from(std::move(pseudo), {map[ext]});

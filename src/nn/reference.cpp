@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
+#include <vector>
 
 #include "kernels/arena.h"
 #include "kernels/gemm.h"
@@ -68,35 +70,71 @@ Tensor conv_reference_scalar(const Tensor& in, const FilterBank& f,
   return out;
 }
 
+void pool_row(PoolMethod method, int kernel, int stride, int pad,
+              const float* const* rows, int n_rows, int in_w, float* out,
+              int out_w) {
+  for (int j = 0; j < out_w; ++j) {
+    const int w0 = j * stride - pad;
+    const int lo = std::max(w0, 0);
+    const int hi = std::min(w0 + kernel, in_w);
+    if (method == PoolMethod::kMax) {
+      float best = -std::numeric_limits<float>::infinity();
+      for (int u = 0; u < n_rows; ++u) {
+        for (int w = lo; w < hi; ++w) best = std::max(best, rows[u][w]);
+      }
+      out[j] = best;
+    } else {
+      float sum = 0.0f;
+      for (int u = 0; u < n_rows; ++u) {
+        for (int w = lo; w < hi; ++w) sum += rows[u][w];
+      }
+      const int count = n_rows * std::max(hi - lo, 0);
+      out[j] = count ? sum / static_cast<float>(count) : 0.0f;
+    }
+  }
+}
+
+void lrn_row(const LrnParam& p, int channels, int w, const float* x,
+             std::size_t stride, float* sq, float* acc, float* out) {
+  for (int c = 0; c < channels; ++c) {
+    const float* xc = x + static_cast<std::size_t>(c) * stride;
+    float* sc = sq + static_cast<std::size_t>(c) * w;
+    for (int i = 0; i < w; ++i) sc[i] = xc[i] * xc[i];
+  }
+  const int half = p.local_size / 2;
+  const float scale = p.alpha / static_cast<float>(p.local_size);
+  for (int c = 0; c < channels; ++c) {
+    const int lo = std::max(0, c - half);
+    const int hi = std::min(channels - 1, c + half);
+    std::fill(acc, acc + w, 0.0f);
+    for (int cc = lo; cc <= hi; ++cc) {
+      const float* sc = sq + static_cast<std::size_t>(cc) * w;
+      for (int i = 0; i < w; ++i) acc[i] += sc[i];
+    }
+    const float* xc = x + static_cast<std::size_t>(c) * stride;
+    float* oc = out + static_cast<std::size_t>(c) * stride;
+    for (int i = 0; i < w; ++i) {
+      oc[i] = xc[i] / std::pow(p.k + scale * acc[i], p.beta);
+    }
+  }
+}
+
 Tensor pool_reference(const Tensor& in, PoolMethod method, int kernel,
                       int stride, int pad) {
   const Shape is = in.shape();
   Layer tmp{LayerKind::kPool, "tmp", PoolParam{method, kernel, stride, pad},
-            is, {}};
+            is, {}, {}};
   const Shape os = infer_output_shape(tmp, is);
   Tensor out(os.c, os.h, os.w);
+  std::vector<const float*> rows(static_cast<std::size_t>(kernel));
   for (int c = 0; c < is.c; ++c) {
     for (int i = 0; i < os.h; ++i) {
-      for (int j = 0; j < os.w; ++j) {
-        float best = -std::numeric_limits<float>::infinity();
-        float sum = 0.0f;
-        int count = 0;
-        for (int u = 0; u < kernel; ++u) {
-          const int h = i * stride + u - pad;
-          if (h < 0 || h >= is.h) continue;
-          for (int v = 0; v < kernel; ++v) {
-            const int w = j * stride + v - pad;
-            if (w < 0 || w >= is.w) continue;
-            const float x = in.at(c, h, w);
-            best = std::max(best, x);
-            sum += x;
-            ++count;
-          }
-        }
-        out.at(c, i, j) = (method == PoolMethod::kMax)
-                              ? best
-                              : (count ? sum / static_cast<float>(count) : 0.0f);
-      }
+      const int h0 = i * stride - pad;
+      const int lo = std::max(h0, 0);
+      const int hi = std::min(h0 + kernel, is.h);
+      for (int h = lo; h < hi; ++h) rows[h - lo] = in.row_ptr(c, h);
+      pool_row(method, kernel, stride, pad, rows.data(), std::max(hi - lo, 0),
+               is.w, out.row_ptr(c, i), os.w);
     }
   }
   return out;
@@ -105,23 +143,13 @@ Tensor pool_reference(const Tensor& in, PoolMethod method, int kernel,
 Tensor lrn_reference(const Tensor& in, const LrnParam& p) {
   const Shape s = in.shape();
   Tensor out(s.c, s.h, s.w);
-  const int half = p.local_size / 2;
-  for (int c = 0; c < s.c; ++c) {
-    const int lo = std::max(0, c - half);
-    const int hi = std::min(s.c - 1, c + half);
-    for (int h = 0; h < s.h; ++h) {
-      for (int w = 0; w < s.w; ++w) {
-        float ss = 0.0f;
-        for (int cc = lo; cc <= hi; ++cc) {
-          const float x = in.at(cc, h, w);
-          ss += x * x;
-        }
-        const float denom =
-            std::pow(p.k + p.alpha / static_cast<float>(p.local_size) * ss,
-                     p.beta);
-        out.at(c, h, w) = in.at(c, h, w) / denom;
-      }
-    }
+  std::vector<float> sq(static_cast<std::size_t>(s.c) * s.w);
+  std::vector<float> acc(static_cast<std::size_t>(s.w));
+  const std::size_t plane = static_cast<std::size_t>(s.h) * s.w;
+  for (int h = 0; h < s.h; ++h) {
+    const std::size_t off = static_cast<std::size_t>(h) * s.w;
+    lrn_row(p, s.c, s.w, in.data() + off, plane, sq.data(), acc.data(),
+            out.data() + off);
   }
   return out;
 }

@@ -53,4 +53,27 @@ namespace hetacc::nn {
 [[nodiscard]] Tensor eltwise_add_reference(
     const std::vector<const Tensor*>& ins);
 
+// Row kernels shared with the streaming engines (arch/engines.cpp), so the
+// reference and the pipeline compute every pooled and normalized element by
+// the same float operations in the same order.
+
+/// One output row of one channel of a pooling layer. `rows` are the
+/// window's `n_rows` in-range input rows (rows in the padding or past
+/// Caffe's ceil overhang left out), each `in_w` unpadded floats. Output
+/// column j pools input columns [j * stride - pad, j * stride - pad +
+/// kernel) clipped to [0, in_w), rows outer; an average divides by the
+/// in-range tap count.
+void pool_row(PoolMethod method, int kernel, int stride, int pad,
+              const float* const* rows, int n_rows, int in_w, float* out,
+              int out_w);
+
+/// Local response normalization of one image row. `x` holds `channels`
+/// rows of `w` floats, `stride` floats apart, and `out` is laid out the same
+/// way (it may be `x`). `sq` (channels * w floats) and `acc` (w floats) are
+/// scratch. Each
+/// element is squared once, and its window sum adds the squares in
+/// ascending channel order.
+void lrn_row(const LrnParam& p, int channels, int w, const float* x,
+             std::size_t stride, float* sq, float* acc, float* out);
+
 }  // namespace hetacc::nn

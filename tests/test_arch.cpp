@@ -267,6 +267,99 @@ TEST(Pipeline, FloatWinogradOutputBytesArePinned) {
   }
 }
 
+// Element-wise engines: hashes pinned from the per-element LRN and pool
+// engines (a quantizer call per window tap, a checked line-buffer read per
+// pool tap). The row-pointer engines must reproduce every output byte.
+NumericMode i8_mode(float in_scale, std::int32_t in_zp, float out_scale,
+                    std::int32_t out_zp) {
+  NumericMode m;
+  m.i8 = true;
+  m.in_scale = in_scale;
+  m.in_zp = in_zp;
+  m.out_scale = out_scale;
+  m.out_zp = out_zp;
+  return m;
+}
+
+TEST(Pipeline, LrnOutputBytesArePinned) {
+  // local_size 5 then 3; 7 channels clip the window at both channel edges,
+  // 2 channels are fewer than either window.
+  struct Case {
+    int channels;
+    std::uint64_t flt_a, flt_b, fix_a, fix_b;
+  };
+  for (const Case& k : {Case{7, 0x26f57d1cea95ec3eull, 0x49551fa5f473c7daull,
+                            0x4425701c87f6020bull, 0x5c4196a8eb93de5cull},
+        Case{2, 0x792e1dcce4f9870bull, 0x8ad1485373e105a9ull,
+             0x13139d79feab7c22ull, 0x4b4192589cf4f323ull}}) {
+    Network net("lrn-pin");
+    net.input({k.channels, 9, 11});
+    net.lrn(5, 0.5f, 0.75f, "n1");
+    net.lrn(3, 0.3f, 0.6f, "n2");
+    const WeightStore ws = WeightStore::deterministic(net, 7);
+    std::vector<LayerChoice> ch(2);
+    expect_pinned_hashes(net, ws, ch, k.flt_a, k.flt_b);
+    ch[0].mode = NumericMode{12, 10};  // in_frac != out_frac
+    ch[1].mode = NumericMode{10, 13};
+    expect_pinned_hashes(net, ws, ch, k.fix_a, k.fix_b);
+  }
+}
+
+TEST(Pipeline, PoolOutputBytesArePinned) {
+  // Max k3 s2 pad 1 on 12 rows: Caffe's ceil rounding leaves the last
+  // window hanging past the padded bottom edge. Average k2 s2 on 7x7 clips
+  // its last row and column; average k3 s1 pad 1 excludes the padding from
+  // the divisor.
+  Network net("pool-pin");
+  net.input({5, 12, 13});
+  net.max_pool(3, 2, "p1", 1);
+  net.avg_pool(2, 2, "p2");
+  net.avg_pool(3, 1, "p3", 1);
+  const WeightStore ws = WeightStore::deterministic(net, 7);
+  std::vector<LayerChoice> ch(3);
+  expect_pinned_hashes(net, ws, ch, 0x82239d88a9c9e5feull,
+                       0x3d36afea61d958d4ull);
+  ch[0].mode = NumericMode{12, 11};
+  ch[1].mode = NumericMode{11, 11};
+  ch[2].mode = NumericMode{11, 10};
+  expect_pinned_hashes(net, ws, ch, 0xfa00b13a0a9a47fbull,
+                       0x6b8a85d05b851c7aull);
+  ch[0].mode = i8_mode(2.0f / 255, 0, 2.0f / 255, 0);
+  ch[1].mode = i8_mode(2.0f / 255, 0, 1.0f / 255, -128);
+  ch[2].mode = i8_mode(1.0f / 255, -128, 1.5f / 255, -40);
+  expect_pinned_hashes(net, ws, ch, 0x32abcdcb19567869ull,
+                       0x9b16ff35e7be9218ull);
+}
+
+TEST(Pipeline, GlobalPoolAndDagOutputBytesArePinned) {
+  // A DAG streams each layer through FusionPipeline::stream_layer: a direct
+  // conv feeds an LRN arm (then ReLU) and a padded max-pool arm, and the
+  // concat feeds 28x28 global average and max pools.
+  Network net("elem-dag");
+  net.input({6, 28, 28});
+  const std::size_t c = net.conv_from(0, 8, 3, 1, 1, "c");
+  net.add_from(nn::Layer{nn::LayerKind::kLrn, "n", nn::LrnParam{5, 0.5f, 0.75f},
+                         {}, {}, {}},
+               {c});
+  const std::size_t r = net.relu_from(net.size() - 1, "r");
+  const std::size_t p = net.max_pool_from(c, 3, 1, "p", 1);
+  const std::size_t cat = net.concat({r, p}, "cat");
+  const std::size_t gap = net.avg_pool_from(cat, 28, 1, "gap");
+  const std::size_t gmp = net.max_pool_from(cat, 28, 1, "gmp");
+  net.concat({gap, gmp}, "out");
+  const WeightStore ws = WeightStore::deterministic(net, 7);
+  std::vector<LayerChoice> ch(net.size() - 1);
+  expect_pinned_hashes(net, ws, ch, 0xc813c9ba967ab3a7ull,
+                       0xe110a22fe0582281ull);
+  const int fracs[][2] = {{12, 11}, {11, 12}, {12, 12}, {11, 11},
+                          {12, 12}, {12, 13}, {12, 12}, {13, 13}};
+  for (std::size_t i = 0; i < ch.size(); ++i) {
+    ch[i].mode = NumericMode{fracs[i][0], fracs[i][1]};
+  }
+  expect_pinned_hashes(net, ws, ch, 0x30159271f1ddc99full,
+                       0xfb73ffcd0283f483ull);
+}
+
 TEST(Pipeline, FixedPointModeStaysClose) {
   Network net("fx");
   net.input({3, 16, 16});

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
+
 namespace hetacc::fixed {
 namespace {
 
@@ -24,6 +30,64 @@ TEST(Fixed16, QuantizationErrorBounded) {
 TEST(Fixed16, SaturatesAtRangeEnds) {
   EXPECT_EQ(Fixed16(1e9f, 8).raw(), Fixed16::kMax);
   EXPECT_EQ(Fixed16(-1e9f, 8).raw(), Fixed16::kMin);
+}
+
+// The std::nearbyint body the inline quantizer replaced, kept as its oracle.
+std::int16_t quantize_nearbyint(float v, int frac) {
+  const float scaled = v * static_cast<float>(1 << frac);
+  const float rounded = std::nearbyint(scaled);
+  const float clamped = std::clamp(rounded, static_cast<float>(Fixed16::kMin),
+                                   static_cast<float>(Fixed16::kMax));
+  return static_cast<std::int16_t>(clamped);
+}
+
+TEST(Fixed16, QuantizeMatchesNearbyintOnTiesRailsAndSpecials) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  constexpr float kDenormMin = std::numeric_limits<float>::denorm_min();
+  constexpr float kNormMin = std::numeric_limits<float>::min();
+  constexpr float kMaxF = std::numeric_limits<float>::max();
+  // Scaled values (v * 2^frac) at and around both saturation rails and the
+  // edges of the rounding constant's exact range.
+  const std::vector<float> rails = {
+      32767.0f,  32767.5f,  32768.0f,   32768.5f,  -32768.0f,  -32768.5f,
+      -32769.0f, -32769.5f, 65535.5f,   -65536.5f, 4194303.5f, 4194304.0f,
+      4194305.0f, -4194303.5f, -4194304.0f, 8388608.0f, -8388608.0f,
+      12582912.0f, -12582912.0f, 16777216.0f, -16777216.0f, 1e30f, -1e30f};
+  // Raw inputs: signed zeros, infinities, denormals, the normal extremes.
+  const std::vector<float> specials = {
+      0.0f,        -0.0f,        kInf,        -kInf,
+      kDenormMin,  -kDenormMin,  kNormMin - kDenormMin,
+      -(kNormMin - kDenormMin),  kNormMin,    -kNormMin,
+      kMaxF,       -kMaxF};
+  for (int frac = 0; frac <= 15; ++frac) {
+    const float scale = static_cast<float>(1 << frac);
+    long long checked = 0;
+    long long mismatches = 0;
+    float first_bad = 0.0f;
+    auto check = [&](float v) {
+      ++checked;
+      const std::int16_t want = quantize_nearbyint(v, frac);
+      const float want_f = static_cast<float>(want) / scale;
+      if (Fixed16::quantize(v, frac) != want ||
+          std::bit_cast<std::uint32_t>(quantize_to_float(v, frac)) !=
+              std::bit_cast<std::uint32_t>(want_f)) {
+        if (mismatches++ == 0) first_bad = v;
+      }
+    };
+    auto with_neighbours = [&](float v) {
+      check(v);
+      check(std::nextafter(v, kInf));
+      check(std::nextafter(v, -kInf));
+    };
+    // Every half-integer tie of the scaled value in [-2^16, 2^16].
+    for (int k = -(1 << 16); k < (1 << 16); ++k) {
+      with_neighbours((static_cast<float>(k) + 0.5f) / scale);
+    }
+    for (float r : rails) with_neighbours(r / scale);
+    for (float v : specials) with_neighbours(v);
+    EXPECT_EQ(mismatches, 0) << "frac " << frac << ": first mismatch at "
+                             << first_bad << " of " << checked;
+  }
 }
 
 TEST(Fixed16, AddSaturates) {
