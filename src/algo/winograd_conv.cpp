@@ -7,6 +7,7 @@
 
 #include "fixed/fixed16.h"
 #include "kernels/gemm.h"
+#include "kernels/lanes.h"
 #include "kernels/parallel.h"
 
 namespace hetacc::algo {
@@ -76,10 +77,12 @@ TransformedFilters transform_filters(const WinogradTransform& t,
 namespace {
 
 /// Builds a plan whose plane ab holds, at (oc, ic), element ab of the n x n
-/// row-major matrix `fill(oc, ic, u)` writes to u. All planes share one
-/// shape and blocking, so each (oc, ic) is located once for all of them, and
-/// the walk follows the panel layout (MR output channels per input channel)
-/// so every plane is written front to back.
+/// transformed filter of that pair. The walk follows the panel layout: for
+/// each panel of kPackedMR output channels (adjacent in every plane) and
+/// each input channel, `fill(oc0, lanes, ic, y)` writes the `lanes` <=
+/// kPackedMR filters of oc0.. lane-major into y (element ab of lane i at
+/// y[ab * kPackedMR + i]), and each plane receives them as one run, so
+/// every plane is written front to back.
 template <typename Fill>
 kernels::WinogradPlan build_plan(const WinogradTransform& t, int out_c,
                                  int in_c, Fill fill) {
@@ -97,16 +100,16 @@ kernels::WinogradPlan build_plan(const WinogradTransform& t, int out_c,
   flatten_transforms(t, plan.bt, plan.at);
   plan.planes.reserve(static_cast<std::size_t>(n) * n);
   for (int ab = 0; ab < n * n; ++ab) plan.planes.emplace_back(out_c, in_c);
-  double u[kernels::kWinogradMaxN * kernels::kWinogradMaxN];
-  for (int oc0 = 0; oc0 < out_c; oc0 += kernels::kPackedMR) {
-    const int oc1 = std::min(oc0 + kernels::kPackedMR, out_c);
+  constexpr int MR = kernels::kPackedMR;
+  double y[kernels::kWinogradMaxN * kernels::kWinogradMaxN * MR];
+  for (int oc0 = 0; oc0 < out_c; oc0 += MR) {
+    const int lanes = std::min(MR, out_c - oc0);
     for (int ic = 0; ic < in_c; ++ic) {
-      for (int oc = oc0; oc < oc1; ++oc) {
-        fill(oc, ic, u);
-        const auto slot = plan.planes.front().slot(oc, ic);
-        for (int ab = 0; ab < n * n; ++ab) {
-          plan.planes[static_cast<std::size_t>(ab)].at(slot) = u[ab];
-        }
+      fill(oc0, lanes, ic, y);
+      const auto slot = plan.planes.front().slot(oc0, ic);
+      for (int ab = 0; ab < n * n; ++ab) {
+        double* dst = &plan.planes[static_cast<std::size_t>(ab)].at(slot);
+        std::copy(y + ab * MR, y + ab * MR + lanes, dst);
       }
     }
   }
@@ -117,10 +120,12 @@ kernels::WinogradPlan build_plan(const WinogradTransform& t, int out_c,
 kernels::WinogradPlan plan_of(const TransformedFilters& tf) {
   const int n = tf.t.n();
   return build_plan(tf.t, tf.out_channels, tf.in_channels,
-                    [&](int oc, int ic, double* u) {
-                      const Matrix& x = tf.at(oc, ic);
-                      for (int ab = 0; ab < n * n; ++ab) {
-                        u[ab] = x.at(ab / n, ab % n);
+                    [&](int oc0, int lanes, int ic, double* y) {
+                      for (int i = 0; i < lanes; ++i) {
+                        const Matrix& x = tf.at(oc0 + i, ic);
+                        for (int ab = 0; ab < n * n; ++ab) {
+                          y[ab * kernels::kPackedMR + i] = x.at(ab / n, ab % n);
+                        }
                       }
                     });
 }
@@ -133,26 +138,26 @@ kernels::WinogradPlan winograd_plan(const WinogradTransform& t,
     throw std::invalid_argument("winograd_plan: kernel != r");
   }
   const int n = t.n(), r = t.r;
+  constexpr int MR = kernels::kPackedMR;
   std::vector<double> g_mat(static_cast<std::size_t>(n) * r);
   for (int a = 0; a < n; ++a) {
     for (int b = 0; b < r; ++b) {
       g_mat[static_cast<std::size_t>(a) * r + b] = t.g.at(a, b);
     }
   }
-  std::vector<double> g(static_cast<std::size_t>(r) * r);
-  std::vector<double> gg(static_cast<std::size_t>(n) * r);
-  // U = (G g) G^T, in the shape transform_filters evaluates it.
+  // U = (G g) G^T, in the shape transform_filters evaluates it, with the
+  // panel's output channels as the lanes.
+  std::vector<double> g(static_cast<std::size_t>(r) * r * MR, 0.0);
   return build_plan(t, f.out_channels(), f.in_channels(),
-                    [&](int oc, int ic, double* u) {
-                      for (int a = 0; a < r; ++a) {
-                        for (int b = 0; b < r; ++b) {
-                          g[static_cast<std::size_t>(a) * r + b] =
-                              f.at(oc, ic, a, b);
+                    [&](int oc0, int lanes, int ic, double* y) {
+                      for (int i = 0; i < lanes; ++i) {
+                        for (int ab = 0; ab < r * r; ++ab) {
+                          g[static_cast<std::size_t>(ab) * MR + i] =
+                              f.at(oc0 + i, ic, ab / r, ab % r);
                         }
                       }
-                      kernels::matmul_nn(g_mat.data(), n, r, g.data(), r,
-                                         gg.data());
-                      kernels::matmul_nt(gg.data(), n, r, g_mat.data(), n, u);
+                      kernels::lane_transform(g_mat.data(), g_mat.data(), n,
+                                              r, g.data(), MR, y, MR, lanes);
                     });
 }
 
@@ -255,10 +260,11 @@ nn::Tensor winograd_conv_fixed(const WinogradTransform& t,
   // value-identical to the seed's per-tile quantization (zero padding
   // quantizes to zero).
   nn::Tensor qin = in;
-  float* q = qin.data();
-  kernels::parallel_for(static_cast<std::size_t>(qin.size()), 4096, 0,
-                        [&](std::size_t i) {
-                          q[i] = fixed::quantize_to_float(q[i], data_frac);
+  const std::size_t plane = static_cast<std::size_t>(is.h) * is.w;
+  kernels::parallel_for(static_cast<std::size_t>(is.c), 0,
+                        [&](std::size_t c) {
+                          float* q = qin.data() + c * plane;
+                          kernels::snap_q16(q, q, plane, data_frac);
                         });
 
   const int oh = is.h + 2 * pad - t.r + 1;

@@ -4,7 +4,7 @@
 #include <cmath>
 
 #include "algo/int8_quant.h"
-#include "fixed/fixed16.h"
+#include "kernels/lanes.h"
 #include "nn/reference.h"
 
 namespace hetacc::arch {
@@ -14,8 +14,9 @@ namespace {
 /// Snaps `n` values onto one grid of the mode: the i8 activation grid
 /// (`scale`, `zp`) in int8 mode (round-trip through the code so buffered
 /// floats are exactly representable and later re-quantization recovers the
-/// same code), the Q(frac) grid when frac >= 0, identity otherwise. The mode
-/// is picked once per row, not per element. `dst` may alias `src`.
+/// same code), the Q(frac) grid when frac >= 0 (kernels::snap_q16, 8 lanes
+/// per vector; a NaN snaps to +0), identity otherwise. The mode is picked
+/// once per row, not per element. `dst` may alias `src`.
 void snap_row(bool i8, float scale, std::int32_t zp, int frac,
               const float* src, float* dst, std::size_t n) {
   if (i8) {
@@ -24,9 +25,7 @@ void snap_row(bool i8, float scale, std::int32_t zp, int frac,
                                        scale, zp);
     }
   } else if (frac >= 0) {
-    for (std::size_t i = 0; i < n; ++i) {
-      dst[i] = fixed::quantize_to_float(src[i], frac);
-    }
+    kernels::snap_q16(src, dst, n, frac);
   } else if (dst != src) {
     std::copy(src, src + n, dst);
   }
@@ -111,17 +110,20 @@ class RowWindowBase : public StreamEngine {
       return true;
     }
     if (in.empty()) return false;
-    const Row r = in.pop();
+    Row r = in.pop();
     if (static_cast<int>(r.data.size()) != layer_.in.c * layer_.in.w) {
       throw std::runtime_error("engine '" + layer_.name +
                                "': unexpected input row width");
     }
+    // Snapped once over the whole row, in place, then laid out channel by
+    // channel between the zero borders.
+    snap_in(mode_, r.data.data(), r.data.data(), r.data.size());
     for (int c = 0; c < layer_.in.c; ++c) {
       float* d = dst + static_cast<std::size_t>(c) * padded_w_;
       const float* src =
           r.data.data() + static_cast<std::size_t>(c) * layer_.in.w;
       std::fill(d, d + pad_, 0.0f);
-      snap_in(mode_, src, d + pad_, static_cast<std::size_t>(layer_.in.w));
+      std::copy(src, src + layer_.in.w, d + pad_);
       std::fill(d + pad_ + layer_.in.w, d + padded_w_, 0.0f);
     }
     lb_.commit_row();

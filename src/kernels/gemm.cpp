@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <cstring>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
 
 #include "kernels/arena.h"
 #include "kernels/parallel.h"
+#include "kernels/simd.h"
 
 namespace hetacc::kernels {
 
@@ -21,13 +23,6 @@ namespace {
 // BlockingParams from blocking.h, tuned by the persistent autotuner cache,
 // defaulting to the constants this driver shipped with (MC=96, KC=256).
 constexpr int MR = kPackedMR;
-
-#if (defined(__GNUC__) || defined(__clang__)) && !defined(HETACC_NO_SIMD)
-#define HETACC_VEC 1
-#if defined(__x86_64__)
-#define HETACC_X86_DISPATCH 1
-#endif
-#endif
 
 /// Scalar micro-kernel: the reference the SIMD stamps must match. Overwrites
 /// acc (MR x NR row-major) with the kb-deep panel product; per-element
@@ -56,36 +51,7 @@ void micro_scalar(int kb, const TA* a, const TA* b, TAcc* acc) {
 
 #ifdef HETACC_VEC
 
-// vload/vstore return and take 256/512-bit vectors by value, and both ISA
-// stamps below call them. A vector argument's calling convention depends on
-// the target ISA (registers with AVX2, memory without), so an out-of-line
-// copy compiled for the baseline stamp cannot be shared with the AVX2 stamp:
-// at -O0 the AVX2 micro-kernel would call it and read its vector from the
-// wrong place. always_inline keeps every helper body inside its caller's
-// stamp at any optimization level, so no vector ever crosses a call boundary
-// and GCC's -Wpsabi note about that boundary does not apply; it is silenced
-// for this block.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic ignored "-Wpsabi"
-#endif
-
-typedef float vf4 __attribute__((vector_size(16)));
-typedef float vf8 __attribute__((vector_size(32)));
-typedef double vd4 __attribute__((vector_size(32)));
-typedef std::int8_t vb8 __attribute__((vector_size(8)));
-typedef std::int32_t vi8 __attribute__((vector_size(32)));
-
-template <typename V, typename T>
-__attribute__((always_inline)) inline V vload(const T* p) {
-  V v;
-  std::memcpy(&v, p, sizeof(V));
-  return v;
-}
-
-template <typename T, typename V>
-__attribute__((always_inline)) inline void vstore(T* p, V v) {
-  std::memcpy(p, &v, sizeof(V));
-}
+using namespace simd;
 
 // Baseline stamp: generic vectors legalized to whatever the build targets
 // (plain SSE2 on a default x86-64 build).
@@ -104,18 +70,15 @@ __attribute__((always_inline)) inline void vstore(T* p, V v) {
 #undef HETACC_MICRO_TARGET
 #undef HETACC_MICRO_NAME
 
-bool cpu_has_avx2_fma() {
-  static const bool ok =
-      __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
-  return ok;
-}
 #endif  // HETACC_X86_DISPATCH
 
 #endif  // HETACC_VEC
 
 /// Per-(TA, TAcc) micro-kernel traits: the register width NR and the runtime
 /// selection between the AVX2 stamp, the baseline stamp, and the scalar
-/// reference. Selection happens once per gemm call, not per tile.
+/// reference. Selection happens once per gemm call, not per tile. The f32d
+/// datapath has no entry of its own: its operands are widened to double
+/// (see KernelOperand) and run the f64 micro-kernel.
 template <typename TA, typename TAcc>
 struct MK;
 
@@ -136,26 +99,6 @@ struct MK<float, float> {
     (void)simd;
 #endif
     return &micro_scalar<float, float, NR>;
-  }
-};
-
-template <>
-struct MK<float, double> {
-  static constexpr int NR = 8;
-  static constexpr Datapath dp = Datapath::kF32d;
-  using Fn = void (*)(int, const float*, const float*, double*);
-  static Fn pick(bool simd) {
-#ifdef HETACC_VEC
-    if (simd) {
-#ifdef HETACC_X86_DISPATCH
-      if (cpu_has_avx2_fma()) return &micro_f32d_avx2;
-#endif
-      return &micro_f32d_base;
-    }
-#else
-    (void)simd;
-#endif
-    return &micro_scalar<float, double, NR>;
   }
 };
 
@@ -200,23 +143,36 @@ struct MK<std::int8_t, std::int32_t> {
   }
 };
 
+/// The element type the micro-kernel multiplies for storage type TA and
+/// accumulator TAcc. Float operands accumulated in double are widened as
+/// they are staged instead of at every k-step — A as its blocks are packed,
+/// each B panel by the tile task that reads it — and run the f64
+/// micro-kernel: a float x float product is exact in double, so it computes
+/// the same products and sums in the same order, and every output bit is
+/// unchanged (even with the AVX2 stamp's fused multiply-add). B stays
+/// packed as float, so the shared panel row costs no more scratch.
+template <typename TA, typename TAcc>
+using KernelOperand =
+    std::conditional_t<std::is_same_v<TA, float> && std::is_same_v<TAcc, double>,
+                       double, TA>;
+
 /// Packs the MC-block [i0, i0+mb) x [p0, p0+kb) of row-major A into MR-
-/// interleaved k-major panels at dst (ceil(mb/MR) panels of MR*kb). Tail
-/// lanes of a partial last panel are zeroed so the micro-kernel can run full
-/// MR rows unconditionally.
-template <typename T>
+/// interleaved k-major panels at dst (ceil(mb/MR) panels of MR*kb),
+/// converting each element to TK. Tail lanes of a partial last panel are
+/// zeroed so the micro-kernel can run full MR rows unconditionally.
+template <typename T, typename TK = T>
 void pack_a_panels(const T* A, int lda, int i0, int mb, int p0, int kb,
-                   T* dst) {
+                   TK* dst) {
   const int panels = (mb + MR - 1) / MR;
   for (int pi = 0; pi < panels; ++pi) {
-    T* d = dst + static_cast<std::size_t>(pi) * MR * kb;
+    TK* d = dst + static_cast<std::size_t>(pi) * MR * kb;
     const int rows = std::min(MR, mb - pi * MR);
     for (int ir = 0; ir < rows; ++ir) {
       const T* src = A + static_cast<std::size_t>(i0 + pi * MR + ir) * lda + p0;
-      for (int k = 0; k < kb; ++k) d[k * MR + ir] = src[k];
+      for (int k = 0; k < kb; ++k) d[k * MR + ir] = static_cast<TK>(src[k]);
     }
     for (int ir = rows; ir < MR; ++ir) {
-      for (int k = 0; k < kb; ++k) d[k * MR + ir] = T{};
+      for (int k = 0; k < kb; ++k) d[k * MR + ir] = TK{};
     }
   }
 }
@@ -246,12 +202,14 @@ struct RequantSink {
 
 /// Blocked GEMM driver. Exactly one of A / pA is used. Per KC step and NC
 /// block: pack B once (parallel over panels, then shared read-only), pack A
-/// blocks once per KC step unless pre-packed, then run the 2D (MC-block x
-/// NR-panel) tile grid cooperatively — every tile owns a disjoint patch of
-/// C, each KC step is a barrier, and per-element accumulation is
-/// k-ascending, so output bytes are independent of the thread count, the
-/// chunk grain, and the MC/NC/grain blocking (KC regrouping is additionally
-/// exact on the integer datapaths; see blocking.h).
+/// blocks once per KC step unless pre-packed (a pre-packed A the micro-
+/// kernel widens is widened block by block instead), then run the 2D
+/// (MC-block x NR-panel) tile grid cooperatively — every tile owns a
+/// disjoint patch of C, each KC step is a barrier, and per-element
+/// accumulation is k-ascending, so output bytes are independent of the
+/// thread count, the chunk grain, and the MC/NC/grain blocking (KC
+/// regrouping is additionally exact on the integer datapaths; see
+/// blocking.h).
 ///
 /// With kRequant, C is an i32 staging buffer (null when K fits one KC step)
 /// and the last-KC writeback requantizes straight into sink->c8 alongside
@@ -284,8 +242,10 @@ void gemm_run(int M, int N, int K, const TA* A, int lda,
     }
     return;
   }
-  constexpr int NR = MK<TA, TAcc>::NR;
-  const typename MK<TA, TAcc>::Fn micro = MK<TA, TAcc>::pick(use_simd);
+  using TK = KernelOperand<TA, TAcc>;
+  constexpr bool kWidenPacked = !std::is_same_v<TK, TA>;
+  constexpr int NR = MK<TK, TAcc>::NR;
+  const typename MK<TK, TAcc>::Fn micro = MK<TK, TAcc>::pick(use_simd);
   if (threads == 0) threads = num_threads();
 
   // Pre-packed A bakes its (MC, KC); otherwise take the dispatch blocking.
@@ -301,9 +261,9 @@ void gemm_run(int M, int N, int K, const TA* A, int lda,
   ScratchArena::Scope scope(arena);
   TA* bpack =
       arena.alloc<TA>(static_cast<std::size_t>(jpanels_cap) * NR * kc);
-  TA* apack = nullptr;
-  if (!pA) {
-    apack = arena.alloc<TA>(static_cast<std::size_t>(iblocks) * mpanels_cap *
+  TK* apack = nullptr;
+  if (!pA || kWidenPacked) {
+    apack = arena.alloc<TK>(static_cast<std::size_t>(iblocks) * mpanels_cap *
                             MR * kc);
   }
 
@@ -325,6 +285,16 @@ void gemm_run(int M, int N, int K, const TA* A, int lda,
                                    apack + ib * static_cast<std::size_t>(
                                                     mpanels_cap) *
                                                MR * kb);
+                   });
+    } else if constexpr (kWidenPacked) {
+      parallel_for(static_cast<std::size_t>(iblocks), 1, threads,
+                   [&](std::size_t ib) {
+                     const std::vector<TA>& blk =
+                         pA->block(pb, static_cast<int>(ib));
+                     std::copy(blk.begin(), blk.end(),
+                               apack + ib * static_cast<std::size_t>(
+                                                mpanels_cap) *
+                                           MR * kb);
                    });
     }
 
@@ -354,10 +324,26 @@ void gemm_run(int M, int N, int K, const TA* A, int lda,
         const int pj = static_cast<int>(g % jpanels);
         const int i0 = ib * mc;
         const int mb = std::min(mc, M - i0);
-        const TA* ablk =
-            pA ? pA->block(pb, ib).data()
-               : apack + ib * static_cast<std::size_t>(mpanels_cap) * MR * kb;
-        const TA* bpan = bpack + pj * static_cast<std::size_t>(NR) * kb;
+        const std::size_t aoff =
+            ib * static_cast<std::size_t>(mpanels_cap) * MR * kb;
+        const TK* ablk;
+        if constexpr (kWidenPacked) {
+          ablk = apack + aoff;
+        } else {
+          ablk = pA ? pA->block(pb, ib).data() : apack + aoff;
+        }
+        const TA* bsrc = bpack + pj * static_cast<std::size_t>(NR) * kb;
+        const TK* bpan;
+        std::optional<ScratchArena::Scope> widened;
+        if constexpr (kWidenPacked) {
+          ScratchArena& task_arena = ScratchArena::tls();
+          widened.emplace(task_arena);
+          TK* wide = task_arena.alloc<TK>(static_cast<std::size_t>(NR) * kb);
+          std::copy(bsrc, bsrc + static_cast<std::size_t>(NR) * kb, wide);
+          bpan = wide;
+        } else {
+          bpan = bsrc;
+        }
         const int j0 = jc + pj * NR;
         const int cols = std::min(NR, N - j0);
         const int ipanels = (mb + MR - 1) / MR;

@@ -132,6 +132,9 @@ void gemm_f32(const PackedLhsF32& A, int N, const float* B, int ldb, float* C,
 
 /// Float operands, double accumulation, double C — the conv-engine datapath
 /// (the streaming engines accumulate MACs in double; see arch/engines.cpp).
+/// Operands are widened to double once as they are staged and run the f64
+/// micro-kernel; every float product is exact in double, so the result is
+/// the same for every ISA stamp and the scalar fallback.
 void gemm_f32d(int M, int N, int K, const float* A, int lda, const float* B,
                int ldb, double* C, int ldc, const float* bias, bool relu,
                int threads);

@@ -5,49 +5,12 @@
 #include <stdexcept>
 #include <string>
 
-#include "fixed/fixed16.h"
 #include "kernels/arena.h"
 #include "kernels/gemm.h"
+#include "kernels/lanes.h"
 #include "kernels/parallel.h"
 
-// gather_tile writes every d[u*n + v] for u, v < n — exactly the prefix the
-// transforms read — but GCC cannot prove coverage with a runtime n and warns
-// -Wmaybe-uninitialized on the kWinogradMaxN-sized stack arrays.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-#endif
-
 namespace hetacc::kernels {
-
-void matmul_nn(const double* A, int ra, int ca, const double* B, int cb,
-               double* C) {
-  std::fill(C, C + static_cast<std::size_t>(ra) * cb, 0.0);
-  for (int r = 0; r < ra; ++r) {
-    for (int k = 0; k < ca; ++k) {
-      const double a = A[static_cast<std::size_t>(r) * ca + k];
-      if (a == 0.0) continue;
-      for (int c = 0; c < cb; ++c) {
-        C[static_cast<std::size_t>(r) * cb + c] +=
-            a * B[static_cast<std::size_t>(k) * cb + c];
-      }
-    }
-  }
-}
-
-void matmul_nt(const double* A, int ra, int ca, const double* B, int rb,
-               double* C) {
-  std::fill(C, C + static_cast<std::size_t>(ra) * rb, 0.0);
-  for (int r = 0; r < ra; ++r) {
-    for (int k = 0; k < ca; ++k) {
-      const double a = A[static_cast<std::size_t>(r) * ca + k];
-      if (a == 0.0) continue;
-      for (int c = 0; c < rb; ++c) {
-        C[static_cast<std::size_t>(r) * rb + c] +=
-            a * B[static_cast<std::size_t>(c) * ca + k];
-      }
-    }
-  }
-}
 
 namespace {
 
@@ -56,49 +19,6 @@ void check_tile_size(int n) {
     throw std::logic_error("winograd kernel: unsupported tile size n=" +
                            std::to_string(n));
   }
-}
-
-/// Gather one tile's n x n window from a pre-padded window whose rows are
-/// `row_w` floats apart.
-inline void gather_tile(const float* cplane, int row_w, int tj, int m, int n,
-                        double* d) {
-  for (int u = 0; u < n; ++u) {
-    const float* src = cplane + static_cast<std::size_t>(u) * row_w + tj * m;
-    for (int v = 0; v < n; ++v) d[u * n + v] = src[v];
-  }
-}
-
-inline float finish_output(float val, bool relu, int out_frac) {
-  if (relu) val = std::max(val, 0.0f);
-  return out_frac >= 0 ? fixed::quantize_to_float(val, out_frac) : val;
-}
-
-/// Inverse-transform one (oc, tile) result and scatter it to the output
-/// rows, clipping the bottom/right edge tiles.
-inline void scatter_tile(const double* macc, const double* at, int m, int n,
-                         float* const* out_rows, int out_c, int oc, int tj,
-                         int rows_out, int out_w, float bias, bool relu,
-                         int out_frac) {
-  double p[kWinogradMaxN * kWinogradMaxN];
-  double y[kWinogradMaxN * kWinogradMaxN];
-  matmul_nn(at, m, n, macc, n, p);
-  matmul_nt(p, m, n, at, m, y);
-  for (int a = 0; a < rows_out; ++a) {
-    float* orow = out_rows[static_cast<std::size_t>(a) * out_c + oc];
-    for (int b = 0; b < m; ++b) {
-      const int col = tj * m + b;
-      if (col >= out_w) break;
-      const float val = static_cast<float>(y[a * m + b]) + bias;
-      orow[col] = finish_output(val, relu, out_frac);
-    }
-  }
-}
-
-/// Chunk size for the (channel x tile) transform grids: a few tiles per
-/// cursor claim keeps per-channel locality without starving wide machines on
-/// narrow bands.
-inline std::size_t tile_grain(int tiles) {
-  return std::clamp<std::size_t>(static_cast<std::size_t>(tiles), 1, 8);
 }
 
 }  // namespace
@@ -124,37 +44,54 @@ void winograd_band(const WinogradPlan& plan, const float* band, int band_w,
   ScratchArena::Scope scope(arena);
   double* v = arena.alloc<double>(static_cast<std::size_t>(n) * n * vplane);
   double* mm = arena.alloc<double>(static_cast<std::size_t>(n) * n * mplane);
+  // Tile t sits at tile row t / tiles_w, tile column t % tiles_w of the band;
+  // its window starts tile_at[t] floats into a channel plane.
+  std::size_t* tile_at = arena.alloc<std::size_t>(static_cast<std::size_t>(T));
+  for (int t = 0; t < T; ++t) {
+    tile_at[t] = static_cast<std::size_t>(t / tiles_w) * m * band_w +
+                 static_cast<std::size_t>(t % tiles_w) * m;
+  }
 
-  // Forward transform over the (in_c x tile) grid: each task owns one tile
-  // of one channel and writes a disjoint V slot per plane. Tile t sits at
-  // tile row t / tiles_w, tile column t % tiles_w of the band.
-  parallel_for(static_cast<std::size_t>(plan.in_c) * T, tile_grain(T), threads,
-               [&](std::size_t g) {
-                 const std::size_t c = g / T;
-                 const int t = static_cast<int>(g % T);
-                 const float* cplane =
-                     band + c * band_plane +
-                     static_cast<std::size_t>(t / tiles_w) * m * band_w;
-                 double d[kWinogradMaxN * kWinogradMaxN];
-                 double tmp[kWinogradMaxN * kWinogradMaxN];
-                 double vt[kWinogradMaxN * kWinogradMaxN];
-                 gather_tile(cplane, band_w, t % tiles_w, m, n, d);
-                 matmul_nn(plan.bt.data(), n, n, d, n, tmp);
-                 matmul_nt(tmp, n, n, plan.bt.data(), n, vt);
-                 for (int ab = 0; ab < n * n; ++ab) {
-                   v[static_cast<std::size_t>(ab) * vplane + c * T + t] =
-                       vt[ab];
+  // Forward transform, one task per input channel: the channel's T tiles
+  // are the lanes. They are gathered lane-major into the worker's scratch,
+  // and plane ab of V receives them as one contiguous run.
+  parallel_for(static_cast<std::size_t>(plan.in_c), 1, threads,
+               [&](std::size_t c) {
+                 ScratchArena& wa = ScratchArena::tls();
+                 ScratchArena::Scope ws(wa);
+                 double* d =
+                     wa.alloc<double>(static_cast<std::size_t>(n) * n * T);
+                 const float* cplane = band + c * band_plane;
+                 for (int u = 0; u < n; ++u) {
+                   for (int w = 0; w < n; ++w) {
+                     const float* src =
+                         cplane + static_cast<std::size_t>(u) * band_w + w;
+                     double* dst = d + static_cast<std::size_t>(u * n + w) * T;
+                     for (int t = 0; t < T; ++t) dst[t] = src[tile_at[t]];
+                   }
                  }
+                 lane_transform(plan.bt.data(), plan.bt.data(), n, n, d, T,
+                                v + c * T, vplane, T);
                });
 
-  // The 16-bit model's multiplier inputs. A pass of its own keeps the
-  // transform loop above free of the quantizer call on the float path.
+  // The 16-bit model's multiplier inputs: each V element rounded to float
+  // and snapped to Q(v_frac), a plane at a time through a float staging run.
+  // A pass of its own keeps the transform tasks above free of it on the
+  // float path.
   if (v_frac >= 0) {
-    parallel_for(static_cast<std::size_t>(n) * n * vplane, 4096, threads,
-                 [&](std::size_t i) {
-                   v[i] = fixed::quantize_to_float(static_cast<float>(v[i]),
-                                                   v_frac);
-                 });
+    parallel_for(static_cast<std::size_t>(n) * n, threads, [&](std::size_t ab) {
+      constexpr std::size_t kRun = 512;
+      float run[kRun];
+      double* plane = v + ab * vplane;
+      for (std::size_t i = 0; i < vplane; i += kRun) {
+        const std::size_t len = std::min(kRun, vplane - i);
+        for (std::size_t j = 0; j < len; ++j) {
+          run[j] = static_cast<float>(plane[i + j]);
+        }
+        snap_q16(run, run, len, v_frac);
+        std::copy(run, run + len, plane + i);
+      }
+    });
   }
 
   parallel_for(static_cast<std::size_t>(n) * n, threads, [&](std::size_t ab) {
@@ -162,28 +99,45 @@ void winograd_band(const WinogradPlan& plan, const float* band, int band_w,
              /*threads=*/1);
   });
 
-  // Inverse transform + scatter over the (out_c x tile) grid: tile t of
-  // channel oc touches only columns [tj*m, tj*m + m) of its tile row's
-  // output rows.
-  parallel_for(static_cast<std::size_t>(plan.out_c) * T, tile_grain(T),
-               threads, [&](std::size_t g) {
-                 const std::size_t oc = g / T;
-                 const int t = static_cast<int>(g % T);
-                 const int top = (t / tiles_w) * m;
-                 if (top >= rows_out) return;
-                 double macc[kWinogradMaxN * kWinogradMaxN];
-                 const float b = bias ? bias[oc] : 0.0f;
-                 for (int ab = 0; ab < n * n; ++ab) {
-                   macc[ab] =
-                       mm[static_cast<std::size_t>(ab) * mplane + oc * T + t];
-                 }
-                 scatter_tile(macc, plan.at.data(), m, n,
-                              out_rows + static_cast<std::size_t>(top) *
-                                             plan.out_c,
-                              plan.out_c, static_cast<int>(oc), t % tiles_w,
-                              std::min(m, rows_out - top), out_w, b, relu,
-                              out_frac);
-               });
+  // Inverse transform + scatter, one task per output channel with its T
+  // tiles as the lanes: tile t writes columns [tj*m, tj*m + m) of its tile
+  // row's output rows, which together cover every row of the channel, so
+  // the Q16 snap then runs over whole rows.
+  parallel_for(
+      static_cast<std::size_t>(plan.out_c), 1, threads, [&](std::size_t oc) {
+        ScratchArena& wa = ScratchArena::tls();
+        ScratchArena::Scope ws(wa);
+        const std::size_t mm_plane = static_cast<std::size_t>(m) * m;
+        double* y = wa.alloc<double>(mm_plane * T);
+        lane_transform(plan.at.data(), plan.at.data(), m, n, mm + oc * T,
+                       mplane, y, T, T);
+        const float b = bias ? bias[oc] : 0.0f;
+        for (int t = 0; t < T; ++t) {
+          const int top = (t / tiles_w) * m;
+          if (top >= rows_out) break;
+          const int col0 = (t % tiles_w) * m;
+          const int rows = std::min(m, rows_out - top);
+          const int cols = std::min(m, out_w - col0);
+          for (int a = 0; a < rows; ++a) {
+            float* orow =
+                out_rows[static_cast<std::size_t>(top + a) * plan.out_c + oc] +
+                col0;
+            const double* ya = y + static_cast<std::size_t>(a) * m * T + t;
+            for (int bc = 0; bc < cols; ++bc) {
+              const float val =
+                  static_cast<float>(ya[static_cast<std::size_t>(bc) * T]) + b;
+              orow[bc] = relu ? std::max(val, 0.0f) : val;
+            }
+          }
+        }
+        if (out_frac >= 0) {
+          for (int a = 0; a < rows_out; ++a) {
+            float* orow =
+                out_rows[static_cast<std::size_t>(a) * plan.out_c + oc];
+            snap_q16(orow, orow, static_cast<std::size_t>(out_w), out_frac);
+          }
+        }
+      });
 }
 
 namespace {

@@ -9,12 +9,19 @@
 // filters are transformed and packed into GEMM panels exactly once per layer
 // (WinogradPlan), so no band ever re-lays them out.
 //
-// Determinism: parallelism is across the (input channel x tile) grid
-// (gather + forward transform), tile positions (GEMM batch), and the
-// (output channel x tile) grid (inverse transform + scatter) — independent
-// outputs only. Each output element's accumulation chain depends only on
-// (in_c, KC), never on the thread count, the grid chunking, or how many tile
-// rows share a band: the GEMM's columns are independent lanes.
+// The three transforms run on kernels::lane_transform (lanes.h), one
+// routine with the inner dimension fixed at compile time and a vector of
+// lanes per operation: B^T d B with the T tiles of one input channel as the
+// lanes, so each transform plane receives a contiguous run, and A^T M A
+// with the T tiles of one output channel as the lanes, read in place from
+// the GEMM planes (the filter transform G g G^T is algo::winograd_plan's).
+//
+// Determinism: parallelism is across input channels (gather + forward
+// transform), tile positions (GEMM batch) and output channels (inverse
+// transform + scatter) — independent outputs only. Each output element's
+// accumulation chain depends only on (in_c, KC), never on the thread count,
+// the chunking, or how many tile rows share a band: the GEMM's columns and
+// the transforms' lanes are independent.
 //
 // Scratch (transform planes, band windows) comes from the calling thread's
 // ScratchArena, so repeated bands/images run with zero steady-state heap
@@ -25,30 +32,22 @@
 // every transform-domain product and sum is exact in double (see
 // kExactQ16MaxDepth in gemm.h), so the f64 GEMM yields the int64 MAC sums
 // times 2^-(u_frac + v_frac) bit for bit; the pre- and post-transforms
-// mirror the accumulation order of algo::Matrix::operator*.
+// mirror the accumulation order of algo::Matrix::operator*: k-ascending
+// sums from +0 that skip zero entries of the constant left factor. Only
+// that skip matters (0 * inf is NaN); the Matrix form's skip of a zero data
+// element on the right-hand product adds a signed zero to a sum that is
+// never -0, which changes nothing, so lane_transform adds every term there.
 
 #include <vector>
 
 #include "kernels/gemm.h"
+#include "kernels/lanes.h"
 
 namespace hetacc::kernels {
 
-/// Small dense products for the per-tile transforms. Both mirror
-/// algo::Matrix::operator* — left-element zero skip, k-ascending
-/// accumulation, identical expression shape — so every transform result is
-/// bit-identical to the Matrix form (the skip can only flip signed zeros,
-/// which the downstream quantization erases).
-///
-/// C (ra x cb) = A (ra x ca) * B (ca x cb), all row-major.
-void matmul_nn(const double* A, int ra, int ca, const double* B, int cb,
-               double* C);
-/// C (ra x rb) = A (ra x ca) * B^T where B is stored (rb x ca) row-major.
-void matmul_nt(const double* A, int ra, int ca, const double* B, int rb,
-               double* C);
-
-/// Largest supported transform size n = m + r - 1 (per-tile temporaries are
-/// stack-allocated in the band kernels).
-inline constexpr int kWinogradMaxN = 16;
+/// Largest supported transform size n = m + r - 1 (the lane transform's
+/// largest inner dimension).
+inline constexpr int kWinogradMaxN = kLaneTransformMaxDim;
 
 /// A Winograd layer packed for batched transform-domain GEMM: the transform
 /// matrices as flat doubles plus the pre-transformed filters as n^2 planes of

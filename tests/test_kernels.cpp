@@ -6,11 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <random>
 #include <stdexcept>
 #include <string>
@@ -24,8 +27,10 @@
 #include "algo/conv_variants.h"
 #include "algo/winograd_conv.h"
 #include "arch/pipeline.h"
+#include "fixed/fixed16.h"
 #include "kernels/arena.h"
 #include "kernels/gemm.h"
+#include "kernels/lanes.h"
 #include "kernels/parallel.h"
 #include "nn/model_zoo.h"
 #include "nn/reference.h"
@@ -482,6 +487,265 @@ TEST(WinoGemm, BandEqualsSingleRowCallsBytewise) {
   }
 }
 
+// AlexNet's Winograd plans and streamed conv outputs, pinned from the scalar
+// per-tile transforms: the lane transform must reproduce every plan byte
+// (through PrepackBundle::content_crc) and every output byte, on 1 and 4
+// kernel threads.
+std::uint64_t fnv1a(const Tensor& t) {
+  std::uint64_t h = 1469598103934665603ull;
+  const auto* p = reinterpret_cast<const unsigned char*>(t.data());
+  for (std::size_t i = 0; i < t.vec().size() * sizeof(float); ++i) {
+    h = (h ^ p[i]) * 1099511628211ull;
+  }
+  return h;
+}
+
+/// Winograd F(m3, 3) / F(m5, 5) on every stride-1 conv of `net`.
+std::vector<arch::LayerChoice> wino_choices(const nn::Network& net, int m3,
+                                            int m5) {
+  std::vector<arch::LayerChoice> ch(net.size() - 1);
+  for (std::size_t i = 1; i < net.size(); ++i) {
+    const nn::Layer& l = net[i];
+    if (l.kind != nn::LayerKind::kConv || l.conv().stride != 1) continue;
+    ch[i - 1].algo = fpga::ConvAlgo::kWinograd;
+    ch[i - 1].wino_m = l.conv().kernel == 5 ? m5 : m3;
+  }
+  return ch;
+}
+
+TEST(WinoGemm, AlexNetPlanCrcIsPinned) {
+  const nn::Network net = nn::alexnet_accel();
+  const nn::WeightStore ws = nn::WeightStore::deterministic(net, 7);
+  const struct {
+    int m3, m5;
+    std::uint32_t crc;
+  } cases[] = {{4, 2, 3234271734u}, {2, 4, 1517536142u}, {6, 3, 3748140244u}};
+  for (const auto& c : cases) {
+    const arch::FusionPipeline pipe(net, ws, wino_choices(net, c.m3, c.m5));
+    EXPECT_EQ(pipe.shared_prepack()->content_crc(), c.crc)
+        << "F(" << c.m3 << ",3) F(" << c.m5 << ",5)";
+  }
+}
+
+TEST(WinoGemm, AlexNetConvOutputsArePinnedOnOneAndFourThreads) {
+  ThreadGuard guard;
+  const nn::Network alex = nn::alexnet_accel();
+  const struct {
+    const char* layer;
+    int m;
+    std::uint64_t hash;
+  } cases[] = {
+      // F(2,5) and F(4,5) differ only in double roundings that the float
+      // output absorbs, so their hashes coincide; the plan CRC above tells
+      // the transforms apart bit for bit.
+      {"conv2", 2, 457844873419535844ull},
+      {"conv2", 4, 457844873419535844ull},
+      {"conv3", 4, 6908009451391168217ull},
+      {"conv4", 6, 14403184753342974726ull},
+      {"conv5", 2, 959134117582791781ull}};
+  for (const auto& c : cases) {
+    const nn::Layer* conv = nullptr;
+    for (std::size_t i = 1; i < alex.size(); ++i) {
+      if (alex[i].name == c.layer) conv = &alex[i];
+    }
+    ASSERT_NE(conv, nullptr) << c.layer;
+    nn::Network net(c.layer);
+    net.input(conv->in);
+    net.conv(conv->out.c, conv->conv().kernel, 1, conv->padding(), c.layer);
+    const nn::WeightStore ws = nn::WeightStore::deterministic(net, 7);
+    Tensor in(net[0].out);
+    nn::fill_deterministic(in, 11);
+    arch::FusionPipeline pipe(net, ws, wino_choices(net, c.m, c.m));
+    const std::string what =
+        std::string(c.layer) + " F(" + std::to_string(c.m) + ")";
+    kernels::set_num_threads(1);
+    const Tensor one = pipe.run(in);
+    EXPECT_EQ(fnv1a(one), c.hash) << what;
+    kernels::set_num_threads(4);
+    const Tensor four = pipe.run(in);
+    EXPECT_EQ(0, std::memcmp(one.data(), four.data(),
+                             one.vec().size() * sizeof(float)))
+        << what;
+  }
+}
+
+// -------------------------------------------------------- lane kernels --
+// The scalar per-tile composition the Winograd kernels ran before the lane
+// transform: C = A * B and C = A * B^T, left-element zero skip, k-ascending
+// sums from +0 (the shape of algo::Matrix::operator*).
+void oracle_nn(const double* A, int ra, int ca, const double* B, int cb,
+               double* C) {
+  std::fill(C, C + static_cast<std::size_t>(ra) * cb, 0.0);
+  for (int r = 0; r < ra; ++r) {
+    for (int k = 0; k < ca; ++k) {
+      const double a = A[r * ca + k];
+      if (a == 0.0) continue;
+      for (int c = 0; c < cb; ++c) C[r * cb + c] += a * B[k * cb + c];
+    }
+  }
+}
+
+void oracle_nt(const double* A, int ra, int ca, const double* B, int rb,
+               double* C) {
+  std::fill(C, C + static_cast<std::size_t>(ra) * rb, 0.0);
+  for (int r = 0; r < ra; ++r) {
+    for (int k = 0; k < ca; ++k) {
+      const double a = A[r * ca + k];
+      if (a == 0.0) continue;
+      for (int c = 0; c < rb; ++c) C[r * rb + c] += a * B[c * ca + k];
+    }
+  }
+}
+
+TEST(LaneTransform, MatchesScalarCompositionBitwise) {
+  // F(m, r) from algo::winograd for every n <= kWinogradMaxN with r = 1, 3
+  // and n, in all three roles (B^T d B, A^T M A, G g G^T) — so every inner
+  // dimension the lane transform is compiled for — on lane counts with and
+  // without a tail, with strided lane runs and inputs holding signed zeros,
+  // denormals and infinities among random values.
+  std::mt19937 rng(211);
+  std::uniform_real_distribution<double> uni(-4.0, 4.0);
+  std::uniform_int_distribution<int> pick(0, 15);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double specials[] = {0.0, -0.0, 4.9e-324, -4.9e-324, 1e-310, -1e-310,
+                             inf, -inf};
+  std::vector<bool> inner_seen(kernels::kWinogradMaxN + 1, false);
+  for (int n = 1; n <= kernels::kWinogradMaxN; ++n) {
+    for (int r : {1, 3, n}) {
+      if (r > n || (r == n && (n == 1 || n == 3))) continue;  // seen
+      const int m = n - r + 1;
+      const algo::WinogradTransform t = algo::winograd(m, r);
+      std::vector<double> bt, at, g;
+      for (int i = 0; i < n; ++i) {
+        for (int j = 0; j < n; ++j) bt.push_back(t.bt.at(i, j));
+        for (int j = 0; j < r; ++j) g.push_back(t.g.at(i, j));
+      }
+      for (int i = 0; i < m; ++i) {
+        for (int j = 0; j < n; ++j) at.push_back(t.at.at(i, j));
+      }
+      const struct {
+        const std::vector<double>& mat;
+        int a, b;
+        const char* role;
+      } uses[] = {{bt, n, n, "BtdB"}, {at, m, n, "AtMA"}, {g, n, r, "GgGt"}};
+      for (const auto& u : uses) {
+        for (int lanes : {7, 16, 21, 49}) {
+          const std::size_t xs = lanes + 3, ys = lanes + 5;
+          std::vector<double> x(xs * u.b * u.b), y(ys * u.a * u.a, -1.0);
+          for (double& v : x) {
+            const int p = pick(rng);
+            v = p < 8 ? specials[p] : uni(rng);
+          }
+          kernels::lane_transform(u.mat.data(), u.mat.data(), u.a, u.b,
+                                  x.data(), xs, y.data(), ys, lanes);
+          std::vector<double> xl(u.b * u.b), p(u.a * u.b), want(u.a * u.a);
+          for (int l = 0; l < lanes; ++l) {
+            for (int e = 0; e < u.b * u.b; ++e) xl[e] = x[e * xs + l];
+            oracle_nn(u.mat.data(), u.a, u.b, xl.data(), u.b, p.data());
+            oracle_nt(p.data(), u.a, u.b, u.mat.data(), u.a, want.data());
+            for (int e = 0; e < u.a * u.a; ++e) {
+              ASSERT_EQ(0, std::memcmp(&want[e], &y[e * ys + l],
+                                       sizeof(double)))
+                  << u.role << " F(" << m << "," << r << ") lanes=" << lanes
+                  << " lane " << l << " element " << e << ": want "
+                  << want[e] << " got " << y[e * ys + l];
+            }
+          }
+          // Lanes past `lanes` are never written.
+          for (int e = 0; e < u.a * u.a; ++e) {
+            for (std::size_t l = lanes; l < ys; ++l) {
+              ASSERT_EQ(y[e * ys + l], -1.0) << u.role;
+            }
+          }
+        }
+        inner_seen[static_cast<std::size_t>(u.b)] = true;
+      }
+    }
+  }
+  for (int b = 1; b <= kernels::kWinogradMaxN; ++b) {
+    EXPECT_TRUE(inner_seen[static_cast<std::size_t>(b)]) << "b=" << b;
+  }
+}
+
+TEST(LaneTransform, RejectsUnsupportedShapes) {
+  double buf[4] = {};
+  EXPECT_THROW(kernels::lane_transform(buf, buf, 1, 0, buf, 1, buf, 1, 1),
+               std::logic_error);
+  EXPECT_THROW(kernels::lane_transform(buf, buf, 1,
+                                       kernels::kWinogradMaxN + 1, buf, 1,
+                                       buf, 1, 1),
+               std::logic_error);
+}
+
+std::uint32_t float_bits(float v) {
+  std::uint32_t b;
+  std::memcpy(&b, &v, sizeof b);
+  return b;
+}
+
+TEST(LaneSnap, MatchesQuantizerOnTiesRailsAndSpecials) {
+  // Half-integer ties of the scaled value and their neighbours, both rails
+  // and past them, the rounding constant's range, specials and random bit
+  // patterns, at every fraction; an odd count exercises the lane tail, and
+  // the in-place call must agree with the out-of-place one.
+  std::mt19937 rng(223);
+  const float inf = std::numeric_limits<float>::infinity();
+  for (int frac = 0; frac <= 15; ++frac) {
+    const float ulp = fixed::Fixed16::pow2(-frac);
+    std::vector<float> src;
+    for (int k = -70000; k <= 70000; k += 7) {
+      const float tie = (static_cast<float>(k) + 0.5f) * ulp;
+      src.push_back(tie);
+      src.push_back(std::nextafter(tie, inf));
+      src.push_back(std::nextafter(tie, -inf));
+      src.push_back(static_cast<float>(k) * ulp);
+    }
+    for (float v : {0.0f, -0.0f, inf, -inf, 1e-45f, -1e-45f, 1e-40f,
+                    std::numeric_limits<float>::max(),
+                    -std::numeric_limits<float>::max(), 32767.5f * ulp,
+                    -32768.5f * ulp, 4194304.0f, 8388608.0f, 12582912.0f,
+                    -12582912.0f, 16777216.0f}) {
+      src.push_back(v);
+    }
+    for (int i = 0; i < 20000; ++i) {
+      const float v = std::bit_cast<float>(static_cast<std::uint32_t>(rng()));
+      if (v == v) src.push_back(v);
+    }
+    if (src.size() % 8 == 0) src.push_back(0.25f);
+    std::vector<float> got(src.size()), inplace = src;
+    kernels::snap_q16(src.data(), got.data(), src.size(), frac);
+    kernels::snap_q16(inplace.data(), inplace.data(), inplace.size(), frac);
+    for (std::size_t i = 0; i < src.size(); ++i) {
+      const float want = fixed::quantize_to_float(src[i], frac);
+      ASSERT_EQ(float_bits(want), float_bits(got[i]))
+          << "frac " << frac << " src " << src[i] << " want " << want
+          << " got " << got[i];
+      ASSERT_EQ(float_bits(got[i]), float_bits(inplace[i]));
+    }
+  }
+}
+
+TEST(LaneSnap, NanSnapsToPositiveZero) {
+  // NaNs of either sign, quiet and signalling, with payloads, in full
+  // vectors and in the tail; their neighbours snap normally.
+  const float nans[] = {std::numeric_limits<float>::quiet_NaN(),
+                        -std::numeric_limits<float>::quiet_NaN(),
+                        std::numeric_limits<float>::signaling_NaN(),
+                        std::bit_cast<float>(0x7fc12345u),
+                        std::bit_cast<float>(0xffbfffffu)};
+  for (std::size_t n : {1u, 8u, 13u}) {
+    for (float nan : nans) {
+      std::vector<float> v(n, 0.75f);
+      for (std::size_t i = 0; i < n; i += 3) v[i] = nan;
+      kernels::snap_q16(v.data(), v.data(), n, 11);
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(float_bits(v[i]), i % 3 == 0 ? 0u : float_bits(0.75f))
+            << "n " << n << " i " << i;
+      }
+    }
+  }
+}
+
 // -------------------------------------------------------------- pipeline --
 TEST(PipelineKernels, RepeatedRunMatchesFreshPipeline) {
   // reset() must restore pristine streaming state: a second image through
@@ -550,10 +814,11 @@ TEST(PipelineKernels, RunBatchWinogradSharesCachedPlans) {
 // --------------------------------------------- SIMD vs scalar fallback --
 // The fallback:: entry points run the identical blocking/packing/accumulation
 // structure with the scalar micro-kernel. Integer datapaths must match
-// bit-exactly (integer addition commutes); float datapaths may differ only by
+// bit-exactly (integer addition commutes); f32 and f64 may differ only by
 // FMA contraction inside the AVX2 stamp, so they are tolerance-bounded —
 // except on Q-snapped 16-bit operands, where every product and partial sum
-// is exact and they must match bit for bit.
+// is exact and they must match bit for bit. f32d always matches bit for bit:
+// its products of two floats are exact in double.
 
 TEST(Gemm, SimdMatchesScalarFallbackF32) {
   std::mt19937 rng(101);
@@ -586,9 +851,10 @@ TEST(Gemm, SimdMatchesScalarFallbackDoubleAccum) {
                      bias.data(), true, 1);
   kernels::fallback::gemm_f32d(M, N, K, A.data(), K, B.data(), N,
                                scalar.data(), N, bias.data(), true, 1);
-  for (std::size_t i = 0; i < simd.size(); ++i) {
-    EXPECT_NEAR(simd[i], scalar[i], 1e-9) << "f32d i=" << i;
-  }
+  // Every float x float product is exact in double, so a fused multiply-add
+  // rounds exactly like a multiply and an add: f32d matches bit for bit.
+  EXPECT_EQ(0, std::memcmp(simd.data(), scalar.data(),
+                           simd.size() * sizeof(double)));
   std::vector<double> Ad(A.begin(), A.end()), Bd(B.begin(), B.end());
   std::vector<double> simd64(std::size_t(M) * N), scalar64(std::size_t(M) * N);
   kernels::gemm_f64(M, N, K, Ad.data(), K, Bd.data(), N, simd64.data(), N, 1);
