@@ -12,11 +12,14 @@
 //     the 2x threshold is generous headroom for CI runner variance while
 //     still catching order-of-magnitude regressions (e.g. losing SIMD
 //     dispatch or packing reuse).
-//  3. System time: over the timed kernel loop, system CPU time must stay
-//     under 5% of user + system time (getrusage). Both counters come from
-//     the same process, so the gate holds on any machine; it catches an OS
-//     call creeping into the per-dispatch path (a per-call sysfs read of
-//     the core count once cost the serving fleet half its CPU).
+//  3. System time: over the timed rounds of the kernel loop, system CPU
+//     time must stay under 5% of user + system time (getrusage). The
+//     reading starts after the warm-up passes, so the first-touch page
+//     faults of fresh buffers, which the kernel charges as system time,
+//     stay out of it. Both counters come from the same process, so the
+//     gate holds on any machine; it catches an OS call creeping into the
+//     per-dispatch path (a per-call sysfs read of the core count once cost
+//     the serving fleet half its CPU).
 //  4. Streaming overhead: a one-layer FusionPipeline on AlexNet conv4's
 //     geometry (13x13, 384 -> 384, Winograd F(4,3)) must run within 1.5x of
 //     algo::winograd_conv_pretransformed on the same input, and within 1.5x
@@ -71,11 +74,27 @@ using namespace hetacc;
 
 namespace {
 
+/// Process user and system CPU seconds so far.
+struct CpuTimes {
+  double user = 0.0, sys = 0.0;
+};
+
+CpuTimes cpu_times() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  const auto secs = [](const timeval& tv) {
+    return static_cast<double>(tv.tv_sec) +
+           1e-6 * static_cast<double>(tv.tv_usec);
+  };
+  return {secs(ru.ru_utime), secs(ru.ru_stime)};
+}
+
 /// Wall times of interleaved repetitions: ms[k][i] is function k's time in
 /// round i, and each round calls every function once, so speed drift hits
 /// all of them alike.
 struct Rounds {
   std::vector<std::vector<double>> ms;
+  CpuTimes cpu;  ///< process CPU seconds spent in the timed rounds only
 
   /// Best-of-rounds time of function k.
   [[nodiscard]] double best(std::size_t k) const {
@@ -107,7 +126,8 @@ Rounds interleaved_rounds(const std::vector<std::function<void()>>& fns,
     for (const auto& fn : fns) fn();
     if (arena.system_allocations() == blocks) break;
   }
-  Rounds r{std::vector<std::vector<double>>(fns.size())};
+  Rounds r{std::vector<std::vector<double>>(fns.size()), {}};
+  const CpuTimes start = cpu_times();
   for (int i = 0; i < reps; ++i) {
     for (std::size_t k = 0; k < fns.size(); ++k) {
       const auto t0 = clock::now();
@@ -117,6 +137,8 @@ Rounds interleaved_rounds(const std::vector<std::function<void()>>& fns,
           std::chrono::duration<double, std::milli>(t1 - t0).count());
     }
   }
+  const CpuTimes end = cpu_times();
+  r.cpu = {end.user - start.user, end.sys - start.sys};
   return r;
 }
 
@@ -134,21 +156,6 @@ double best_ms(const std::function<void()>& fn, int reps) {
 }
 
 volatile float g_sink = 0.0f;
-
-/// Process user and system CPU seconds so far.
-struct CpuTimes {
-  double user = 0.0, sys = 0.0;
-};
-
-CpuTimes cpu_times() {
-  rusage ru{};
-  getrusage(RUSAGE_SELF, &ru);
-  const auto secs = [](const timeval& tv) {
-    return static_cast<double>(tv.tv_sec) +
-           1e-6 * static_cast<double>(tv.tv_usec);
-  };
-  return {secs(ru.ru_utime), secs(ru.ru_stime)};
-}
 
 struct Measurement {
   const char* kernel;
@@ -232,7 +239,6 @@ int main(int argc, char** argv) {
     return algo::make_int8_conv_quant(f, in_mn, in_mx, out_mn, out_mx);
   }();
 
-  const CpuTimes loop_start = cpu_times();
   // Absolute-gated kernels carry a committed baseline; the 16-bit models
   // are gated against their float counterparts (gate 7) instead.
   struct Kernel {
@@ -274,9 +280,8 @@ int main(int argc, char** argv) {
     measured.push_back({kernels_timed[i].name, kernel_rounds.best(i)});
   }
 
-  const CpuTimes loop_end = cpu_times();
-  const double loop_user = loop_end.user - loop_start.user;
-  const double loop_sys = loop_end.sys - loop_start.sys;
+  const double loop_user = kernel_rounds.cpu.user;
+  const double loop_sys = kernel_rounds.cpu.sys;
   const double sys_frac =
       loop_user + loop_sys > 0.0 ? loop_sys / (loop_user + loop_sys) : 0.0;
 

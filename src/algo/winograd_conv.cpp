@@ -360,13 +360,6 @@ nn::Tensor winograd_conv_fixed_scalar(const WinogradTransform& t,
   return out;
 }
 
-bool winograd_applicable(int kernel, int stride) {
-  // Paper §2.1: "implemented most efficiently for the cases where kernel
-  // size is small and stride is 1". We support taps up to 7 via Cook-Toom;
-  // AlexNet's 5x5 conv2 (Table 2 runs it as Winograd) is covered by F(m,5).
-  return stride == 1 && kernel >= 2 && kernel <= 7;
-}
-
 long long winograd_layer_mults(const WinogradTransform& t, int in_channels,
                                int out_channels, int out_h, int out_w) {
   const long long tiles = static_cast<long long>((out_h + t.m - 1) / t.m) *

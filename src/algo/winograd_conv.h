@@ -69,10 +69,6 @@ struct TransformedFilters {
     const nn::FilterBank& filters, const std::vector<float>& bias, int pad,
     bool fused_relu, int data_frac, int out_frac);
 
-/// True if the layer geometry admits the Winograd algorithm in our flow:
-/// stride 1 and a supported tap count (paper: small kernels, stride 1).
-[[nodiscard]] bool winograd_applicable(int kernel, int stride);
-
 /// Total scalar multiplications Winograd F(mxm,rxr) spends on a conv layer
 /// of the given geometry (edge tiles padded to full tiles, as on the FPGA).
 [[nodiscard]] long long winograd_layer_mults(const WinogradTransform& t,

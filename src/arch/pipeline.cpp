@@ -269,12 +269,6 @@ std::vector<std::unique_ptr<StreamEngine>> FusionPipeline::build_engine_set()
         (l.kind == nn::LayerKind::kConv) ? &ws_.conv(i + 1) : nullptr;
     std::optional<algo::WinogradTransform> t;
     if (l.kind == nn::LayerKind::kConv &&
-        choices_[i].algo == fpga::ConvAlgo::kWinogradStride2) {
-      throw std::invalid_argument(
-          "FusionPipeline: no streaming engine for the stride-2 Winograd "
-          "decomposition yet (use algo::winograd_conv_stride2 directly)");
-    }
-    if (l.kind == nn::LayerKind::kConv &&
         choices_[i].algo == fpga::ConvAlgo::kWinograd) {
       t = algo::winograd(choices_[i].wino_m, l.conv().kernel);
     }

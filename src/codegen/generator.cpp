@@ -726,11 +726,6 @@ GeneratedDesign generate_design(const nn::Network& net,
       fnames.push_back(fname);
       switch (l.kind) {
         case nn::LayerKind::kConv:
-          if (cfg.algo == fpga::ConvAlgo::kWinogradStride2) {
-            throw std::invalid_argument(
-                "generate_design: no template for the stride-2 Winograd "
-                "decomposition yet (layer '" + l.name + "')");
-          }
           if (cfg.algo == fpga::ConvAlgo::kWinograd) {
             emit_conv_winograd(src, l, ws.conv(g.first + k), cfg, fname, nm);
           } else {

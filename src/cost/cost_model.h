@@ -51,13 +51,6 @@ namespace hetacc::cost {
   return tiles * ceil_div(in_c, tn) * ceil_div(out_c, tm);
 }
 
-/// Steady-state cycles of the polyphase stride-2 Winograd decomposition:
-/// one phase engine shared across the four polyphase components.
-[[nodiscard]] constexpr long long conv_cycles_winograd_stride2(
-    int in_c, int out_c, int tn, int tm, long long tiles) {
-  return 4 * conv_cycles_winograd(in_c, out_c, tn, tm, tiles);
-}
-
 /// Scalar multiplications a Winograd evaluation spends: every tile
 /// element-wise multiplies an n x n transformed patch per channel pair.
 [[nodiscard]] constexpr long long winograd_mults(long long tiles, int n,

@@ -26,7 +26,6 @@ std::string_view to_string(ConvAlgo a) {
   switch (a) {
     case ConvAlgo::kConventional: return "conventional";
     case ConvAlgo::kWinograd: return "winograd";
-    case ConvAlgo::kWinogradStride2: return "winograd-s2";
     case ConvAlgo::kNone: return "-";
   }
   return "?";
@@ -37,8 +36,6 @@ bool algo_from_string(std::string_view s, ConvAlgo& out) {
     out = ConvAlgo::kConventional;
   } else if (s == "winograd") {
     out = ConvAlgo::kWinograd;
-  } else if (s == "winograd-s2") {
-    out = ConvAlgo::kWinogradStride2;
   } else if (s == "-") {
     out = ConvAlgo::kNone;
   } else {
@@ -89,16 +86,6 @@ long long EngineModel::algo_mults(const nn::Layer& layer,
       const long long tiles =
           cost::winograd_tile_count(layer.out.h, layer.out.w, cfg.wino_m);
       return cost::winograd_mults(tiles, n, layer.conv_fan_in(), layer.out.c);
-    }
-    case ConvAlgo::kWinogradStride2: {
-      const auto& p = layer.conv();
-      const int r = (p.kernel + 1) / 2;
-      const int n = cfg.wino_m + r - 1;
-      const long long tiles =
-          cost::winograd_tile_count(layer.out.h, layer.out.w, cfg.wino_m);
-      // four polyphase components
-      return 4 * cost::winograd_mults(tiles, n, layer.conv_fan_in(),
-                                      layer.out.c);
     }
     case ConvAlgo::kNone: {
       if (layer.kind == nn::LayerKind::kLrn) {
@@ -155,28 +142,7 @@ Implementation EngineModel::implement_conv(const nn::Layer& layer,
 
   long long line_rows = 0;
   long long cycles = 0;
-  if (cfg.algo == ConvAlgo::kWinogradStride2) {
-    if (cp.stride != 2 || K < 2 || K > 7) {
-      throw std::invalid_argument(
-          "stride-2 winograd requires stride 2 and kernel in [2,7] (layer '" +
-          layer.name + "')");
-    }
-    const int m = cfg.wino_m;
-    const int r = (K + 1) / 2;
-    const int n = m + r - 1;
-    // One phase engine of n^2 multipliers, iterated over the four phases:
-    // 4 cycles per (tile, tn-, tm-) pass.
-    const long long tiles = cost::winograd_tile_count(layer.out.h, layer.out.w, m);
-    cycles = cost::conv_cycles_winograd_stride2(M, N, cfg.tn, cfg.tm, tiles);
-    // An output block of m rows touches 2(m-1)+K input rows; double for the
-    // rows streaming in behind it.
-    line_rows = 2ll * (2 * (m - 1) + K);
-    ipl.res.dsp = static_cast<long long>(n) * n * cfg.tn * cfg.tm;
-    ipl.res.lut = static_cast<long long>(
-        p_.base_lut + p_.lut_per_mult_wino * ipl.res.dsp);
-    ipl.res.ff = static_cast<long long>(
-        p_.base_ff + p_.ff_per_mult_wino * ipl.res.dsp);
-  } else if (cfg.algo == ConvAlgo::kWinograd) {
+  if (cfg.algo == ConvAlgo::kWinograd) {
     if (!winograd_ok(layer)) {
       throw std::invalid_argument(
           "winograd requires stride 1 and kernel in [2,7] (layer '" +
@@ -256,12 +222,8 @@ Implementation EngineModel::implement_conv(const nn::Layer& layer,
 
   // Priming: the first K (or tile-reach) input rows must arrive before
   // output row 0.
-  int prime_rows = K;
-  if (cfg.algo == ConvAlgo::kWinograd) {
-    prime_rows = cfg.wino_m + K - 1;
-  } else if (cfg.algo == ConvAlgo::kWinogradStride2) {
-    prime_rows = 2 * (cfg.wino_m - 1) + K;
-  }
+  const int prime_rows =
+      cfg.algo == ConvAlgo::kWinograd ? cfg.wino_m + K - 1 : K;
   ipl.fill_cycles = cost::line_fill_cycles(prime_rows, layer.in.w, Mc,
                                            p_.fifo_words_per_cycle);
 
@@ -272,8 +234,7 @@ Implementation EngineModel::implement_conv(const nn::Layer& layer,
     ipl.res.lut += static_cast<long long>(p_.protect_lut_per_engine);
     ipl.res.ff += static_cast<long long>(p_.protect_ff_per_engine);
     ipl.res.bram18k += p_.protect_bram_per_engine;
-    if (cfg.algo == ConvAlgo::kWinograd ||
-        cfg.algo == ConvAlgo::kWinogradStride2) {
+    if (cfg.algo == ConvAlgo::kWinograd) {
       ipl.res.lut += static_cast<long long>(p_.protect_lut_per_wino_lane *
                                             static_cast<double>(ipl.res.dsp));
     }
@@ -464,27 +425,6 @@ std::vector<EngineConfig> EngineModel::candidates(
       }
       auto l8 = pareto_ladder(std::move(conv8), p_.ladder_ratio);
       out.insert(out.end(), l8.begin(), l8.end());
-    }
-
-    if (p_.enable_stride2_winograd && p_.enable_winograd && cp.stride == 2 &&
-        K >= 2 && K <= 7) {
-      const int m = p_.wino_tile_m;
-      const int r2 = (K + 1) / 2;
-      const int n2 = m + r2 - 1;
-      const long long tiles =
-          cost::winograd_tile_count(layer.out.h, layer.out.w, m);
-      std::vector<RatedConfig> s2;
-      for (int tn : tns) {
-        for (int tm : tms) {
-          EngineConfig c{ConvAlgo::kWinogradStride2, tn, tm, 1, m};
-          if (static_cast<long long>(n2) * n2 * tn * tm > dsp_cap) continue;
-          const long long cycles =
-              cost::conv_cycles_winograd_stride2(M, N, tn, tm, tiles);
-          s2.push_back({c, cycles, c.parallelism(K)});
-        }
-      }
-      auto sl = pareto_ladder(std::move(s2), p_.ladder_ratio);
-      out.insert(out.end(), sl.begin(), sl.end());
     }
 
     if (p_.enable_winograd && winograd_ok(layer)) {

@@ -17,18 +17,16 @@
 namespace hetacc::fpga {
 
 enum class ConvAlgo : std::uint8_t {
-  kConventional,     ///< direct convolution (paper Eq. 1)
-  kWinograd,         ///< minimal filtering F(m x m, r x r) (paper Eq. 3)
-  kWinogradStride2,  ///< polyphase decomposition + F(m, ceil(K/2)) phases
-                     ///< (extension beyond the paper's stride-1 rule)
-  kNone,             ///< non-conv layers (pool / LRN / ReLU)
+  kConventional,  ///< direct convolution (paper Eq. 1)
+  kWinograd,      ///< minimal filtering F(m x m, r x r) (paper Eq. 3)
+  kNone,          ///< non-conv layers (pool / LRN / ReLU)
 };
 
 [[nodiscard]] std::string_view to_string(ConvAlgo a);
 
-/// Inverse of to_string: recognizes "conventional", "winograd",
-/// "winograd-s2" and "-". Returns false for anything else (the strategy-CSV
-/// parser reports its own typed error with line context).
+/// Inverse of to_string: recognizes "conventional", "winograd" and "-".
+/// Returns false for anything else (the strategy-CSV parser reports its own
+/// typed error with line context).
 [[nodiscard]] bool algo_from_string(std::string_view s, ConvAlgo& out);
 
 struct EngineConfig;
@@ -59,15 +57,10 @@ struct EngineConfig {
 
   /// Multiplier lanes issued per cycle; equals the DSP demand for conv
   /// engines. Winograd engines hold an (m+r-1)^2 multiplier array per
-  /// (tn, tm) channel pair; the stride-2 variant shares one phase engine
-  /// sized for the ceil(K/2)-tap phase kernels across the four phases.
+  /// (tn, tm) channel pair.
   [[nodiscard]] int parallelism(int kernel = 3) const {
     if (algo == ConvAlgo::kWinograd) {
       const int n = wino_m + kernel - 1;
-      return n * n * tn * tm;
-    }
-    if (algo == ConvAlgo::kWinogradStride2) {
-      const int n = wino_m + (kernel + 1) / 2 - 1;
       return n * n * tn * tm;
     }
     if (algo == ConvAlgo::kConventional) return tn * tm * tk;
@@ -126,9 +119,6 @@ struct EngineModelParams {
   // Extension beyond the paper: let Algorithm 2 choose the tile size per
   // layer from {2, 4, 6} instead of the uniform wino_tile_m.
   bool explore_wino_tiles = false;
-  // Extension beyond the paper: offer the polyphase stride-2 Winograd
-  // decomposition for stride-2 convolutions (ResNet-style layers).
-  bool enable_stride2_winograd = false;
   // Extension beyond the paper: offer int8 twins of every conventional conv
   // candidate. Two int8 multiplies pack into one DSP48E (port chaining), the
   // on-chip weight footprint and the weight DDR traffic halve, and the line
@@ -159,8 +149,11 @@ class EngineModel {
   [[nodiscard]] const Device& device() const { return dev_; }
   [[nodiscard]] const EngineModelParams& params() const { return p_; }
 
-  /// Evaluates one (layer, algo, parallelism) choice. Throws if the
-  /// combination is structurally invalid (e.g. Winograd on stride 2).
+  /// Evaluates one (layer, algo, parallelism) choice. Throws
+  /// std::invalid_argument if the combination is structurally invalid: a
+  /// Winograd engine on a layer winograd_ok() rejects (stride 2 included),
+  /// an int8 engine that is not conventional, or a conv algorithm on a
+  /// non-conv layer and vice versa.
   [[nodiscard]] Implementation implement(const nn::Layer& layer,
                                          EngineConfig cfg) const;
 
@@ -179,8 +172,9 @@ class EngineModel {
   [[nodiscard]] std::shared_ptr<const std::vector<Implementation>>
   implementations(const nn::Layer& layer) const;
 
-  /// True if the Winograd algorithm can implement this layer (paper §2.1:
-  /// small kernel, stride 1).
+  /// True if the Winograd algorithm can implement this layer (paper §2.1):
+  /// a conv layer with stride 1 and a kernel of 2 to 7. The one
+  /// applicability rule for Winograd in the code base.
   [[nodiscard]] static bool winograd_ok(const nn::Layer& layer);
 
   /// Scalar multiplications the given algorithm spends on the layer.

@@ -44,8 +44,6 @@ TEST(CostModel, WinogradCyclesAndTiles) {
   EXPECT_EQ(cost::winograd_tile_count(13, 13, 4), 4 * 4);
   EXPECT_EQ(cost::conv_cycles_winograd(64, 64, 4, 8, 196),
             196ll * 16 * 8);
-  EXPECT_EQ(cost::conv_cycles_winograd_stride2(64, 64, 4, 8, 196),
-            4 * cost::conv_cycles_winograd(64, 64, 4, 8, 196));
   // F(4x4, 3x3): each tile spends n^2 = 36 multiplies per channel pair.
   EXPECT_EQ(cost::winograd_mults(196, 6, 64, 128), 196ll * 36 * 64 * 128);
 }

@@ -28,6 +28,7 @@
 #include "algo/winograd_conv.h"
 #include "arch/pipeline.h"
 #include "fixed/fixed16.h"
+#include "fpga/engine_model.h"
 #include "kernels/arena.h"
 #include "kernels/gemm.h"
 #include "kernels/lanes.h"
@@ -252,7 +253,14 @@ TEST(ConvKernels, RandomGeometriesAgreeAcrossAlgorithms) {
     EXPECT_LE(fast.max_abs_diff(direct), 1e-4f);
     EXPECT_LE(im2col.max_abs_diff(direct), 1e-4f);
 
-    if (algo::winograd_applicable(c.k, c.stride)) {
+    nn::Layer layer;  // the case as a conv layer, for the one Winograd rule
+    layer.kind = nn::LayerKind::kConv;
+    layer.param = nn::ConvParam{.out_channels = c.out_c,
+                                .kernel = c.k,
+                                .stride = c.stride,
+                                .pad = c.pad,
+                                .fused_relu = relu};
+    if (fpga::EngineModel::winograd_ok(layer)) {
       for (int m : {2, 4}) {
         const algo::WinogradTransform t = algo::winograd(m, c.k);
         const Tensor wino = algo::winograd_conv(t, in, f, bias, c.pad, relu);

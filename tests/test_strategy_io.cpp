@@ -232,7 +232,7 @@ TEST_F(StrategyIoTest, GarbledCsvRejectsWithLineNumbers) {
 
   // Unknown algorithm token.
   std::string bad_algo = row1;
-  for (const char* a : {"winograd-s2", "winograd", "conventional"}) {
+  for (const char* a : {"winograd", "conventional"}) {
     const std::size_t p = bad_algo.find(a);
     if (p != std::string::npos) {
       bad_algo.replace(p, std::strlen(a), "quantum");
@@ -242,6 +242,23 @@ TEST_F(StrategyIoTest, GarbledCsvRejectsWithLineNumbers) {
   EXPECT_THROW((void)strategy_from_csv(
                    header + "\n" + bad_algo + "\n" + rest, net_, dev_),
                ParseError);
+
+  // A stored row naming `winograd-s2`, which is no algorithm of the design
+  // space: a typed parse error (exit 2) with the row's line number.
+  std::string s2_row = row1;
+  std::size_t algo_at = 0;
+  for (int f = 0; f < 4; ++f) algo_at = s2_row.find(',', algo_at) + 1;
+  s2_row.replace(algo_at, s2_row.find(',', algo_at) - algo_at, "winograd-s2");
+  try {
+    (void)strategy_from_csv(header + "\n" + s2_row + "\n" + rest, net_,
+                            dev_);
+    FAIL() << "expected ParseError";
+  } catch (const ParseError& e) {
+    EXPECT_EQ(e.line(), 2);
+    EXPECT_EQ(e.exit_code(), 2);
+    EXPECT_NE(std::string(e.what()).find("unknown algorithm 'winograd-s2'"),
+              std::string::npos);
+  }
 }
 
 TEST_F(StrategyIoTest, ShuffledGroupIndicesRejected) {
