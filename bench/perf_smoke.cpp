@@ -19,7 +19,12 @@
 //     stay out of it. Both counters come from the same process, so the
 //     gate holds on any machine; it catches an OS call creeping into the
 //     per-dispatch path (a per-call sysfs read of the core count once cost
-//     the serving fleet half its CPU).
+//     the serving fleet half its CPU). System time is charged in 4 ms
+//     ticks, so the loop runs 30 rounds, about 2-4 s of CPU on a 4-vCPU
+//     AVX2 VM: a per-call std::thread::hardware_concurrency() in
+//     kernels::resolve_threads read 5.8-7.3% there (FAIL in 8 of 8 Release
+//     runs) and clean code 0.0%. With 5 rounds (about 0.4 s) the same
+//     probe failed only 5 runs in 8.
 //  4. Streaming overhead: a one-layer FusionPipeline on AlexNet conv4's
 //     geometry (13x13, 384 -> 384, Winograd F(4,3)) must run within 1.5x of
 //     algo::winograd_conv_pretransformed on the same input, and within 1.5x
@@ -157,6 +162,10 @@ double best_ms(const std::function<void()>& fn, int reps) {
 
 volatile float g_sink = 0.0f;
 
+/// Timed rounds of the kernel loop (gates 2, 3 and 7); gate 3 needs them
+/// long, see the header.
+constexpr int kKernelRounds = 30;
+
 struct Measurement {
   const char* kernel;
   double ms;
@@ -274,7 +283,7 @@ int main(int argc, char** argv) {
        }}};
   std::vector<std::function<void()>> kernel_fns;
   for (const Kernel& k : kernels_timed) kernel_fns.push_back(k.fn);
-  const Rounds kernel_rounds = interleaved_rounds(kernel_fns, 5);
+  const Rounds kernel_rounds = interleaved_rounds(kernel_fns, kKernelRounds);
   std::vector<Measurement> measured;
   for (std::size_t i = 0; i < kernels_timed.size(); ++i) {
     measured.push_back({kernels_timed[i].name, kernel_rounds.best(i)});

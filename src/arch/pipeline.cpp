@@ -52,6 +52,49 @@ void write_row(const Row& r, nn::Tensor& t, int h) {
   }
 }
 
+/// Checks the (net, choices) pair every constructor takes; empty choices
+/// mean all-conventional float.
+std::vector<LayerChoice> checked_choices(const nn::Network& net,
+                                         std::vector<LayerChoice> choices) {
+  if (net.empty() || net[0].kind != nn::LayerKind::kInput) {
+    throw std::invalid_argument("FusionPipeline: net must start with input");
+  }
+  const std::size_t layer_count = net.size() - 1;
+  if (choices.empty()) choices.resize(layer_count);
+  if (choices.size() != layer_count) {
+    throw std::invalid_argument("FusionPipeline: choices size mismatch");
+  }
+  return choices;
+}
+
+/// Engine-index ranges [lo, hi) in layer order (engine k is layer k + 1). A
+/// run is a maximal sequence of single-input layers in which each layer
+/// feeds only the next; a merge layer is a range of its own.
+std::vector<std::pair<std::size_t, std::size_t>> find_runs(
+    const nn::Network& net) {
+  std::vector<int> fanout(net.size(), 0);
+  for (const nn::Layer& l : net) {
+    for (std::size_t u : l.inputs) ++fanout[u];
+  }
+  std::vector<std::pair<std::size_t, std::size_t>> runs;
+  for (std::size_t i = 1; i < net.size(); ++i) {
+    const bool joins = i > 1 && !net[i].is_merge() && !net[i - 1].is_merge() &&
+                       net[i].inputs.front() == i - 1 && fanout[i - 1] == 1;
+    if (joins) {
+      ++runs.back().second;
+    } else {
+      runs.emplace_back(i - 1, i);
+    }
+  }
+  return runs;
+}
+
+/// Fault stream of the store FIFO of the run ending at engine hi - 1 in a
+/// net of n engines: channel n for the net's output, past n otherwise.
+std::uint64_t store_channel(std::size_t n, std::size_t hi) {
+  return hi == n ? n : n + hi;
+}
+
 }  // namespace
 
 long long PrepackBundle::resident_bytes() const {
@@ -98,15 +141,8 @@ std::uint32_t PrepackBundle::content_crc() const {
 FusionPipeline::FusionPipeline(const nn::Network& net,
                                const nn::WeightStore& ws,
                                std::vector<LayerChoice> choices)
-    : net_(net), ws_(ws), choices_(std::move(choices)) {
-  if (net_.empty() || net_[0].kind != nn::LayerKind::kInput) {
-    throw std::invalid_argument("FusionPipeline: net must start with input");
-  }
-  const std::size_t layer_count = net_.size() - 1;
-  if (choices_.empty()) choices_.resize(layer_count);
-  if (choices_.size() != layer_count) {
-    throw std::invalid_argument("FusionPipeline: choices size mismatch");
-  }
+    : net_(net), ws_(ws), choices_(checked_choices(net, std::move(choices))),
+      runs_(find_runs(net)) {
   derive_layer_constants();
   engines_ = build_engine_set();
 }
@@ -115,16 +151,9 @@ FusionPipeline::FusionPipeline(const nn::Network& net,
                                const nn::WeightStore& ws,
                                std::vector<LayerChoice> choices,
                                std::shared_ptr<const PrepackBundle> prepack)
-    : net_(net), ws_(ws), choices_(std::move(choices)),
-      prepack_(std::move(prepack)) {
-  if (net_.empty() || net_[0].kind != nn::LayerKind::kInput) {
-    throw std::invalid_argument("FusionPipeline: net must start with input");
-  }
-  const std::size_t layer_count = net_.size() - 1;
-  if (choices_.empty()) choices_.resize(layer_count);
-  if (choices_.size() != layer_count) {
-    throw std::invalid_argument("FusionPipeline: choices size mismatch");
-  }
+    : net_(net), ws_(ws), choices_(checked_choices(net, std::move(choices))),
+      runs_(find_runs(net)), prepack_(std::move(prepack)) {
+  const std::size_t layer_count = choices_.size();
   if (!prepack_ || prepack_->wino.size() != layer_count ||
       prepack_->packed.size() != layer_count ||
       prepack_->int8.size() != layer_count) {
@@ -260,8 +289,8 @@ std::vector<std::unique_ptr<StreamEngine>> FusionPipeline::build_engine_set()
   for (std::size_t i = 0; i + 1 < net_.size(); ++i) {
     const nn::Layer& l = net_[i + 1];
     if (l.is_merge()) {
-      // Merge layers run on whole tensors between streams (run_dag); the
-      // engine slot stays null to keep choices_/engines_ index-aligned.
+      // Merge layers run on whole tensors between runs (walk); the engine
+      // slot stays null to keep choices_/engines_ index-aligned.
       engines.push_back(nullptr);
       continue;
     }
@@ -279,14 +308,7 @@ std::vector<std::unique_ptr<StreamEngine>> FusionPipeline::build_engine_set()
 }
 
 nn::Tensor FusionPipeline::run(const nn::Tensor& input) {
-  return run_any(engines_, input, &stats_);
-}
-
-nn::Tensor FusionPipeline::run_any(
-    std::vector<std::unique_ptr<StreamEngine>>& engines,
-    const nn::Tensor& input, PipelineStats* stats) const {
-  return net_.is_chain() ? run_with(engines, input, stats)
-                         : run_dag(engines, input, stats);
+  return walk(engines_, input, &stats_);
 }
 
 std::vector<nn::Tensor> FusionPipeline::run_batch(
@@ -306,39 +328,68 @@ std::vector<nn::Tensor> FusionPipeline::run_batch(
       inputs.size(), per, threads, [&](std::size_t lo, std::size_t hi) {
         auto engines = build_engine_set();
         for (std::size_t i = lo; i < hi; ++i) {
-          outs[i] = run_any(engines, inputs[i], nullptr);
+          outs[i] = walk(engines, inputs[i], nullptr);
         }
       });
   return outs;
 }
 
-nn::Tensor FusionPipeline::run_with(
+nn::Tensor FusionPipeline::walk(
     std::vector<std::unique_ptr<StreamEngine>>& engines,
     const nn::Tensor& input, PipelineStats* stats) const {
-  // Fresh engine state per image (the hardware resets its line-buffer
-  // counters between frames); layer constants survive the reset.
-  for (auto& e : engines) e->reset();
   if (input.shape() != net_[0].out) {
     throw std::invalid_argument("FusionPipeline::run: input shape " +
                                 input.shape().str() + " != " +
                                 net_[0].out.str());
   }
-  const std::size_t n = engines.size();
-  std::vector<RowFifo> fifos(n + 1);
-  if (injector_) {
-    // Channel i feeds engine i; channel n is the store stream. Engines use
-    // their layer index as the line-buffer injection stream.
-    for (std::size_t i = 0; i <= n; ++i) {
-      fifos[i].attach_fault(injector_.get(), static_cast<std::uint64_t>(i));
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      engines[i]->set_fault_injector(injector_.get(),
-                                     static_cast<std::uint64_t>(i));
-    }
+  // Fresh engine state per image (the hardware resets its line-buffer
+  // counters between frames); layer constants survive the reset.
+  for (auto& e : engines) {
+    if (e) e->reset();
   }
   if (stats) *stats = PipelineStats{};
+  if (runs_.empty()) return input;
+  // Whole tensors exist only where a run ends or a merge combines them —
+  // which is how the generated design stages branch arms through DDR. A
+  // chain is one run streamed straight from the caller's input.
+  std::vector<nn::Tensor> outs(net_.size());
+  const auto tensor = [&](std::size_t layer) -> const nn::Tensor& {
+    return layer == 0 ? input : outs[layer];
+  };
+  for (const auto& [lo, hi] : runs_) {
+    const nn::Layer& l = net_[hi];
+    if (!l.is_merge()) {
+      outs[hi] = stream(engines, lo, hi, tensor(net_[lo + 1].inputs.front()),
+                        stats);
+      continue;
+    }
+    std::vector<const nn::Tensor*> ins;
+    ins.reserve(l.inputs.size());
+    for (std::size_t u : l.inputs) ins.push_back(&tensor(u));
+    outs[hi] = l.kind == nn::LayerKind::kConcat
+                   ? nn::concat_reference(ins)
+                   : nn::eltwise_add_reference(ins);
+  }
+  return std::move(outs.back());
+}
 
-  const nn::Shape out_shape = net_[net_.size() - 1].out;
+nn::Tensor FusionPipeline::stream(
+    std::vector<std::unique_ptr<StreamEngine>>& engines, std::size_t lo,
+    std::size_t hi, const nn::Tensor& input, PipelineStats* stats) const {
+  // fifos[k] is channel lo + k, feeding engine lo + k; fifos[n] is the run's
+  // store stream. Engines use their index as the line-buffer stream.
+  const std::size_t n = hi - lo;
+  const std::uint64_t store = store_channel(engines.size(), hi);
+  std::vector<RowFifo> fifos(n + 1);
+  if (injector_) {
+    for (std::size_t k = 0; k < n; ++k) {
+      fifos[k].attach_fault(injector_.get(), lo + k);
+      engines[lo + k]->set_fault_injector(injector_.get(), lo + k);
+    }
+    fifos[n].attach_fault(injector_.get(), store);
+  }
+
+  const nn::Shape out_shape = net_[hi].out;
   nn::Tensor out(out_shape);
   int out_rows = 0;
   int fed_rows = 0;
@@ -351,7 +402,8 @@ nn::Tensor FusionPipeline::run_with(
   while (out_rows < out_shape.h) {
     if (cancel_ && cancel_->load(std::memory_order_relaxed)) {
       throw ServeError(ServeError::Reason::kCancelled,
-                       "pipeline run cancelled after emitting " +
+                       "pipeline run cancelled in stage '" +
+                           net_[hi].name + "' after emitting " +
                            std::to_string(out_rows) + "/" +
                            std::to_string(out_shape.h) + " output rows");
     }
@@ -364,8 +416,8 @@ nn::Tensor FusionPipeline::run_with(
     bool progressed = true;
     while (progressed) {
       progressed = false;
-      for (std::size_t i = 0; i < n; ++i) {
-        while (engines[i]->step(fifos[i], fifos[i + 1])) {
+      for (std::size_t k = 0; k < n; ++k) {
+        while (engines[lo + k]->step(fifos[k], fifos[k + 1])) {
           progressed = true;
           if (stats) ++stats->total_steps;
         }
@@ -386,178 +438,58 @@ nn::Tensor FusionPipeline::run_with(
       // feeder cannot either (input exhausted, or the input channel is
       // refusing traffic), the pipeline is deadlocked.
       bool anything = false;
-      for (std::size_t i = 0; i < n && !anything; ++i) {
-        anything = engines[i]->step(fifos[i], fifos[i + 1]);
+      for (std::size_t k = 0; k < n && !anything; ++k) {
+        anything = engines[lo + k]->step(fifos[k], fifos[k + 1]);
       }
-      if (!anything && fifos[n].empty()) {
-        report_stall(engines, fifos);
-      }
+      if (!anything && fifos[n].empty()) report_stall(engines, fifos, lo);
     }
   }
 
-  if (stats) {
-    stats->fifo_max_occupancy.clear();
-    for (const auto& f : fifos) {
-      stats->fifo_max_occupancy.push_back(f.max_occupancy());
-    }
-  }
-  return out;
-}
-
-nn::Tensor FusionPipeline::run_dag(
-    std::vector<std::unique_ptr<StreamEngine>>& engines,
-    const nn::Tensor& input, PipelineStats* stats) const {
-  // Graph walk: each single-input layer streams row-by-row through its
-  // engine with a private FIFO pair (same feed/sweep/drain discipline as the
-  // chained path); merge layers gather their producers' whole feature maps
-  // and combine them between streams, which is how the generated design
-  // stages branch arms through DDR today.
-  for (auto& e : engines) {
-    if (e) e->reset();
-  }
-  if (input.shape() != net_[0].out) {
-    throw std::invalid_argument("FusionPipeline::run: input shape " +
-                                input.shape().str() + " != " +
-                                net_[0].out.str());
-  }
-  if (stats) {
-    *stats = PipelineStats{};
-    stats->fifo_max_occupancy.assign(net_.size(), 0);
-  }
-  std::vector<nn::Tensor> outs;
-  outs.reserve(net_.size());
-  outs.push_back(input);
-  for (std::size_t i = 1; i < net_.size(); ++i) {
-    const nn::Layer& l = net_[i];
-    if (l.is_merge()) {
-      std::vector<const nn::Tensor*> ins;
-      ins.reserve(l.inputs.size());
-      for (std::size_t u : l.inputs) ins.push_back(&outs[u]);
-      outs.push_back(l.kind == nn::LayerKind::kConcat
-                         ? nn::concat_reference(ins)
-                         : nn::eltwise_add_reference(ins));
-      continue;
-    }
-    outs.push_back(stream_layer(*engines[i - 1], outs[l.inputs.front()],
-                                l.out, stats, i - 1));
-  }
-  return std::move(outs.back());
-}
-
-nn::Tensor FusionPipeline::stream_layer(StreamEngine& eng,
-                                        const nn::Tensor& input,
-                                        const nn::Shape& out_shape,
-                                        PipelineStats* stats,
-                                        std::size_t engine_idx) const {
-  RowFifo in_fifo;
-  RowFifo out_fifo;
-  if (injector_) {
-    // Same stream ids as the chained path: channel i feeds engine i, and the
-    // engine uses its layer index as the line-buffer injection stream.
-    in_fifo.attach_fault(injector_.get(),
-                         static_cast<std::uint64_t>(engine_idx));
-    out_fifo.attach_fault(injector_.get(),
-                          static_cast<std::uint64_t>(engine_idx + 1));
-    eng.set_fault_injector(injector_.get(),
-                           static_cast<std::uint64_t>(engine_idx));
-  }
-  nn::Tensor out(out_shape);
-  int out_rows = 0;
-  int fed_rows = 0;
-  while (out_rows < out_shape.h) {
-    if (cancel_ && cancel_->load(std::memory_order_relaxed)) {
-      throw ServeError(ServeError::Reason::kCancelled,
-                       "pipeline run cancelled in stage '" +
-                           eng.layer().name + "' after emitting " +
-                           std::to_string(out_rows) + "/" +
-                           std::to_string(out_shape.h) + " output rows");
-    }
-    const bool can_feed = fed_rows < input.shape().h && !in_fifo.full();
-    if (can_feed) {
-      in_fifo.push(read_row(input, fed_rows));
-      ++fed_rows;
-    }
-
-    bool progressed = true;
-    while (progressed) {
-      progressed = false;
-      while (eng.step(in_fifo, out_fifo)) {
-        progressed = true;
-        if (stats) ++stats->total_steps;
-      }
-      while (!out_fifo.empty()) {
-        const Row r = out_fifo.pop();
-        if (out_rows >= out_shape.h) {
-          throw std::runtime_error("pipeline produced too many rows");
-        }
-        write_row(r, out, out_rows);
-        ++out_rows;
-        progressed = true;
-      }
-    }
-    if (!can_feed && out_rows < out_shape.h && !progressed) {
-      if (!eng.step(in_fifo, out_fifo) && out_fifo.empty()) {
-        if (in_fifo.wedged() || out_fifo.wedged()) {
-          const std::size_t ch = in_fifo.wedged() ? engine_idx : engine_idx + 1;
-          if (injector_) {
-            const RowFifo& f = in_fifo.wedged() ? in_fifo : out_fifo;
-            injector_->count_unrecovered(
-                fault::FaultSite::kFifoPush, static_cast<std::uint64_t>(ch),
-                static_cast<std::uint64_t>(f.total_pushed()), 0);
-          }
-          throw FaultError(
-              "pipeline watchdog: FIFO channel " + std::to_string(ch) +
-                  " feeding stage '" + eng.layer().name + "' wedged",
-              eng.layer().name, static_cast<long long>(ch));
-        }
-        throw FaultError("pipeline watchdog: stage '" + eng.layer().name +
-                             "' starved (input exhausted)",
-                         eng.layer().name,
-                         static_cast<long long>(engine_idx));
-      }
-    }
-  }
   if (stats) {
     auto& occ = stats->fifo_max_occupancy;
-    occ[engine_idx] = std::max(occ[engine_idx], in_fifo.max_occupancy());
-    occ[engine_idx + 1] =
-        std::max(occ[engine_idx + 1], out_fifo.max_occupancy());
+    occ.resize(std::max<std::size_t>(occ.size(), store + 1));
+    for (std::size_t k = 0; k < n; ++k) occ[lo + k] = fifos[k].max_occupancy();
+    occ[store] = fifos[n].max_occupancy();
   }
   return out;
 }
 
 void FusionPipeline::report_stall(
     const std::vector<std::unique_ptr<StreamEngine>>& engines,
-    const std::vector<RowFifo>& fifos) const {
-  // The DATAFLOW watchdog: no engine made progress, no input remains, and
-  // the store stream is empty. Diagnose which stage wedged instead of
-  // hanging (the hardware's watchdog timer raises an interrupt with the
-  // stalled stream's id; here the "interrupt" is a structured FaultError).
-  const std::size_t n = engines.size();
-  for (std::size_t i = 0; i < fifos.size(); ++i) {
-    if (!fifos[i].wedged()) continue;
+    const std::vector<RowFifo>& fifos, std::size_t lo) const {
+  // The DATAFLOW watchdog: no engine of the run made progress, no input
+  // remains, and the store stream is empty. Diagnose which stage wedged
+  // instead of hanging (the hardware's watchdog timer raises an interrupt
+  // with the stalled stream's id; here the "interrupt" is a structured
+  // FaultError).
+  const std::size_t n = fifos.size() - 1;
+  for (std::size_t k = 0; k <= n; ++k) {
+    if (!fifos[k].wedged()) continue;
+    const std::uint64_t ch =
+        k < n ? lo + k : store_channel(engines.size(), lo + n);
     const std::string stage =
-        i < n ? engines[i]->layer().name : std::string("store");
+        k < n ? engines[lo + k]->layer().name : std::string("store");
     if (injector_) {
-      injector_->count_unrecovered(fault::FaultSite::kFifoPush,
-                                   static_cast<std::uint64_t>(i),
+      injector_->count_unrecovered(fault::FaultSite::kFifoPush, ch,
                                    static_cast<std::uint64_t>(
-                                       fifos[i].total_pushed()),
+                                       fifos[k].total_pushed()),
                                    0);
     }
-    throw FaultError("pipeline watchdog: FIFO channel " + std::to_string(i) +
+    throw FaultError("pipeline watchdog: FIFO channel " + std::to_string(ch) +
                          " feeding stage '" + stage +
                          "' wedged after " +
-                         std::to_string(fifos[i].total_pushed()) + " pushes",
-                     stage, static_cast<long long>(i));
+                         std::to_string(fifos[k].total_pushed()) + " pushes",
+                     stage, static_cast<long long>(ch));
   }
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!engines[i]->done()) {
+  for (std::size_t k = 0; k < n; ++k) {
+    const StreamEngine& e = *engines[lo + k];
+    if (!e.done()) {
       throw FaultError(
-          "pipeline watchdog: stage '" + engines[i]->layer().name +
-              "' starved (in fifo " + (fifos[i].empty() ? "empty" : "ready") +
-              ", out fifo " + (fifos[i + 1].full() ? "full" : "ready") + ")",
-          engines[i]->layer().name, static_cast<long long>(i));
+          "pipeline watchdog: stage '" + e.layer().name +
+              "' starved (in fifo " + (fifos[k].empty() ? "empty" : "ready") +
+              ", out fifo " +
+              (fifos[k + 1].full() ? "full" : "ready") + ")",
+          e.layer().name, static_cast<long long>(lo + k));
     }
   }
   throw FaultError("pipeline watchdog: stalled with all engines done", "");

@@ -15,6 +15,7 @@
 #include <cstddef>
 #include <limits>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "arch/engines.h"
@@ -34,7 +35,7 @@ struct LayerChoice {
 };
 
 struct PipelineStats {
-  std::vector<std::size_t> fifo_max_occupancy;  ///< per inter-layer channel
+  std::vector<std::size_t> fifo_max_occupancy;  ///< per FIFO channel id
   long long total_steps = 0;
 };
 
@@ -158,26 +159,30 @@ class FusionPipeline {
  private:
   [[nodiscard]] std::vector<std::unique_ptr<StreamEngine>> build_engine_set()
       const;
-  /// Dispatches to the chained-FIFO path on chain nets and the graph walk
-  /// (per-layer streams + tensor merges) otherwise.
-  nn::Tensor run_any(std::vector<std::unique_ptr<StreamEngine>>& engines,
-                     const nn::Tensor& input, PipelineStats* stats) const;
-  nn::Tensor run_with(std::vector<std::unique_ptr<StreamEngine>>& engines,
-                      const nn::Tensor& input, PipelineStats* stats) const;
-  nn::Tensor run_dag(std::vector<std::unique_ptr<StreamEngine>>& engines,
-                     const nn::Tensor& input, PipelineStats* stats) const;
-  nn::Tensor stream_layer(StreamEngine& eng, const nn::Tensor& input,
-                          const nn::Shape& out_shape, PipelineStats* stats,
-                          std::size_t engine_idx) const;
+  /// Streams each run of engines and combines each merge layer's whole
+  /// input tensors, in layer order.
+  nn::Tensor walk(std::vector<std::unique_ptr<StreamEngine>>& engines,
+                  const nn::Tensor& input, PipelineStats* stats) const;
+  /// Streams `input` through engines [lo, hi) chained by FIFOs. Channel k
+  /// feeds engine k; the store stream is channel n (the engine count) when
+  /// the run ends the net and n + hi otherwise, so every FIFO of an image is
+  /// its own fault stream.
+  nn::Tensor stream(std::vector<std::unique_ptr<StreamEngine>>& engines,
+                    std::size_t lo, std::size_t hi, const nn::Tensor& input,
+                    PipelineStats* stats) const;
 
   void derive_layer_constants();
+  /// The watchdog of the run whose first engine is `lo`: names the stage a
+  /// wedged channel feeds, else the first starved engine.
   [[noreturn]] void report_stall(
       const std::vector<std::unique_ptr<StreamEngine>>& engines,
-      const std::vector<RowFifo>& fifos) const;
+      const std::vector<RowFifo>& fifos, std::size_t lo) const;
 
   nn::Network net_;
   nn::WeightStore ws_;
   std::vector<LayerChoice> choices_;
+  /// The runs and merge layers as engine-index ranges [lo, hi), in order.
+  std::vector<std::pair<std::size_t, std::size_t>> runs_;
   /// Per-layer constants shared across engine sets — and, when adopted via
   /// the warm constructor, across whole pipelines.
   std::shared_ptr<const PrepackBundle> prepack_;

@@ -332,8 +332,8 @@ TEST(Pipeline, PoolOutputBytesArePinned) {
 }
 
 TEST(Pipeline, GlobalPoolAndDagOutputBytesArePinned) {
-  // A DAG streams each layer through FusionPipeline::stream_layer: a direct
-  // conv feeds an LRN arm (then ReLU) and a padded max-pool arm, and the
+  // A DAG streams as runs of chained engines with merges between them: a
+  // direct conv feeds an LRN -> ReLU run and a padded max-pool arm, and the
   // concat feeds 28x28 global average and max pools.
   Network net("elem-dag");
   net.input({6, 28, 28});

@@ -217,15 +217,102 @@ TEST_F(PipelineFaultTest, WatchdogNamesTheWedgedStage) {
   }
 }
 
+/// input -> a -> b, plus an input -> c arm, joined by a concat: a fused
+/// two-engine run, a one-engine run and a merge, on 8-row maps.
+nn::Network probe_dag() {
+  nn::Network net("probe-dag");
+  net.input({3, 8, 8});
+  const std::size_t a = net.conv_from(0, 4, 3, 1, 1, "a");
+  const std::size_t b = net.conv_from(a, 4, 3, 1, 1, "b");
+  const std::size_t c = net.conv_from(0, 4, 3, 1, 1, "c");
+  net.concat({b, c}, "cat");
+  return net;
+}
+
 TEST_F(PipelineFaultTest, MidPipelineWedgeBlamesTheConsumerStage) {
-  ASSERT_GT(net_.size(), 2u);
+  // Channel 1 carries engine 0's rows to engine 1: on the chain that is
+  // c1 -> c2, on the DAG a -> b. Either way the wedged channel feeds the
+  // second stage, and the watchdog reports how far the stream got.
+  const nn::Network dag = probe_dag();
+  const nn::WeightStore dag_ws = nn::WeightStore::deterministic(dag, 23);
+  nn::Tensor dag_in(dag[0].out);
+  nn::fill_deterministic(dag_in, 24);
+  struct Case {
+    const nn::Network& net;
+    const nn::WeightStore& ws;
+    const nn::Tensor& input;
+  };
+  for (const Case& c : {Case{net_, ws_, input_}, Case{dag, dag_ws, dag_in}}) {
+    ASSERT_GT(c.net.size(), 2u);
+    FusionPipeline pipe(c.net, c.ws);
+    FaultPlan p;
+    p.seed = 1;
+    p.wedge_channel = 1;
+    p.wedge_after_pushes = 3;
+    pipe.install_fault_plan(p, ProtectionConfig::all_on());
+    try {
+      (void)pipe.run(c.input);
+      ADD_FAILURE() << c.net.name() << ": wedged pipeline completed";
+    } catch (const FaultError& e) {
+      EXPECT_EQ(e.stage(), c.net[2].name) << c.net.name();
+      EXPECT_NE(std::string(e.what()).find("channel 1 feeding stage '" +
+                                           c.net[2].name +
+                                           "' wedged after 3 pushes"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+// ------------------------------------------------------ streamed fault pins --
+std::uint64_t output_hash(const nn::Tensor& t) {
+  std::uint64_t h = 1469598103934665603ull;  // FNV-1a
+  const auto* p = reinterpret_cast<const unsigned char*>(t.data());
+  for (std::size_t i = 0; i < t.vec().size() * sizeof(float); ++i) {
+    h = (h ^ p[i]) * 1099511628211ull;
+  }
+  return h;
+}
+
+TEST_F(PipelineFaultTest, ChainFaultRunBytesArePinned) {
+  // FIFO and line-buffer upsets land by (site, stream, event): the channel
+  // and engine numbering of the chained stream is part of the output bytes.
   FusionPipeline pipe(net_, ws_);
   FaultPlan p;
-  p.seed = 1;
-  p.wedge_channel = 1;  // channel between engine 0 and engine 1
-  p.wedge_after_pushes = 2;
-  pipe.install_fault_plan(p, ProtectionConfig::all_on());
-  EXPECT_THROW((void)pipe.run(input_), FaultError);
+  p.seed = 31;
+  p.fifo_corrupt_rate = 0.05;
+  p.line_buffer_flip_rate = 0.05;
+  pipe.install_fault_plan(p);  // detectors off
+  const nn::Tensor out = pipe.run(input_);
+  const auto stats = pipe.fault_stats();
+  EXPECT_EQ(output_hash(out), 0x2e4326fc0c33b086ull);
+  EXPECT_EQ(stats.injected[static_cast<std::size_t>(FaultSite::kFifoPush)], 4);
+  EXPECT_EQ(stats.injected[static_cast<std::size_t>(FaultSite::kLineBuffer)],
+            2);
+}
+
+TEST_F(PipelineFaultTest, DagFifoFlipsLandOncePerPush) {
+  // The probe DAG streams a -> b as one run (input, a -> b and store
+  // channels) and c as another (input and store): 5 FIFOs of 8 rows. Every
+  // FIFO is its own fault stream, so under a certain flip each push takes
+  // exactly one flip and no channel's flips cancel another's.
+  const nn::Network dag = probe_dag();
+  const nn::WeightStore ws = nn::WeightStore::deterministic(dag, 23);
+  nn::Tensor in(dag[0].out);
+  nn::fill_deterministic(in, 24);
+  FusionPipeline pipe(dag, ws);
+  FaultPlan p;
+  p.seed = 5;
+  p.fifo_corrupt_rate = 1.0;
+  pipe.install_fault_plan(p);
+  (void)pipe.run(in);
+  EXPECT_EQ(pipe.fault_stats().injected[static_cast<std::size_t>(
+                FaultSite::kFifoPush)],
+            40);
+  // The a -> b channel is fused, not staged through a whole map.
+  const auto& occ = pipe.stats().fifo_max_occupancy;
+  ASSERT_GT(occ.size(), 1u);
+  EXPECT_LE(occ[1], 3u);
 }
 
 // --------------------------------------------------------------- ddr replay --
