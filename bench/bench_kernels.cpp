@@ -10,7 +10,10 @@
 //
 // Emits a table and BENCH_kernels.json. Every row is stamped with the
 // machine it ran on (hardware thread count and
-// kernels::machine_topology_key()).
+// kernels::machine_topology_key()) and the SIMD stamp its kernels ran
+// (kernels::simd_stamp()). The kernel-layer paths run on the selected stamp
+// at every thread count, then once more single-threaded on each lower stamp
+// the CPU runs.
 
 #include <algorithm>
 #include <chrono>
@@ -24,10 +27,12 @@
 #include "kernels/blocking.h"
 #include "kernels/gemm.h"
 #include "kernels/parallel.h"
+#include "kernels/simd.h"
 #include "nn/reference.h"
 #include "support/hardware.h"
 
 using namespace hetacc;
+using kernels::simd::Stamp;
 
 namespace {
 
@@ -57,6 +62,7 @@ struct Timing {
 
 struct Record {
   std::string kernel;
+  const char* stamp;  // kernels::simd_stamp() while the row was timed
   Geometry g;
   int threads;
   Timing t;
@@ -120,13 +126,15 @@ void emit(std::vector<Record>& out, const char* kernel, const Geometry& g,
           int threads, const Timing& t, double baseline_ms,
           double fixed16_ms = 0.0) {
   Record r{kernel,
+           kernels::simd_stamp(),
            g,
            threads,
            t,
            baseline_ms > 0.0 ? baseline_ms / t.ms : 0.0,
            fixed16_ms > 0.0 ? fixed16_ms / t.ms : 0.0};
-  std::printf("  %-24s %-16s threads=%d  %9.3f ms [%.3f, %.3f]  %6.2fx",
-              kernel, g.model, threads, t.ms, t.p25, t.p75, r.speedup);
+  std::printf("  %-24s %-16s %-6s threads=%d  %9.3f ms [%.3f, %.3f]  %6.2fx",
+              kernel, g.model, r.stamp, threads, t.ms, t.p25, t.p75,
+              r.speedup);
   if (r.speedup_fixed16 > 0.0) {
     std::printf("  (%.2fx vs 16-bit fixed)", r.speedup_fixed16);
   }
@@ -148,14 +156,15 @@ void write_json(const std::vector<Record>& recs, const char* path) {
   for (std::size_t i = 0; i < recs.size(); ++i) {
     const Record& r = recs[i];
     std::fprintf(f,
-                 "  {\"kernel\": \"%s\", \"geometry\": \"%s\", \"in_c\": %d, "
+                 "  {\"kernel\": \"%s\", \"simd_stamp\": \"%s\", "
+                 "\"geometry\": \"%s\", \"in_c\": %d, "
                  "\"out_c\": %d, \"hw\": %d, \"k\": %d, \"threads\": %d, "
                  "\"ms\": %.4f, \"ms_p25\": %.4f, \"ms_p75\": %.4f, "
                  "\"samples\": %d, \"speedup_vs_scalar\": %.3f, "
                  "\"speedup_vs_fixed16\": %.3f, %s}%s\n",
-                 r.kernel.c_str(), r.g.model, r.g.in_c, r.g.out_c, r.g.hw,
-                 r.g.k, r.threads, r.t.ms, r.t.p25, r.t.p75, r.t.samples,
-                 r.speedup, r.speedup_fixed16, here.c_str(),
+                 r.kernel.c_str(), r.stamp, r.g.model, r.g.in_c, r.g.out_c,
+                 r.g.hw, r.g.k, r.threads, r.t.ms, r.t.p25, r.t.p75,
+                 r.t.samples, r.speedup, r.speedup_fixed16, here.c_str(),
                  i + 1 < recs.size() ? "," : "");
   }
   std::fprintf(f, "]\n");
@@ -174,10 +183,10 @@ int main() {
       thread_counts.end()) {
     thread_counts.push_back(hw_cores);
   }
-  std::printf("hardware threads: %d (%s); SIMD micro-kernels: %s; "
+  std::printf("hardware threads: %d (%s); SIMD stamp: %s; "
               "sweeping threads {",
               hw_cores, kernels::machine_topology_key().c_str(),
-              kernels::simd_enabled() ? "on" : "off (scalar)");
+              kernels::simd_stamp());
   for (std::size_t i = 0; i < thread_counts.size(); ++i) {
     std::printf("%s%d", i ? ", " : "", thread_counts[i]);
   }
@@ -244,11 +253,12 @@ int main() {
       emit(recs, "im2col_i8_scalar", g, 1, i8_sc, i8_sc_ms);
     }
 
-    // Kernel-layer paths across thread counts. Speedups are quoted against
-    // the scalar implementation of the same numerics: direct_scalar for the
-    // float paths (the headline "blocked GEMM vs scalar conv" number is
-    // im2col_gemm vs direct_scalar), the fixed and int8 seeds for theirs.
-    for (int t : thread_counts) {
+    // Kernel-layer paths at thread count t on the active stamp. Speedups are
+    // quoted against the scalar implementation of the same numerics:
+    // direct_scalar for the float paths (the headline "blocked GEMM vs
+    // scalar conv" number is im2col_gemm vs direct_scalar), the fixed and
+    // int8 seeds for theirs.
+    const auto paths = [&](int t) {
       kernels::set_num_threads(t);
       if (!g.wino_only) {
         emit(recs, "im2col_gemm", g, t, time_ms([&] {
@@ -286,6 +296,13 @@ int main() {
                      .at(0, 0, 0);
            }),
            i8_sc_ms, fixed16.ms);
+    };
+    for (int t : thread_counts) paths(t);
+    // The same paths on each lower stamp this CPU runs, one thread.
+    for (const Stamp st : {Stamp::kAvx2, Stamp::kBase, Stamp::kScalar}) {
+      if (st >= kernels::simd::active_stamp()) continue;
+      const kernels::simd::ScopedStampCap cap(st);
+      paths(1);
     }
     kernels::set_num_threads(1);
     std::printf("\n");
@@ -299,6 +316,8 @@ int main() {
       "winograd_f43_gemm; 0 = none measured); im2col_gemm vs direct_scalar "
       "is the headline blocked-GEMM-vs-scalar-conv comparison. "
       "speedup_vs_fixed16 compares im2col_gemm_i8 against direct_fixed_gemm "
-      "(the 16-bit fixed model) at the same geometry and thread count.");
+      "(the 16-bit fixed model) at the same geometry, thread count and "
+      "stamp. simd_stamp is the stamp the row's kernels ran; the scalar "
+      "seeds run no stamped kernel, so theirs reads the selected one.");
   return 0;
 }

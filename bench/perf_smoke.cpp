@@ -5,13 +5,13 @@
 //     seed convolution by >= 2x single-threaded (a debug/-O0 build will not
 //     pass; that is the point — the check catches regressions that quietly
 //     serialize or deopt the kernel layer).
-//  2. Absolute: the float and int8 kernels (im2col_gemm, winograd_f43_gemm,
-//     im2col_gemm_i8) must each run within 2x of their committed baselines
-//     (bench/perf_baseline.json, path baked in via HETACC_PERF_BASELINE).
-//     Baselines were measured on a deliberately slow single-core box, so
-//     the 2x threshold is generous headroom for CI runner variance while
-//     still catching order-of-magnitude regressions (e.g. losing SIMD
-//     dispatch or packing reuse).
+//  2. SIMD dispatch: the float and int8 kernels (im2col_gemm,
+//     winograd_f43_gemm, im2col_gemm_i8) run on the selected stamp and again
+//     capped to the base stamp (kernels::simd::ScopedStampCap), and each
+//     median per-round ratio selected / base must stay at or below 0.6x.
+//     Losing SIMD dispatch reads about 1x and fails; both sides run in this
+//     process, so a loaded machine moves them together. Skipped when the
+//     selected stamp is base or scalar.
 //  3. System time: over the timed rounds of the kernel loop, system CPU
 //     time must stay under 5% of user + system time (getrusage). The
 //     reading starts after the warm-up passes, so the first-touch page
@@ -51,17 +51,12 @@
 //     winograd_fixed_gemm within 2.5x of winograd_f43_gemm. Ratios, not
 //     absolute baselines: both sides run on this machine in this process.
 // Repetitions of every compared set are interleaved, because a shared VM's
-// speed drifts within seconds; gates 1, 2, 4 and 5 compare the best of each.
-//
-// Regenerate the baseline after an intentional perf change:
-//   perf_smoke --write-baseline path/to/perf_baseline.json
+// speed drifts within seconds; gates 1, 4 and 5 compare the best of each.
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <functional>
-#include <string>
 #include <vector>
 
 #include <sys/resource.h>
@@ -73,6 +68,7 @@
 #include "kernels/blocking.h"
 #include "kernels/gemm.h"
 #include "kernels/parallel.h"
+#include "kernels/simd.h"
 #include "nn/reference.h"
 
 using namespace hetacc;
@@ -166,41 +162,22 @@ volatile float g_sink = 0.0f;
 /// long, see the header.
 constexpr int kKernelRounds = 30;
 
+/// Gate 2 limit on the median per-round ratio selected stamp / base stamp.
+/// On a 4-vCPU AVX-512 VM the three gated ratios read 0.28-0.34x with the
+/// AVX-512 stamp (20 Release runs) and 0.37-0.42x with the process capped
+/// to AVX2 (12 runs); 0.6x leaves 1.4x headroom above the highest reading
+/// and still fails a kernel that loses SIMD dispatch (about 1x).
+constexpr double kBaseStampLimit = 0.6;
+
 struct Measurement {
   const char* kernel;
   double ms;
 };
 
-/// Minimal scan for `"<key>": <number>` in a small flat JSON object.
-double json_lookup(const std::string& text, const char* key) {
-  const std::string needle = std::string("\"") + key + "\":";
-  const std::size_t at = text.find(needle);
-  if (at == std::string::npos) return -1.0;
-  double v = -1.0;
-  if (std::sscanf(text.c_str() + at + needle.size(), " %lf", &v) != 1) {
-    return -1.0;
-  }
-  return v;
-}
-
-std::string read_file(const char* path) {
-  std::FILE* f = std::fopen(path, "rb");
-  if (!f) return {};
-  std::string text;
-  char buf[4096];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) text.append(buf, n);
-  std::fclose(f);
-  return text;
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  const char* write_path = nullptr;
-  if (argc == 3 && std::strcmp(argv[1], "--write-baseline") == 0) {
-    write_path = argv[2];
-  }
+int main() {
+  using kernels::simd::Stamp;
 
   // VGG conv3-class layer: 64x56x56 input, 64 3x3 filters, stride 1, pad 1.
   nn::Tensor in(64, 56, 56);
@@ -248,11 +225,11 @@ int main(int argc, char** argv) {
     return algo::make_int8_conv_quant(f, in_mn, in_mx, out_mn, out_mx);
   }();
 
-  // Absolute-gated kernels carry a committed baseline; the 16-bit models
-  // are gated against their float counterparts (gate 7) instead.
+  // Gate 2 times the float and int8 kernels again on the base stamp; the
+  // 16-bit models are gated against their float counterparts (gate 7).
   struct Kernel {
     const char* name;
-    bool absolute;
+    bool vs_base;  ///< gate 2: timed again on the base stamp
     std::function<void()> fn;
   };
   const std::vector<Kernel> kernels_timed = {
@@ -283,6 +260,18 @@ int main(int argc, char** argv) {
        }}};
   std::vector<std::function<void()>> kernel_fns;
   for (const Kernel& k : kernels_timed) kernel_fns.push_back(k.fn);
+  // Gate 2's base-stamp runs follow, in kernels_timed order; base_run[i] is
+  // kernel i's index in the loop (0 = not gated).
+  const bool gate2 = kernels::simd::active_stamp() > Stamp::kBase;
+  std::vector<std::size_t> base_run(kernels_timed.size(), 0);
+  for (std::size_t i = 0; gate2 && i < kernels_timed.size(); ++i) {
+    if (!kernels_timed[i].vs_base) continue;
+    base_run[i] = kernel_fns.size();
+    kernel_fns.push_back([fn = kernels_timed[i].fn] {
+      const kernels::simd::ScopedStampCap cap(Stamp::kBase);
+      fn();
+    });
+  }
   const Rounds kernel_rounds = interleaved_rounds(kernel_fns, kKernelRounds);
   std::vector<Measurement> measured;
   for (std::size_t i = 0; i < kernels_timed.size(); ++i) {
@@ -364,34 +353,14 @@ int main(int argc, char** argv) {
 
   const double blocked = measured[0].ms;
   std::printf("perf_smoke: scalar %.2f ms (1 thread, 64x56x56 * 64 3x3 "
-              "filters), SIMD %s\n",
-              scalar, kernels::simd_enabled() ? "on" : "off");
+              "filters), stamp %s\n",
+              scalar, kernels::simd_stamp());
   for (const Measurement& m : measured) {
     std::printf("perf_smoke:   %-22s %8.2f ms\n", m.kernel, m.ms);
   }
   std::printf("perf_smoke: kernel loop system time %.3f s of %.3f s CPU "
               "(sys_frac %.4f, limit 0.05)\n",
               loop_sys, loop_user + loop_sys, sys_frac);
-
-  if (write_path) {
-    std::FILE* out = std::fopen(write_path, "w");
-    if (!out) {
-      std::printf("perf_smoke: cannot write %s\n", write_path);
-      return 1;
-    }
-    std::fprintf(out, "{");
-    const char* sep = "\n";
-    for (std::size_t i = 0; i < measured.size(); ++i) {
-      if (!kernels_timed[i].absolute) continue;
-      std::fprintf(out, "%s  \"%s\": %.4f", sep, measured[i].kernel,
-                   measured[i].ms);
-      sep = ",\n";
-    }
-    std::fprintf(out, "\n}\n");
-    std::fclose(out);
-    std::printf("perf_smoke: wrote baseline %s\n", write_path);
-    return 0;
-  }
 
   bool ok = true;
 
@@ -403,6 +372,28 @@ int main(int argc, char** argv) {
     std::printf("perf_smoke: FAIL — blocked GEMM must beat the scalar seed "
                 "by at least 2x in Release builds\n");
     ok = false;
+  }
+
+  if (gate2) {
+    for (std::size_t i = 0; i < kernels_timed.size(); ++i) {
+      if (base_run[i] == 0) continue;
+      const Kernel& k = kernels_timed[i];
+      const double ratio = kernel_rounds.ratio(i, base_run[i]);
+      std::printf("perf_smoke: %s on %s %.2f ms vs base stamp %.2f ms — "
+                  "median round ratio %.2fx (limit %.2fx)\n",
+                  k.name, kernels::simd_stamp(), measured[i].ms,
+                  kernel_rounds.best(base_run[i]), ratio, kBaseStampLimit);
+      if (ratio > kBaseStampLimit) {
+        std::printf("perf_smoke: FAIL — %s must run within %.2fx of its "
+                    "base-stamp time (SIMD dispatch lost?)\n",
+                    k.name, kBaseStampLimit);
+        ok = false;
+      }
+    }
+  } else {
+    std::printf("perf_smoke: note — stamp %s selected, gate 2 (selected vs "
+                "base stamp) skipped\n",
+                kernels::simd_stamp());
   }
 
   // Printed, not gated: the 16-bit fixed model runs on the f32d GEMM, and
@@ -494,38 +485,6 @@ int main(int argc, char** argv) {
     ok = false;
   }
 
-#ifdef HETACC_PERF_BASELINE
-  const std::string baseline = read_file(HETACC_PERF_BASELINE);
-  if (baseline.empty()) {
-    std::printf("perf_smoke: FAIL — baseline %s missing or empty\n",
-                HETACC_PERF_BASELINE);
-    ok = false;
-  } else {
-    for (std::size_t i = 0; i < measured.size(); ++i) {
-      if (!kernels_timed[i].absolute) continue;
-      const Measurement& m = measured[i];
-      const double base = json_lookup(baseline, m.kernel);
-      if (base <= 0.0) {
-        std::printf("perf_smoke: FAIL — no baseline entry for %s\n", m.kernel);
-        ok = false;
-        continue;
-      }
-      const double ratio = m.ms / base;
-      std::printf("perf_smoke:   %-22s %.2fx of committed baseline "
-                  "(%.2f ms, limit 2x)\n",
-                  m.kernel, ratio, base);
-      if (ratio > 2.0) {
-        std::printf("perf_smoke: FAIL — %s regressed past 2x of its "
-                    "committed baseline\n",
-                    m.kernel);
-        ok = false;
-      }
-    }
-  }
-#else
-  std::printf("perf_smoke: note — built without HETACC_PERF_BASELINE, "
-              "absolute guard skipped\n");
-#endif
 
   std::printf("perf_smoke: %s\n", ok ? "PASS" : "FAIL");
   return ok ? 0 : 1;

@@ -150,12 +150,12 @@ class ConvDirectEngine final : public RowWindowBase {
  public:
   ConvDirectEngine(const nn::Layer& layer, const nn::ConvWeights& w,
                    NumericMode mode,
-                   std::shared_ptr<const kernels::PackedLhsF32> packed,
+                   std::shared_ptr<const kernels::PackedLhsF64> wide,
                    std::shared_ptr<const Int8ConvConstants> i8c)
       // Paper §4.2: the conventional line buffer has K + S lines.
       : RowWindowBase(layer, layer.conv().kernel + layer.conv().stride, mode),
         bias_(w.bias),
-        packed_(std::move(packed)),
+        wide_(std::move(wide)),
         i8c_(std::move(i8c)) {
     const int k = layer.conv().kernel;
     const int kk = layer.in.c * k * k;
@@ -163,10 +163,11 @@ class ConvDirectEngine final : public RowWindowBase {
       if (!i8c_) i8c_ = make_int8_conv_constants(layer, w, mode_);
       patch8_.resize(static_cast<std::size_t>(kk) * layer.out.w);
       out8_.resize(static_cast<std::size_t>(layer.out.c) * layer.out.w);
-    } else if (!packed_) {
-      // Weights packed into GEMM micro-panels once per engine, never per row.
-      packed_ = std::make_shared<const kernels::PackedLhsF32>(
-          w.filters.data(), layer.out.c, kk, kk);
+    } else if (!wide_) {
+      // Weights packed into GEMM micro-panels and widened to double once
+      // per engine, never per row.
+      wide_ = std::make_shared<const kernels::PackedLhsF64>(
+          kernels::PackedLhsF32(w.filters.data(), layer.out.c, kk, kk));
     }
     patch_.resize(static_cast<std::size_t>(kk) * layer.out.w);
     acc_.resize(static_cast<std::size_t>(layer.out.c) * layer.out.w);
@@ -232,7 +233,7 @@ class ConvDirectEngine final : public RowWindowBase {
 
     // One GEMM per output row; the MAC tree accumulates in double, exactly
     // like the seed's per-pixel loop nest.
-    kernels::gemm_f32d(*packed_, ow, patch_.data(), ow, acc_.data(), ow,
+    kernels::gemm_f32d(*wide_, ow, patch_.data(), ow, acc_.data(), ow,
                        bias_.empty() ? nullptr : bias_.data(),
                        /*relu=*/false, /*threads=*/0);
 
@@ -253,7 +254,7 @@ class ConvDirectEngine final : public RowWindowBase {
   }
 
   std::vector<float> bias_;
-  std::shared_ptr<const kernels::PackedLhsF32> packed_;
+  std::shared_ptr<const kernels::PackedLhsF64> wide_;
   std::shared_ptr<const Int8ConvConstants> i8c_;
   std::vector<float> patch_;
   std::vector<double> acc_;
@@ -552,7 +553,7 @@ std::unique_ptr<StreamEngine> make_engine(
     const nn::Layer& layer, const nn::ConvWeights* weights,
     std::optional<algo::WinogradTransform> wino, NumericMode mode,
     std::shared_ptr<const kernels::WinogradPlan> wino_plan,
-    std::shared_ptr<const kernels::PackedLhsF32> packed_weights,
+    std::shared_ptr<const kernels::PackedLhsF64> wide_weights,
     std::shared_ptr<const Int8ConvConstants> int8_consts) {
   switch (layer.kind) {
     case nn::LayerKind::kConv: {
@@ -569,7 +570,7 @@ std::unique_ptr<StreamEngine> make_engine(
                                                 std::move(wino_plan));
       }
       return std::make_unique<ConvDirectEngine>(layer, *weights, mode,
-                                                std::move(packed_weights),
+                                                std::move(wide_weights),
                                                 std::move(int8_consts));
     }
     case nn::LayerKind::kPool:

@@ -85,14 +85,16 @@ class StreamEngine {
 
 /// Factory covering all fusable layer kinds. `wino` selects the Winograd
 /// algorithm for conv layers (nullopt = conventional). `wino_plan` /
-/// `packed_weights` optionally supply the per-layer constants (shared across
-/// engine instances, e.g. by FusionPipeline); when null they are derived
-/// from `weights` at construction.
+/// `wide_weights` / `int8_consts` optionally supply the per-layer constants
+/// (shared across engine instances, e.g. by FusionPipeline); when null they
+/// are derived from `weights` at construction. `wide_weights` is the float
+/// weight pack widened to double (PackedLhsF64(PackedLhsF32(...))), the
+/// operand gemm_f32d runs the direct engine's rows on.
 [[nodiscard]] std::unique_ptr<StreamEngine> make_engine(
     const nn::Layer& layer, const nn::ConvWeights* weights,
     std::optional<algo::WinogradTransform> wino, NumericMode mode,
     std::shared_ptr<const kernels::WinogradPlan> wino_plan = nullptr,
-    std::shared_ptr<const kernels::PackedLhsF32> packed_weights = nullptr,
+    std::shared_ptr<const kernels::PackedLhsF64> wide_weights = nullptr,
     std::shared_ptr<const Int8ConvConstants> int8_consts = nullptr);
 
 }  // namespace hetacc::arch

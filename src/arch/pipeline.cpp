@@ -160,6 +160,7 @@ FusionPipeline::FusionPipeline(const nn::Network& net,
     throw std::invalid_argument(
         "FusionPipeline: adopted prepack bundle does not match layer count");
   }
+  widen_direct_weights();
   engines_ = build_engine_set();
 }
 
@@ -251,6 +252,17 @@ void FusionPipeline::derive_layer_constants() {
     }
   }
   prepack_ = std::make_shared<const PrepackBundle>(std::move(b));
+  widen_direct_weights();
+}
+
+void FusionPipeline::widen_direct_weights() {
+  wide_.assign(prepack_->packed.size(), nullptr);
+  for (std::size_t i = 0; i < wide_.size(); ++i) {
+    if (prepack_->packed[i]) {
+      wide_[i] = std::make_shared<const kernels::PackedLhsF64>(
+          *prepack_->packed[i]);
+    }
+  }
 }
 
 void FusionPipeline::install_fault_plan(const fault::FaultPlan& plan,
@@ -302,7 +314,7 @@ std::vector<std::unique_ptr<StreamEngine>> FusionPipeline::build_engine_set()
       t = algo::winograd(choices_[i].wino_m, l.conv().kernel);
     }
     engines.push_back(make_engine(l, w, t, choices_[i].mode, prepack_->wino[i],
-                                  prepack_->packed[i], prepack_->int8[i]));
+                                  wide_[i], prepack_->int8[i]));
   }
   return engines;
 }

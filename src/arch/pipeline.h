@@ -172,6 +172,8 @@ class FusionPipeline {
                     PipelineStats* stats) const;
 
   void derive_layer_constants();
+  /// Fills wide_ from prepack_: run after every bundle change.
+  void widen_direct_weights();
   /// The watchdog of the run whose first engine is `lo`: names the stage a
   /// wedged channel feeds, else the first starved engine.
   [[noreturn]] void report_stall(
@@ -186,6 +188,11 @@ class FusionPipeline {
   /// Per-layer constants shared across engine sets — and, when adopted via
   /// the warm constructor, across whole pipelines.
   std::shared_ptr<const PrepackBundle> prepack_;
+  /// prepack_->packed widened to double once per bundle, the operand the
+  /// direct engines' gemm_f32d rows run on. Private to this pipeline and
+  /// outside the bundle, so the bundle's CRC and resident bytes (what a
+  /// fleet shares) do not count it.
+  std::vector<std::shared_ptr<const kernels::PackedLhsF64>> wide_;
   std::vector<std::unique_ptr<StreamEngine>> engines_;
   PipelineStats stats_;
   std::unique_ptr<fault::FaultInjector> injector_;

@@ -16,13 +16,21 @@ namespace hetacc::kernels {
 namespace {
 
 // A-side register blocking, shared by every datapath (PackedLhsT bakes this
-// interleave, so it is compile-time). The B-side register width NR is per
-// (TA, TAcc) pair — see MK below — chosen so the micro-kernel's accumulator
-// file fills the 256-bit register budget of the widest dispatch stamp. The
-// cache-level blocking (MC/KC/NC/grain) is runtime: per-datapath
-// BlockingParams from blocking.h, tuned by the persistent autotuner cache,
-// defaulting to the constants this driver shipped with (MC=96, KC=256).
+// interleave, so it is compile-time). The B-side register width NR is a
+// property of the stamp the call runs (see pick_micro below): B is packed
+// per call, so nothing stored depends on it. The cache-level blocking
+// (MC/KC/NC/grain) is runtime: per-datapath BlockingParams from blocking.h,
+// tuned by the persistent autotuner cache, defaulting to the constants this
+// driver shipped with (MC=96, KC=256).
 constexpr int MR = kPackedMR;
+
+/// NR of the 256-bit stamps (baseline, AVX2) and of the scalar reference:
+/// two 32-byte vectors of accumulator lanes. The AVX-512 stamp doubles it.
+template <typename TAcc>
+constexpr int kNarrowNR = 2 * 32 / static_cast<int>(sizeof(TAcc));
+/// The widest NR any stamp runs, which sizes the accumulator tile.
+template <typename TAcc>
+constexpr int kMaxNR = 2 * kNarrowNR<TAcc>;
 
 /// Scalar micro-kernel: the reference the SIMD stamps must match. Overwrites
 /// acc (MR x NR row-major) with the kb-deep panel product; per-element
@@ -49,6 +57,8 @@ void micro_scalar(int kb, const TA* a, const TA* b, TAcc* acc) {
   }
 }
 
+using simd::Stamp;
+
 #ifdef HETACC_VEC
 
 using namespace simd;
@@ -57,100 +67,71 @@ using namespace simd;
 // (plain SSE2 on a default x86-64 build).
 #define HETACC_MICRO_TARGET
 #define HETACC_MICRO_NAME(n) n##_base
+#define HETACC_MICRO_BYTES 32
 #include "kernels/gemm_micro.inc"
 #undef HETACC_MICRO_TARGET
 #undef HETACC_MICRO_NAME
+#undef HETACC_MICRO_BYTES
 
 #ifdef HETACC_X86_DISPATCH
-// AVX2+FMA stamp: same source, 256-bit codegen, selected at runtime via
-// __builtin_cpu_supports so the binary stays runnable on baseline machines.
+// AVX2+FMA and AVX-512 stamps: same source, 256- and 512-bit codegen,
+// selected at runtime so the binary stays runnable on baseline machines.
 #define HETACC_MICRO_TARGET __attribute__((target("avx2,fma")))
 #define HETACC_MICRO_NAME(n) n##_avx2
+#define HETACC_MICRO_BYTES 32
 #include "kernels/gemm_micro.inc"
 #undef HETACC_MICRO_TARGET
 #undef HETACC_MICRO_NAME
+#undef HETACC_MICRO_BYTES
 
+#define HETACC_MICRO_TARGET HETACC_AVX512_TARGET
+#define HETACC_MICRO_NAME(n) n##_avx512
+#define HETACC_MICRO_BYTES 64
+#include "kernels/gemm_micro.inc"
+#undef HETACC_MICRO_TARGET
+#undef HETACC_MICRO_NAME
+#undef HETACC_MICRO_BYTES
 #endif  // HETACC_X86_DISPATCH
 
 #endif  // HETACC_VEC
 
-/// Per-(TA, TAcc) micro-kernel traits: the register width NR and the runtime
-/// selection between the AVX2 stamp, the baseline stamp, and the scalar
-/// reference. Selection happens once per gemm call, not per tile. The f32d
-/// datapath has no entry of its own: its operands are widened to double
-/// (see KernelOperand) and run the f64 micro-kernel.
+/// A micro-kernel and the NR its B panels are packed at.
 template <typename TA, typename TAcc>
-struct MK;
-
-template <>
-struct MK<float, float> {
-  static constexpr int NR = 16;
-  static constexpr Datapath dp = Datapath::kF32;
-  using Fn = void (*)(int, const float*, const float*, float*);
-  static Fn pick(bool simd) {
-#ifdef HETACC_VEC
-    if (simd) {
-#ifdef HETACC_X86_DISPATCH
-      if (cpu_has_avx2_fma()) return &micro_f32_avx2;
-#endif
-      return &micro_f32_base;
-    }
-#else
-    (void)simd;
-#endif
-    return &micro_scalar<float, float, NR>;
-  }
+struct Micro {
+  void (*fn)(int, const TA*, const TA*, TAcc*);
+  int nr;
 };
 
-template <>
-struct MK<double, double> {
-  static constexpr int NR = 8;
-  static constexpr Datapath dp = Datapath::kF64;
-  using Fn = void (*)(int, const double*, const double*, double*);
-  static Fn pick(bool simd) {
-#ifdef HETACC_VEC
-    if (simd) {
+/// The micro-kernel of stamp `s` (which the caller has checked this CPU
+/// runs). Selection happens once per gemm call, not per tile.
+template <typename TA, typename TAcc>
+Micro<TA, TAcc> pick_micro(Stamp s) {
+  constexpr int nr = kNarrowNR<TAcc>;
+  switch (s) {
 #ifdef HETACC_X86_DISPATCH
-      if (cpu_has_avx2_fma()) return &micro_f64_avx2;
+    case Stamp::kAvx512:
+      return {&micro_avx512<TA, TAcc>, 2 * nr};
+    case Stamp::kAvx2:
+      return {&micro_avx2<TA, TAcc>, nr};
 #endif
-      return &micro_f64_base;
-    }
-#else
-    (void)simd;
-#endif
-    return &micro_scalar<double, double, NR>;
-  }
-};
-
-template <>
-struct MK<std::int8_t, std::int32_t> {
-  static constexpr int NR = 16;
-  static constexpr Datapath dp = Datapath::kI8;
-  using Fn = void (*)(int, const std::int8_t*, const std::int8_t*,
-                      std::int32_t*);
-  static Fn pick(bool simd) {
 #ifdef HETACC_VEC
-    if (simd) {
-#ifdef HETACC_X86_DISPATCH
-      if (cpu_has_avx2_fma()) return &micro_i8_avx2;
+    case Stamp::kBase:
+      return {&micro_base<TA, TAcc>, nr};
 #endif
-      return &micro_i8_base;
-    }
-#else
-    (void)simd;
-#endif
-    return &micro_scalar<std::int8_t, std::int32_t, NR>;
+    default:
+      return {&micro_scalar<TA, TAcc, nr>, nr};
   }
-};
+}
 
 /// The element type the micro-kernel multiplies for storage type TA and
 /// accumulator TAcc. Float operands accumulated in double are widened as
-/// they are staged instead of at every k-step — A as its blocks are packed,
-/// each B panel by the tile task that reads it — and run the f64
-/// micro-kernel: a float x float product is exact in double, so it computes
-/// the same products and sums in the same order, and every output bit is
-/// unchanged (even with the AVX2 stamp's fused multiply-add). B stays
-/// packed as float, so the shared panel row costs no more scratch.
+/// they are staged instead of at every k-step — A as its blocks are packed
+/// (a pre-packed A comes widened: PackedLhsF64), each B panel by the tile
+/// task that reads it — and run the f64 micro-kernel: a float x float
+/// product is exact in double, so it computes the same products and sums in
+/// the same order, and every output bit is unchanged (even with a stamp's
+/// fused multiply-add). B stays packed as float, so the shared panel row
+/// costs no more scratch.
 template <typename TA, typename TAcc>
 using KernelOperand =
     std::conditional_t<std::is_same_v<TA, float> && std::is_same_v<TAcc, double>,
@@ -179,9 +160,9 @@ void pack_a_panels(const T* A, int lda, int i0, int mb, int p0, int kb,
 
 /// Packs one NR-wide column panel of B ([p0, p0+kb) x [j0, j0+cols)) into
 /// NR-interleaved k-major layout at dst, zero-padding cols < NR.
-template <typename T, int NR>
+template <typename T>
 void pack_b_panel(const T* B, int ldb, int p0, int kb, int j0, int cols,
-                  T* dst) {
+                  int NR, T* dst) {
   for (int k = 0; k < kb; ++k) {
     const T* src = B + static_cast<std::size_t>(p0 + k) * ldb + j0;
     T* d = dst + static_cast<std::size_t>(k) * NR;
@@ -201,14 +182,13 @@ struct RequantSink {
 };
 
 /// Blocked GEMM driver. Exactly one of A / pA is used. Per KC step and NC
-/// block: pack B once (parallel over panels, then shared read-only), pack A
-/// blocks once per KC step unless pre-packed (a pre-packed A the micro-
-/// kernel widens is widened block by block instead), then run the 2D
-/// (MC-block x NR-panel) tile grid cooperatively — every tile owns a
+/// block: pack B once at the stamp's NR (parallel over panels, then shared
+/// read-only), pack A blocks once per KC step unless pre-packed, then run
+/// the 2D (MC-block x NR-panel) tile grid cooperatively — every tile owns a
 /// disjoint patch of C, each KC step is a barrier, and per-element
 /// accumulation is k-ascending, so output bytes are independent of the
-/// thread count, the chunk grain, and the MC/NC/grain blocking (KC
-/// regrouping is additionally exact on the integer datapaths; see
+/// thread count, the chunk grain, the MC/NC/grain blocking and the stamp's
+/// NR (KC regrouping is additionally exact on the integer datapaths; see
 /// blocking.h).
 ///
 /// With kRequant, C is an i32 staging buffer (null when K fits one KC step)
@@ -217,9 +197,10 @@ struct RequantSink {
 template <typename TA, typename TAcc, typename TC, typename TBias,
           bool kRequant = false>
 void gemm_run(int M, int N, int K, const TA* A, int lda,
-              const PackedLhsT<TA>* pA, const TA* B, int ldb, TC* C, int ldc,
-              const TBias* bias, bool relu, int threads, bool use_simd,
-              const BlockingParams& bp, const RequantSink* sink = nullptr) {
+              const PackedLhsT<KernelOperand<TA, TAcc>>* pA, const TA* B,
+              int ldb, TC* C, int ldc, const TBias* bias, bool relu,
+              int threads, Stamp stamp, const BlockingParams& bp,
+              const RequantSink* sink = nullptr) {
   if (M <= 0 || N <= 0) return;
   if (K <= 0) {
     for (int i = 0; i < M; ++i) {
@@ -243,9 +224,9 @@ void gemm_run(int M, int N, int K, const TA* A, int lda,
     return;
   }
   using TK = KernelOperand<TA, TAcc>;
-  constexpr bool kWidenPacked = !std::is_same_v<TK, TA>;
-  constexpr int NR = MK<TK, TAcc>::NR;
-  const typename MK<TK, TAcc>::Fn micro = MK<TK, TAcc>::pick(use_simd);
+  constexpr bool kWidenB = !std::is_same_v<TK, TA>;
+  const Micro<TK, TAcc> mk = pick_micro<TK, TAcc>(stamp);
+  const int NR = mk.nr;
   if (threads == 0) threads = num_threads();
 
   // Pre-packed A bakes its (MC, KC); otherwise take the dispatch blocking.
@@ -262,7 +243,7 @@ void gemm_run(int M, int N, int K, const TA* A, int lda,
   TA* bpack =
       arena.alloc<TA>(static_cast<std::size_t>(jpanels_cap) * NR * kc);
   TK* apack = nullptr;
-  if (!pA || kWidenPacked) {
+  if (!pA) {
     apack = arena.alloc<TK>(static_cast<std::size_t>(iblocks) * mpanels_cap *
                             MR * kc);
   }
@@ -286,16 +267,6 @@ void gemm_run(int M, int N, int K, const TA* A, int lda,
                                                     mpanels_cap) *
                                                MR * kb);
                    });
-    } else if constexpr (kWidenPacked) {
-      parallel_for(static_cast<std::size_t>(iblocks), 1, threads,
-                   [&](std::size_t ib) {
-                     const std::vector<TA>& blk =
-                         pA->block(pb, static_cast<int>(ib));
-                     std::copy(blk.begin(), blk.end(),
-                               apack + ib * static_cast<std::size_t>(
-                                                mpanels_cap) *
-                                           MR * kb);
-                   });
     }
 
     for (int jc = 0; jc < N; jc += ncb) {
@@ -307,8 +278,8 @@ void gemm_run(int M, int N, int K, const TA* A, int lda,
       parallel_for(static_cast<std::size_t>(jpanels), 8, threads,
                    [&](std::size_t pj) {
                      const int j0 = jc + static_cast<int>(pj) * NR;
-                     pack_b_panel<TA, NR>(
-                         B, ldb, p0, kb, j0, std::min(NR, N - j0),
+                     pack_b_panel(
+                         B, ldb, p0, kb, j0, std::min(NR, N - j0), NR,
                          bpack + pj * static_cast<std::size_t>(NR) * kb);
                    });
 
@@ -326,16 +297,11 @@ void gemm_run(int M, int N, int K, const TA* A, int lda,
         const int mb = std::min(mc, M - i0);
         const std::size_t aoff =
             ib * static_cast<std::size_t>(mpanels_cap) * MR * kb;
-        const TK* ablk;
-        if constexpr (kWidenPacked) {
-          ablk = apack + aoff;
-        } else {
-          ablk = pA ? pA->block(pb, ib).data() : apack + aoff;
-        }
+        const TK* ablk = pA ? pA->block(pb, ib).data() : apack + aoff;
         const TA* bsrc = bpack + pj * static_cast<std::size_t>(NR) * kb;
         const TK* bpan;
         std::optional<ScratchArena::Scope> widened;
-        if constexpr (kWidenPacked) {
+        if constexpr (kWidenB) {
           ScratchArena& task_arena = ScratchArena::tls();
           widened.emplace(task_arena);
           TK* wide = task_arena.alloc<TK>(static_cast<std::size_t>(NR) * kb);
@@ -348,8 +314,8 @@ void gemm_run(int M, int N, int K, const TA* A, int lda,
         const int cols = std::min(NR, N - j0);
         const int ipanels = (mb + MR - 1) / MR;
         for (int pi = 0; pi < ipanels; ++pi) {
-          TAcc acc[MR * NR];
-          micro(kb, ablk + static_cast<std::size_t>(pi) * MR * kb, bpan, acc);
+          TAcc acc[MR * kMaxNR<TAcc>];
+          mk.fn(kb, ablk + static_cast<std::size_t>(pi) * MR * kb, bpan, acc);
           const int rows = std::min(MR, mb - pi * MR);
           for (int ir = 0; ir < rows; ++ir) {
             const int i = i0 + pi * MR + ir;
@@ -495,47 +461,45 @@ template class PackedLhsT<std::int8_t>;
 void gemm_f32(int M, int N, int K, const float* A, int lda, const float* B,
               int ldb, float* C, int ldc, const float* bias, bool relu,
               int threads) {
-  gemm_run<float, float, float, float>(M, N, K, A, lda, nullptr, B, ldb, C,
-                                       ldc, bias, relu, threads, true,
-                                       blocking_for(Datapath::kF32));
+  gemm_run<float, float, float, float>(
+      M, N, K, A, lda, nullptr, B, ldb, C, ldc, bias, relu, threads,
+      simd::active_stamp(), blocking_for(Datapath::kF32));
 }
 
 void gemm_f32(const PackedLhsF32& A, int N, const float* B, int ldb, float* C,
               int ldc, const float* bias, bool relu, int threads) {
-  gemm_run<float, float, float, float>(A.rows(), N, A.depth(), nullptr, 0, &A,
-                                       B, ldb, C, ldc, bias, relu, threads,
-                                       true, blocking_for(Datapath::kF32));
+  gemm_run<float, float, float, float>(
+      A.rows(), N, A.depth(), nullptr, 0, &A, B, ldb, C, ldc, bias, relu,
+      threads, simd::active_stamp(), blocking_for(Datapath::kF32));
 }
 
 void gemm_f32d(int M, int N, int K, const float* A, int lda, const float* B,
                int ldb, double* C, int ldc, const float* bias, bool relu,
                int threads) {
-  gemm_run<float, double, double, float>(M, N, K, A, lda, nullptr, B, ldb, C,
-                                         ldc, bias, relu, threads, true,
-                                         blocking_for(Datapath::kF32d));
+  gemm_run<float, double, double, float>(
+      M, N, K, A, lda, nullptr, B, ldb, C, ldc, bias, relu, threads,
+      simd::active_stamp(), blocking_for(Datapath::kF32d));
 }
 
-void gemm_f32d(const PackedLhsF32& A, int N, const float* B, int ldb,
+void gemm_f32d(const PackedLhsF64& A, int N, const float* B, int ldb,
                double* C, int ldc, const float* bias, bool relu, int threads) {
-  gemm_run<float, double, double, float>(A.rows(), N, A.depth(), nullptr, 0,
-                                         &A, B, ldb, C, ldc, bias, relu,
-                                         threads, true,
-                                         blocking_for(Datapath::kF32d));
+  gemm_run<float, double, double, float>(
+      A.rows(), N, A.depth(), nullptr, 0, &A, B, ldb, C, ldc, bias, relu,
+      threads, simd::active_stamp(), blocking_for(Datapath::kF32d));
 }
 
 void gemm_f64(int M, int N, int K, const double* A, int lda, const double* B,
               int ldb, double* C, int ldc, int threads) {
-  gemm_run<double, double, double, double>(M, N, K, A, lda, nullptr, B, ldb, C,
-                                           ldc, nullptr, false, threads, true,
-                                           blocking_for(Datapath::kF64));
+  gemm_run<double, double, double, double>(
+      M, N, K, A, lda, nullptr, B, ldb, C, ldc, nullptr, false, threads,
+      simd::active_stamp(), blocking_for(Datapath::kF64));
 }
 
 void gemm_f64(const PackedLhsF64& A, int N, const double* B, int ldb,
               double* C, int ldc, int threads) {
-  gemm_run<double, double, double, double>(A.rows(), N, A.depth(), nullptr, 0,
-                                           &A, B, ldb, C, ldc, nullptr, false,
-                                           threads, true,
-                                           blocking_for(Datapath::kF64));
+  gemm_run<double, double, double, double>(
+      A.rows(), N, A.depth(), nullptr, 0, &A, B, ldb, C, ldc, nullptr, false,
+      threads, simd::active_stamp(), blocking_for(Datapath::kF64));
 }
 
 void require_exact_q16_depth(long long K, const char* what) {
@@ -555,7 +519,7 @@ namespace {
 void gemm_i8_run(int M, int N, int K, const std::int8_t* A, int lda,
                  const PackedLhsI8* pA, const std::int8_t* B, int ldb,
                  std::int8_t* C, int ldc, const QuantParams& q, int threads,
-                 bool use_simd) {
+                 Stamp stamp) {
   const BlockingParams bp = blocking_for(Datapath::kI8);
   const int kc = pA ? pA->kc() : bp.kc;
   RequantSink sink{C, ldc, &q};
@@ -569,7 +533,7 @@ void gemm_i8_run(int M, int N, int K, const std::int8_t* A, int lda,
   }
   gemm_run<std::int8_t, std::int32_t, std::int32_t, std::int32_t, true>(
       M, N, K, A, lda, pA, B, ldb, stage, lds, q.bias, false, threads,
-      use_simd, bp, &sink);
+      stamp, bp, &sink);
 }
 
 }  // namespace
@@ -577,53 +541,14 @@ void gemm_i8_run(int M, int N, int K, const std::int8_t* A, int lda,
 void gemm_i8(int M, int N, int K, const std::int8_t* A, int lda,
              const std::int8_t* B, int ldb, std::int8_t* C, int ldc,
              const QuantParams& q, int threads) {
-  gemm_i8_run(M, N, K, A, lda, nullptr, B, ldb, C, ldc, q, threads, true);
+  gemm_i8_run(M, N, K, A, lda, nullptr, B, ldb, C, ldc, q, threads,
+              simd::active_stamp());
 }
 
 void gemm_i8(const PackedLhsI8& A, int N, const std::int8_t* B, int ldb,
              std::int8_t* C, int ldc, const QuantParams& q, int threads) {
   gemm_i8_run(A.rows(), N, A.depth(), nullptr, 0, &A, B, ldb, C, ldc, q,
-              threads, true);
-}
-
-void gemm_i8_i32(int M, int N, int K, const std::int8_t* A, int lda,
-                 const std::int8_t* B, int ldb, std::int32_t* C, int ldc,
-                 int threads) {
-  gemm_run<std::int8_t, std::int32_t, std::int32_t, std::int32_t>(
-      M, N, K, A, lda, nullptr, B, ldb, C, ldc, nullptr, false, threads, true,
-      blocking_for(Datapath::kI8));
-}
-
-namespace fallback {
-
-void gemm_f32(int M, int N, int K, const float* A, int lda, const float* B,
-              int ldb, float* C, int ldc, const float* bias, bool relu,
-              int threads) {
-  gemm_run<float, float, float, float>(M, N, K, A, lda, nullptr, B, ldb, C,
-                                       ldc, bias, relu, threads, false,
-                                       blocking_for(Datapath::kF32));
-}
-
-void gemm_f32d(int M, int N, int K, const float* A, int lda, const float* B,
-               int ldb, double* C, int ldc, const float* bias, bool relu,
-               int threads) {
-  gemm_run<float, double, double, float>(M, N, K, A, lda, nullptr, B, ldb, C,
-                                         ldc, bias, relu, threads, false,
-                                         blocking_for(Datapath::kF32d));
-}
-
-void gemm_f64(int M, int N, int K, const double* A, int lda, const double* B,
-              int ldb, double* C, int ldc, int threads) {
-  gemm_run<double, double, double, double>(M, N, K, A, lda, nullptr, B, ldb,
-                                           C, ldc, nullptr, false, threads,
-                                           false,
-                                           blocking_for(Datapath::kF64));
-}
-
-void gemm_i8(int M, int N, int K, const std::int8_t* A, int lda,
-             const std::int8_t* B, int ldb, std::int8_t* C, int ldc,
-             const QuantParams& q, int threads) {
-  gemm_i8_run(M, N, K, A, lda, nullptr, B, ldb, C, ldc, q, threads, false);
+              threads, simd::active_stamp());
 }
 
 void gemm_i8_i32(int M, int N, int K, const std::int8_t* A, int lda,
@@ -631,18 +556,12 @@ void gemm_i8_i32(int M, int N, int K, const std::int8_t* A, int lda,
                  int threads) {
   gemm_run<std::int8_t, std::int32_t, std::int32_t, std::int32_t>(
       M, N, K, A, lda, nullptr, B, ldb, C, ldc, nullptr, false, threads,
-      false, blocking_for(Datapath::kI8));
+      simd::active_stamp(), blocking_for(Datapath::kI8));
 }
 
-}  // namespace fallback
+bool simd_enabled() { return simd::active_stamp() != Stamp::kScalar; }
 
-bool simd_enabled() {
-#ifdef HETACC_VEC
-  return true;
-#else
-  return false;
-#endif
-}
+const char* simd_stamp() { return simd::stamp_name(simd::active_stamp()); }
 
 namespace {
 

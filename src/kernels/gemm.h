@@ -7,11 +7,12 @@
 // into C.
 //
 // The micro-kernel is register-blocked SIMD built on the portable GCC/Clang
-// vector extensions, with runtime dispatch to an AVX2+FMA stamp on x86-64 and
-// a scalar fallback on other compilers (see gemm_micro.inc and DESIGN.md
-// §10). Parallelism is 2D cooperative: the (MC-block, NR-panel) tile grid of
-// each KC step is distributed over the shared worker pool, with the packed B
-// panel built once per KC step and shared read-only by every worker.
+// vector extensions, with runtime dispatch to an AVX-512 or AVX2+FMA stamp
+// on x86-64 and a scalar fallback on other compilers (see gemm_micro.inc
+// and DESIGN.md §8). Parallelism is 2D cooperative: the (MC-block,
+// NR-panel) tile grid of each KC step is distributed over the shared worker
+// pool, with the packed B panel built once per KC step and shared read-only
+// by every worker.
 //
 // Determinism contract: every C element is produced by exactly one thread and
 // its accumulation order depends only on (K, KC) and the selected micro-
@@ -61,6 +62,20 @@ class PackedLhsT {
   /// A one (row, column) at a time write straight into the panels, with no
   /// row-major staging copy.
   PackedLhsT(int M, int K);
+  /// `src` with every element converted to T: same shape, blocking and
+  /// panel layout (a float pack widened to double once, for gemm_f32d).
+  template <typename U>
+  explicit PackedLhsT(const PackedLhsT<U>& src)
+      : m_(src.rows()), k_(src.depth()), pblocks_(src.pblocks()),
+        iblocks_(src.iblocks()), mc_(src.mc()), kc_(src.kc()) {
+    blocks_.reserve(static_cast<std::size_t>(pblocks_) * iblocks_);
+    for (int pb = 0; pb < pblocks_; ++pb) {
+      for (int ib = 0; ib < iblocks_; ++ib) {
+        const std::vector<U>& b = src.block(pb, ib);
+        blocks_.emplace_back(b.begin(), b.end());
+      }
+    }
+  }
 
   [[nodiscard]] int rows() const { return m_; }
   [[nodiscard]] int depth() const { return k_; }
@@ -134,11 +149,14 @@ void gemm_f32(const PackedLhsF32& A, int N, const float* B, int ldb, float* C,
 /// (the streaming engines accumulate MACs in double; see arch/engines.cpp).
 /// Operands are widened to double once as they are staged and run the f64
 /// micro-kernel; every float product is exact in double, so the result is
-/// the same for every ISA stamp and the scalar fallback.
+/// the same for every ISA stamp and the scalar fallback. The pre-packed form
+/// takes A already widened — PackedLhsF64(PackedLhsF32(...)), built once by
+/// a caller that runs the same weights many times — and equals the raw form
+/// bit for bit.
 void gemm_f32d(int M, int N, int K, const float* A, int lda, const float* B,
                int ldb, double* C, int ldc, const float* bias, bool relu,
                int threads);
-void gemm_f32d(const PackedLhsF32& A, int N, const float* B, int ldb,
+void gemm_f32d(const PackedLhsF64& A, int N, const float* B, int ldb,
                double* C, int ldc, const float* bias, bool relu, int threads);
 
 /// Double GEMM for transform-domain Winograd planes. C is overwritten.
@@ -221,34 +239,14 @@ void im2col_i8(const std::int8_t* in, int C, int H, int W, int kernel,
                int stride, int pad, int out_h, int out_w, std::int8_t* mat,
                std::int8_t pad_value = 0, int threads = 1);
 
-/// Scalar-micro-kernel reference builds of the GEMM entry points. Same
-/// blocking, packing, and accumulation order as the SIMD paths, but the
-/// micro-kernel is the plain scalar loop regardless of what the CPU
-/// supports. Used by the differential tests (SIMD vs fallback equivalence:
-/// bit-exact for int8 and for Q-snapped float operands, ULP-bounded for
-/// general float) and available as an escape hatch when debugging
-/// vectorized codegen.
-namespace fallback {
-void gemm_f32(int M, int N, int K, const float* A, int lda, const float* B,
-              int ldb, float* C, int ldc, const float* bias, bool relu,
-              int threads);
-void gemm_f32d(int M, int N, int K, const float* A, int lda, const float* B,
-               int ldb, double* C, int ldc, const float* bias, bool relu,
-               int threads);
-void gemm_f64(int M, int N, int K, const double* A, int lda, const double* B,
-              int ldb, double* C, int ldc, int threads);
-void gemm_i8(int M, int N, int K, const std::int8_t* A, int lda,
-             const std::int8_t* B, int ldb, std::int8_t* C, int ldc,
-             const QuantParams& q, int threads);
-void gemm_i8_i32(int M, int N, int K, const std::int8_t* A, int lda,
-                 const std::int8_t* B, int ldb, std::int32_t* C, int ldc,
-                 int threads);
-}  // namespace fallback
-
-/// True when the runtime dispatcher selected a SIMD micro-kernel (either the
-/// baseline 128-bit stamp or the AVX2+FMA stamp); false when the scalar
-/// fallback is in use (non-GCC/Clang builds). Informational — benches report
-/// it so recorded numbers are attributable.
+/// True when the runtime dispatcher selected a SIMD stamp; false when the
+/// scalar twins run (non-GCC/Clang or -DHETACC_NO_SIMD builds).
+/// Informational — benches report it so recorded numbers are attributable.
 [[nodiscard]] bool simd_enabled();
+
+/// The stamp the GEMM micro-kernels and lane kernels run: "avx512", "avx2",
+/// "base" (vector extensions on the build's baseline ISA) or "scalar".
+/// Benches record it beside every timing.
+[[nodiscard]] const char* simd_stamp();
 
 }  // namespace hetacc::kernels

@@ -27,38 +27,6 @@ constexpr TransformTable make_table(std::integer_sequence<int, Bs...>) {
   return {Fn<Bs + 1>::run...};
 }
 
-#ifdef HETACC_VEC
-
-using namespace simd;
-
-// Baseline stamp: generic vectors legalized to whatever the build targets.
-#define HETACC_LANE_TARGET
-#define HETACC_LANE_NAME(n) n##_base
-#include "kernels/lane_kernels.inc"
-#undef HETACC_LANE_TARGET
-#undef HETACC_LANE_NAME
-
-template <int B>
-struct TransformBase {
-  static constexpr TransformFn run = &lane_transform_base<B>;
-};
-
-#ifdef HETACC_X86_DISPATCH
-// AVX2 stamp without FMA (see lane_kernels.inc), selected at runtime.
-#define HETACC_LANE_TARGET __attribute__((target("avx2")))
-#define HETACC_LANE_NAME(n) n##_avx2
-#include "kernels/lane_kernels.inc"
-#undef HETACC_LANE_TARGET
-#undef HETACC_LANE_NAME
-
-template <int B>
-struct TransformAvx2 {
-  static constexpr TransformFn run = &lane_transform_avx2<B>;
-};
-#endif  // HETACC_X86_DISPATCH
-
-#else  // !HETACC_VEC
-
 /// Scalar twin of the lane_transform stamps, one lane at a time.
 template <int B>
 void lane_transform_scalar(const double* L, const double* R, int a,
@@ -97,29 +65,93 @@ void snap_q16_scalar(const float* src, float* dst, std::size_t n, int frac) {
   }
 }
 
+#ifdef HETACC_VEC
+
+using namespace simd;
+
+// Baseline stamp: generic vectors legalized to whatever the build targets.
+#define HETACC_LANE_TARGET
+#define HETACC_LANE_NAME(n) n##_base
+#define HETACC_LANE_BYTES 32
+#include "kernels/lane_kernels.inc"
+#undef HETACC_LANE_TARGET
+#undef HETACC_LANE_NAME
+#undef HETACC_LANE_BYTES
+
+template <int B>
+struct TransformBase {
+  static constexpr TransformFn run = &lane_transform_base<B>;
+};
+
+#ifdef HETACC_X86_DISPATCH
+// AVX2 stamp without FMA, and the AVX-512 stamp, whose target includes FMA
+// (this file is compiled without contraction; see lane_kernels.inc).
+// Selected at runtime.
+#define HETACC_LANE_TARGET __attribute__((target("avx2")))
+#define HETACC_LANE_NAME(n) n##_avx2
+#define HETACC_LANE_BYTES 32
+#include "kernels/lane_kernels.inc"
+#undef HETACC_LANE_TARGET
+#undef HETACC_LANE_NAME
+#undef HETACC_LANE_BYTES
+
+#define HETACC_LANE_TARGET HETACC_AVX512_TARGET
+#define HETACC_LANE_NAME(n) n##_avx512
+#define HETACC_LANE_BYTES 64
+#include "kernels/lane_kernels.inc"
+#undef HETACC_LANE_TARGET
+#undef HETACC_LANE_NAME
+#undef HETACC_LANE_BYTES
+
+template <int B>
+struct TransformAvx2 {
+  static constexpr TransformFn run = &lane_transform_avx2<B>;
+};
+
+template <int B>
+struct TransformAvx512 {
+  static constexpr TransformFn run = &lane_transform_avx512<B>;
+};
+#endif  // HETACC_X86_DISPATCH
+
 #endif  // HETACC_VEC
 
-/// The stamp this CPU runs, chosen once per process.
+/// A stamp's lane kernels.
 struct LaneKernels {
   TransformTable transform;
   SnapFn snap;
 };
 
+constexpr auto kDims = std::make_integer_sequence<int, kLaneTransformMaxDim>();
+
+/// The lane kernels of the active stamp (simd::active_stamp()).
 const LaneKernels& lane_kernels() {
-  static const LaneKernels k = [] {
-    constexpr auto dims = std::make_integer_sequence<int, kLaneTransformMaxDim>();
-#ifdef HETACC_VEC
+  switch (simd::active_stamp()) {
 #ifdef HETACC_X86_DISPATCH
-    if (cpu_has_avx2()) {
-      return LaneKernels{make_table<TransformAvx2>(dims), &snap_q16_avx2};
+    case simd::Stamp::kAvx512: {
+      static constexpr LaneKernels k{make_table<TransformAvx512>(kDims),
+                                     &snap_q16_avx512};
+      return k;
+    }
+    case simd::Stamp::kAvx2: {
+      static constexpr LaneKernels k{make_table<TransformAvx2>(kDims),
+                                     &snap_q16_avx2};
+      return k;
     }
 #endif
-    return LaneKernels{make_table<TransformBase>(dims), &snap_q16_base};
-#else
-    return LaneKernels{make_table<TransformScalar>(dims), &snap_q16_scalar};
+#ifdef HETACC_VEC
+    case simd::Stamp::kBase: {
+      static constexpr LaneKernels k{make_table<TransformBase>(kDims),
+                                     &snap_q16_base};
+      return k;
+    }
 #endif
-  }();
-  return k;
+    default: {
+      static constexpr LaneKernels k{make_table<TransformScalar>(kDims),
+                                     &snap_q16_scalar};
+      return k;
+    }
+  }
 }
 
 }  // namespace

@@ -1,11 +1,11 @@
 #pragma once
 // Lane kernels: small fixed-shape arithmetic run on many independent lanes
 // at once — Winograd tiles or filter panels through one transform, row
-// elements through the Q16 quantizer. The bodies are stamped baseline +
-// AVX2 like the GEMM micro-kernels (lane_kernels.inc) and selected at
-// runtime; with HETACC_NO_SIMD a scalar twin runs. Every stamp computes each
-// lane with the scalar expression sequence, so the output bytes do not
-// depend on the stamp.
+// elements through the Q16 quantizer. The bodies are stamped baseline,
+// AVX2 and AVX-512 like the GEMM micro-kernels (lane_kernels.inc) and
+// selected at runtime; with HETACC_NO_SIMD a scalar twin runs. Every stamp
+// computes each lane with the scalar expression sequence, so the output
+// bytes do not depend on the stamp.
 
 #include <cstddef>
 
@@ -34,7 +34,8 @@ void lane_transform(const double* L, const double* R, int a, int b,
                     std::size_t ys, int lanes);
 
 /// dst[i] = fixed::quantize_to_float(src[i], frac) for every non-NaN
-/// src[i]; a NaN yields +0. 8 lanes per vector. `dst` may alias `src`.
+/// src[i]; a NaN yields +0. 8 lanes per vector (16 on the AVX-512 stamp).
+/// `dst` may alias `src`.
 void snap_q16(const float* src, float* dst, std::size_t n, int frac);
 
 }  // namespace hetacc::kernels

@@ -24,7 +24,7 @@ void check_tile_size(int n) {
 }  // namespace
 
 int winograd_band_rows(int tiles_h, int tiles_w) {
-  constexpr int kBandColumns = 16;  // two NR = 8 panels of the f64 GEMM
+  constexpr int kBandColumns = 16;  // one f64 panel at NR = 16, two at 8
   const int rows = (kBandColumns + tiles_w - 1) / std::max(tiles_w, 1);
   return std::clamp(rows, 1, std::max(tiles_h, 1));
 }

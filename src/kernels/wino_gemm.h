@@ -71,8 +71,9 @@ struct WinogradPlan {
 };
 
 /// Tile rows a band kernel call should cover on a map `tiles_h` x `tiles_w`
-/// tiles: the fewest rows whose tiles fill two NR = 8 GEMM panels (16
-/// columns), capped at the map. A function of the geometry only.
+/// tiles: the fewest rows whose tiles fill 16 GEMM columns (two f64 panels
+/// of the AVX2 stamp, one of the AVX-512 stamp), capped at the map. A
+/// function of the geometry only, never of the stamp.
 [[nodiscard]] int winograd_band_rows(int tiles_h, int tiles_w);
 
 /// Computes a band of `band_rows` tile rows (every tile column of each).

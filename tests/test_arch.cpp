@@ -2,6 +2,8 @@
 
 #include "arch/line_buffer.h"
 #include "arch/pipeline.h"
+#include "kernels/gemm.h"
+#include "kernels/simd.h"
 #include "core/strategy.h"
 #include "nn/model_zoo.h"
 #include "nn/reference.h"
@@ -240,7 +242,7 @@ void expect_pinned_hashes(const Network& net, const WeightStore& ws,
   EXPECT_EQ(output_hash(batch[1]), second);
 }
 
-TEST(Pipeline, AlexNetFixedWinogradOutputBytesArePinned) {
+void pin_alexnet_fixed_winograd() {
   // alexnet-accel on the calibrated 16-bit datapath: conv2 F(2,5), conv3-5
   // F(4,3) on 13x13 maps (one band covers the whole map).
   const Network net = nn::alexnet_accel();
@@ -252,7 +254,7 @@ TEST(Pipeline, AlexNetFixedWinogradOutputBytesArePinned) {
                        0x99269f13a587ebe1ull, 0x91aa4443a2c5385cull);
 }
 
-TEST(Pipeline, FloatWinogradOutputBytesArePinned) {
+void pin_float_winograd() {
   // Clipped bottom/right tiles, out_c % 4 != 0, F(4,3), F(2,5), F(2,3).
   Network net("wino-float");
   net.input({5, 23, 19});
@@ -281,7 +283,7 @@ NumericMode i8_mode(float in_scale, std::int32_t in_zp, float out_scale,
   return m;
 }
 
-TEST(Pipeline, LrnOutputBytesArePinned) {
+void pin_lrn() {
   // local_size 5 then 3; 7 channels clip the window at both channel edges,
   // 2 channels are fewer than either window.
   struct Case {
@@ -305,7 +307,7 @@ TEST(Pipeline, LrnOutputBytesArePinned) {
   }
 }
 
-TEST(Pipeline, PoolOutputBytesArePinned) {
+void pin_pool() {
   // Max k3 s2 pad 1 on 12 rows: Caffe's ceil rounding leaves the last
   // window hanging past the padded bottom edge. Average k2 s2 on 7x7 clips
   // its last row and column; average k3 s1 pad 1 excludes the padding from
@@ -331,7 +333,7 @@ TEST(Pipeline, PoolOutputBytesArePinned) {
                        0x9b16ff35e7be9218ull);
 }
 
-TEST(Pipeline, GlobalPoolAndDagOutputBytesArePinned) {
+void pin_global_pool_and_dag() {
   // A DAG streams as runs of chained engines with merges between them: a
   // direct conv feeds an LRN -> ReLU run and a padded max-pool arm, and the
   // concat feeds 28x28 global average and max pools.
@@ -358,6 +360,41 @@ TEST(Pipeline, GlobalPoolAndDagOutputBytesArePinned) {
   }
   expect_pinned_hashes(net, ws, ch, 0x30159271f1ddc99full,
                        0xfb73ffcd0283f483ull);
+}
+
+TEST(Pipeline, AlexNetFixedWinogradOutputBytesArePinned) {
+  pin_alexnet_fixed_winograd();
+}
+
+TEST(Pipeline, FloatWinogradOutputBytesArePinned) {
+  pin_float_winograd();
+}
+
+TEST(Pipeline, LrnOutputBytesArePinned) {
+  pin_lrn();
+}
+
+TEST(Pipeline, PoolOutputBytesArePinned) {
+  pin_pool();
+}
+
+TEST(Pipeline, GlobalPoolAndDagOutputBytesArePinned) {
+  pin_global_pool_and_dag();
+}
+
+TEST(Pipeline, PinnedOutputBytesHoldOnTheAvx2Stamp) {
+  // The hashes above come from the best stamp this CPU runs; the AVX2+FMA
+  // stamp, with half the GEMM panel width, must reproduce every byte.
+  if (!kernels::simd::stamp_supported(kernels::simd::Stamp::kAvx2)) {
+    GTEST_SKIP() << "AVX2+FMA is not available on this CPU or build";
+  }
+  const kernels::simd::ScopedStampCap cap(kernels::simd::Stamp::kAvx2);
+  ASSERT_STREQ(kernels::simd_stamp(), "avx2");
+  pin_alexnet_fixed_winograd();
+  pin_float_winograd();
+  pin_lrn();
+  pin_pool();
+  pin_global_pool_and_dag();
 }
 
 TEST(Pipeline, FixedPointModeStaysClose) {

@@ -19,6 +19,7 @@
 #include "fault/fleet_fault.h"
 #include "serve/breaker.h"
 #include "kernels/parallel.h"
+#include "kernels/simd.h"
 #include "nn/model_zoo.h"
 #include "serve/fleet.h"
 #include "serve/prepack_cache.h"
@@ -393,7 +394,9 @@ TEST(FleetPoolTest, ReplicasShareOneWorkerSetUnderTheThreadClamp) {
 }
 
 // ------------------------------------------------------------ determinism --
-TEST(FleetDeterminismTest, StatsAreByteIdenticalForAnyThreadCount) {
+/// The determinism fleet: two models, a steady and a bursty tenant each,
+/// autoscaling on, run on `threads` workers.
+FleetStats run_determinism_fleet(int threads) {
   const auto build_models = [] {
     std::vector<FleetModel> m;
     m.push_back(tiny_model("a", 2, {1600, 1000, 640}, 1));
@@ -411,28 +414,47 @@ TEST(FleetDeterminismTest, StatsAreByteIdenticalForAnyThreadCount) {
       ArrivalTrace::synthetic(150, 550, 43, 2.0),
       ArrivalTrace::oscillating(4, 20, 200, 2400, 44)};
 
+  FleetConfig cfg;
+  cfg.threads = threads;
+  cfg.autoscale.enabled = true;
+  cfg.autoscale.max_replicas = 3;
+  cfg.autoscale.up_queue_frac = 0.15;
+  cfg.autoscale.dwell_cycles = 4000;
+  cfg.autoscale.spinup_cold_cycles = 2000;
+  cfg.autoscale.spinup_warm_cycles = 250;
+  FleetServer fleet(build_models(), tenants, cfg);
+  return fleet.run(traces);
+}
+
+/// The determinism fleet's response hash, pinned.
+constexpr std::uint64_t kDeterminismFleetHash = 13050217049901503213ull;
+
+TEST(FleetDeterminismTest, StatsAreByteIdenticalForAnyThreadCount) {
   std::vector<FleetStats> runs;
   for (const int threads : {1, 2, 8}) {
-    FleetConfig cfg;
-    cfg.threads = threads;
-    cfg.autoscale.enabled = true;
-    cfg.autoscale.max_replicas = 3;
-    cfg.autoscale.up_queue_frac = 0.15;
-    cfg.autoscale.dwell_cycles = 4000;
-    cfg.autoscale.spinup_cold_cycles = 2000;
-    cfg.autoscale.spinup_warm_cycles = 250;
-    FleetServer fleet(build_models(), tenants, cfg);
-    runs.push_back(fleet.run(traces));
+    runs.push_back(run_determinism_fleet(threads));
   }
   ASSERT_TRUE(runs[0].accounted());
   EXPECT_GT(runs[0].completed_total(), 0);
   // Pinned: the retry, breaker and burst paths are inert on a healthy
   // fleet, so the digest must not move when they change.
-  EXPECT_EQ(runs[0].response_hash, 13050217049901503213ull);
+  EXPECT_EQ(runs[0].response_hash, kDeterminismFleetHash);
   EXPECT_TRUE(runs[0] == runs[1]);
   EXPECT_TRUE(runs[0] == runs[2]);
   EXPECT_EQ(runs[0].to_json(), runs[1].to_json());
   EXPECT_EQ(runs[0].to_json(), runs[2].to_json());
+}
+
+TEST(FleetDeterminismTest, ResponseHashHoldsOnTheAvx2Stamp) {
+  // The pinned hash comes from the best stamp this CPU runs; the AVX2+FMA
+  // stamp must serve every response byte for byte.
+  if (!kernels::simd::stamp_supported(kernels::simd::Stamp::kAvx2)) {
+    GTEST_SKIP() << "AVX2+FMA is not available on this CPU or build";
+  }
+  const kernels::simd::ScopedStampCap cap(kernels::simd::Stamp::kAvx2);
+  const FleetStats stats = run_determinism_fleet(2);
+  ASSERT_TRUE(stats.accounted());
+  EXPECT_EQ(stats.response_hash, kDeterminismFleetHash);
 }
 
 // ---------------------------------------------------------- fault domains --

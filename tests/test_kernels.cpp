@@ -7,10 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <functional>
 #include <limits>
@@ -33,6 +35,7 @@
 #include "kernels/gemm.h"
 #include "kernels/lanes.h"
 #include "kernels/parallel.h"
+#include "kernels/simd.h"
 #include "nn/model_zoo.h"
 #include "nn/reference.h"
 #include "support/hardware.h"
@@ -40,6 +43,7 @@
 namespace hetacc {
 namespace {
 
+using kernels::simd::Stamp;
 using nn::FilterBank;
 using nn::Tensor;
 
@@ -521,7 +525,7 @@ std::vector<arch::LayerChoice> wino_choices(const nn::Network& net, int m3,
   return ch;
 }
 
-TEST(WinoGemm, AlexNetPlanCrcIsPinned) {
+void pin_alexnet_plan_crcs() {
   const nn::Network net = nn::alexnet_accel();
   const nn::WeightStore ws = nn::WeightStore::deterministic(net, 7);
   const struct {
@@ -535,7 +539,7 @@ TEST(WinoGemm, AlexNetPlanCrcIsPinned) {
   }
 }
 
-TEST(WinoGemm, AlexNetConvOutputsArePinnedOnOneAndFourThreads) {
+void pin_alexnet_conv_outputs() {
   ThreadGuard guard;
   const nn::Network alex = nn::alexnet_accel();
   const struct {
@@ -575,6 +579,22 @@ TEST(WinoGemm, AlexNetConvOutputsArePinnedOnOneAndFourThreads) {
                              one.vec().size() * sizeof(float)))
         << what;
   }
+}
+
+TEST(WinoGemm, AlexNetPlanCrcIsPinned) { pin_alexnet_plan_crcs(); }
+
+TEST(WinoGemm, AlexNetConvOutputsArePinnedOnOneAndFourThreads) {
+  pin_alexnet_conv_outputs();
+}
+
+TEST(WinoGemm, PinnedBytesHoldOnTheAvx2Stamp) {
+  if (!kernels::simd::stamp_supported(Stamp::kAvx2)) {
+    GTEST_SKIP() << "AVX2+FMA is not available on this CPU or build";
+  }
+  const kernels::simd::ScopedStampCap cap(Stamp::kAvx2);
+  ASSERT_STREQ(kernels::simd_stamp(), "avx2");
+  pin_alexnet_plan_crcs();
+  pin_alexnet_conv_outputs();
 }
 
 // -------------------------------------------------------- lane kernels --
@@ -820,13 +840,21 @@ TEST(PipelineKernels, RunBatchWinogradSharesCachedPlans) {
 }
 
 // --------------------------------------------- SIMD vs scalar fallback --
-// The fallback:: entry points run the identical blocking/packing/accumulation
-// structure with the scalar micro-kernel. Integer datapaths must match
-// bit-exactly (integer addition commutes); f32 and f64 may differ only by
-// FMA contraction inside the AVX2 stamp, so they are tolerance-bounded —
-// except on Q-snapped 16-bit operands, where every product and partial sum
-// is exact and they must match bit for bit. f32d always matches bit for bit:
-// its products of two floats are exact in double.
+// Under a scalar stamp cap the entry points run the identical blocking/
+// packing/accumulation structure with the scalar micro-kernel. Integer
+// datapaths must match bit-exactly (integer addition commutes); f32 and f64
+// may differ only by FMA contraction inside the AVX2 and AVX-512 stamps, so
+// they are tolerance-bounded — except on Q-snapped 16-bit operands, where
+// every product and partial sum is exact and they must match bit for bit.
+// f32d always matches bit for bit: its products of two floats are exact in
+// double.
+
+/// Runs fn with every kernel on its scalar twin.
+template <typename Fn>
+void on_scalar_stamp(const Fn& fn) {
+  const kernels::simd::ScopedStampCap cap(Stamp::kScalar);
+  fn();
+}
 
 TEST(Gemm, SimdMatchesScalarFallbackF32) {
   std::mt19937 rng(101);
@@ -839,8 +867,10 @@ TEST(Gemm, SimdMatchesScalarFallbackF32) {
     std::vector<float> simd(std::size_t(M) * N), scalar(std::size_t(M) * N);
     kernels::gemm_f32(M, N, K, A.data(), K, B.data(), N, simd.data(), N,
                       bias.data(), /*relu=*/false, 1);
-    kernels::fallback::gemm_f32(M, N, K, A.data(), K, B.data(), N,
-                                scalar.data(), N, bias.data(), false, 1);
+    on_scalar_stamp([&] {
+      kernels::gemm_f32(M, N, K, A.data(), K, B.data(), N, scalar.data(), N,
+                        bias.data(), false, 1);
+    });
     for (std::size_t i = 0; i < simd.size(); ++i) {
       EXPECT_NEAR(simd[i], scalar[i], 1e-3f)
           << "M=" << M << " N=" << N << " K=" << K << " i=" << i;
@@ -857,8 +887,10 @@ TEST(Gemm, SimdMatchesScalarFallbackDoubleAccum) {
   std::vector<double> simd(std::size_t(M) * N), scalar(std::size_t(M) * N);
   kernels::gemm_f32d(M, N, K, A.data(), K, B.data(), N, simd.data(), N,
                      bias.data(), true, 1);
-  kernels::fallback::gemm_f32d(M, N, K, A.data(), K, B.data(), N,
-                               scalar.data(), N, bias.data(), true, 1);
+  on_scalar_stamp([&] {
+    kernels::gemm_f32d(M, N, K, A.data(), K, B.data(), N, scalar.data(), N,
+                       bias.data(), true, 1);
+  });
   // Every float x float product is exact in double, so a fused multiply-add
   // rounds exactly like a multiply and an add: f32d matches bit for bit.
   EXPECT_EQ(0, std::memcmp(simd.data(), scalar.data(),
@@ -866,8 +898,10 @@ TEST(Gemm, SimdMatchesScalarFallbackDoubleAccum) {
   std::vector<double> Ad(A.begin(), A.end()), Bd(B.begin(), B.end());
   std::vector<double> simd64(std::size_t(M) * N), scalar64(std::size_t(M) * N);
   kernels::gemm_f64(M, N, K, Ad.data(), K, Bd.data(), N, simd64.data(), N, 1);
-  kernels::fallback::gemm_f64(M, N, K, Ad.data(), K, Bd.data(), N,
-                              scalar64.data(), N, 1);
+  on_scalar_stamp([&] {
+    kernels::gemm_f64(M, N, K, Ad.data(), K, Bd.data(), N, scalar64.data(), N,
+                      1);
+  });
   for (std::size_t i = 0; i < simd64.size(); ++i) {
     EXPECT_NEAR(simd64[i], scalar64[i], 1e-9) << "f64 i=" << i;
   }
@@ -883,16 +917,20 @@ TEST(Gemm, SimdBitExactAgainstScalarFallbackQ16) {
     std::vector<double> simd(std::size_t(M) * N), scalar(std::size_t(M) * N);
     kernels::gemm_f32d(M, N, K, A.q.data(), K, B.q.data(), N, simd.data(), N,
                        nullptr, false, 1);
-    kernels::fallback::gemm_f32d(M, N, K, A.q.data(), K, B.q.data(), N,
-                                 scalar.data(), N, nullptr, false, 1);
+    on_scalar_stamp([&] {
+      kernels::gemm_f32d(M, N, K, A.q.data(), K, B.q.data(), N, scalar.data(),
+                         N, nullptr, false, 1);
+    });
     EXPECT_EQ(0, std::memcmp(simd.data(), scalar.data(),
                              simd.size() * sizeof(double)))
         << "f32d M=" << M << " N=" << N << " K=" << K;
     const std::vector<double> Ad(A.q.begin(), A.q.end());
     const std::vector<double> Bd(B.q.begin(), B.q.end());
     kernels::gemm_f64(M, N, K, Ad.data(), K, Bd.data(), N, simd.data(), N, 1);
-    kernels::fallback::gemm_f64(M, N, K, Ad.data(), K, Bd.data(), N,
-                                scalar.data(), N, 1);
+    on_scalar_stamp([&] {
+      kernels::gemm_f64(M, N, K, Ad.data(), K, Bd.data(), N, scalar.data(), N,
+                        1);
+    });
     EXPECT_EQ(0, std::memcmp(simd.data(), scalar.data(),
                              simd.size() * sizeof(double)))
         << "f64 M=" << M << " N=" << N << " K=" << K;
@@ -1232,16 +1270,18 @@ TEST(GemmI8, SimdBitExactAgainstScalarFallback) {
 
   std::vector<std::int8_t> simd(std::size_t(M) * N), ref(std::size_t(M) * N);
   kernels::gemm_i8(M, N, K, A.data(), K, B.data(), N, simd.data(), N, q, 1);
-  kernels::fallback::gemm_i8(M, N, K, A.data(), K, B.data(), N, ref.data(),
-                             N, q, 1);
+  on_scalar_stamp([&] {
+    kernels::gemm_i8(M, N, K, A.data(), K, B.data(), N, ref.data(), N, q, 1);
+  });
   EXPECT_EQ(0, std::memcmp(simd.data(), ref.data(), simd.size()));
 
   std::vector<std::int32_t> simd32(std::size_t(M) * N),
       ref32(std::size_t(M) * N);
   kernels::gemm_i8_i32(M, N, K, A.data(), K, B.data(), N, simd32.data(), N,
                        1);
-  kernels::fallback::gemm_i8_i32(M, N, K, A.data(), K, B.data(), N,
-                                 ref32.data(), N, 1);
+  on_scalar_stamp([&] {
+    kernels::gemm_i8_i32(M, N, K, A.data(), K, B.data(), N, ref32.data(), N, 1);
+  });
   EXPECT_EQ(simd32, ref32);
 }
 
@@ -1451,6 +1491,213 @@ TEST(Blocking, CacheSkipsUnknownDatapathNames) {
        {kernels::Datapath::kF32, kernels::Datapath::kF32d}) {
     EXPECT_EQ(kernels::default_blocking(dp), kernels::blocking_for(dp))
         << kernels::datapath_name(dp);
+  }
+}
+
+// ---------------------------------------------------------- stamp parity --
+// Each stamp run under a ScopedStampCap. The AVX2 and AVX-512 stamps both
+// fuse every multiply-add and keep each output element's k-ascending chain,
+// so every GEMM datapath must match between them byte for byte. The exact
+// datapaths (f32d, whose float products are exact in double, and the
+// integer ones) match on every stamp, the scalar twins included. The lane
+// kernels never fuse, so they match the base stamp on every stamp.
+
+const Stamp kAllStamps[] = {Stamp::kScalar, Stamp::kBase, Stamp::kAvx2,
+                            Stamp::kAvx512};
+
+/// One datapath's output bytes; `exact` when they must not depend on FMA.
+struct DatapathBytes {
+  const char* name;
+  bool exact;
+  std::vector<unsigned char> bytes;
+};
+
+template <typename T>
+std::vector<unsigned char> as_bytes(const std::vector<T>& v) {
+  const auto* p = reinterpret_cast<const unsigned char*>(v.data());
+  return {p, p + v.size() * sizeof(T)};
+}
+
+/// Every GEMM datapath, raw and pre-packed, on one M x N x K problem,
+/// computed on stamp `s`.
+std::vector<DatapathBytes> gemm_bytes_on(Stamp s, int M, int N, int K,
+                                         int threads, std::uint32_t seed) {
+  const kernels::simd::ScopedStampCap cap(s);
+  EXPECT_STREQ(kernels::simd_stamp(), kernels::simd::stamp_name(s));
+  std::mt19937 rng(seed);
+  const auto A = random_floats(std::size_t(M) * K, rng);
+  const auto B = random_floats(std::size_t(K) * N, rng);
+  const auto bias = random_floats(std::size_t(M), rng);
+  const std::vector<double> Ad(A.begin(), A.end()), Bd(B.begin(), B.end());
+  const auto A8 = random_i8(std::size_t(M) * K, rng);
+  const auto B8 = random_i8(std::size_t(K) * N, rng);
+  std::vector<float> scales(std::size_t(M), 3e-3f);
+  std::vector<std::int32_t> bias32(std::size_t(M), -700);
+  const kernels::QuantParams q{scales.data(), true, bias32.data(), 3, true};
+  const std::size_t mn = std::size_t(M) * N;
+
+  std::vector<DatapathBytes> out;
+  std::vector<float> c32(mn);
+  kernels::gemm_f32(M, N, K, A.data(), K, B.data(), N, c32.data(), N,
+                    bias.data(), true, threads);
+  out.push_back({"f32", false, as_bytes(c32)});
+  const kernels::PackedLhsF32 pa32(A.data(), M, K, K);
+  kernels::gemm_f32(pa32, N, B.data(), N, c32.data(), N, bias.data(), true,
+                    threads);
+  out.push_back({"f32 packed", false, as_bytes(c32)});
+  std::vector<double> c64(mn);
+  kernels::gemm_f32d(M, N, K, A.data(), K, B.data(), N, c64.data(), N,
+                     bias.data(), true, threads);
+  out.push_back({"f32d", true, as_bytes(c64)});
+  kernels::gemm_f32d(kernels::PackedLhsF64(pa32), N, B.data(), N, c64.data(),
+                     N, bias.data(), true, threads);
+  out.push_back({"f32d packed", true, as_bytes(c64)});
+  kernels::gemm_f64(M, N, K, Ad.data(), K, Bd.data(), N, c64.data(), N,
+                    threads);
+  out.push_back({"f64", false, as_bytes(c64)});
+  kernels::gemm_f64(kernels::PackedLhsF64(Ad.data(), M, K, K), N, Bd.data(),
+                    N, c64.data(), N, threads);
+  out.push_back({"f64 packed", false, as_bytes(c64)});
+  std::vector<std::int8_t> c8(mn);
+  kernels::gemm_i8(M, N, K, A8.data(), K, B8.data(), N, c8.data(), N, q,
+                   threads);
+  out.push_back({"i8", true, as_bytes(c8)});
+  kernels::gemm_i8(kernels::PackedLhsI8(A8.data(), M, K, K), N, B8.data(), N,
+                   c8.data(), N, q, threads);
+  out.push_back({"i8 packed", true, as_bytes(c8)});
+  std::vector<std::int32_t> c32i(mn);
+  kernels::gemm_i8_i32(M, N, K, A8.data(), K, B8.data(), N, c32i.data(), N,
+                       threads);
+  out.push_back({"i8_i32", true, as_bytes(c32i)});
+  return out;
+}
+
+/// Shapes with M and N tails against MR = 4 and every stamp's NR, K within
+/// one KC block and across several, plus random ones.
+std::vector<std::array<int, 3>> parity_shapes() {
+  std::vector<std::array<int, 3>> shapes = {
+      {1, 1, 1}, {5, 7, 3}, {4, 32, 16}, {37, 45, 300}, {61, 100, 77},
+      {130, 33, 520}};
+  std::mt19937 rng(331);
+  std::uniform_int_distribution<int> m(1, 70), n(1, 120), k(1, 600);
+  for (int i = 0; i < 6; ++i) shapes.push_back({m(rng), n(rng), k(rng)});
+  return shapes;
+}
+
+TEST(StampParity, GemmAvx512MatchesAvx2Bytewise) {
+  if (!kernels::simd::stamp_supported(Stamp::kAvx512)) {
+    GTEST_SKIP() << "AVX-512 (F, VL, BW, DQ) is not available on this CPU "
+                    "or build; stamp "
+                 << kernels::simd_stamp() << " runs";
+  }
+  std::uint32_t seed = 400;
+  for (const auto& [M, N, K] : parity_shapes()) {
+    for (const int threads : {1, 3}) {
+      const auto wide = gemm_bytes_on(Stamp::kAvx512, M, N, K, threads, seed);
+      const auto narrow = gemm_bytes_on(Stamp::kAvx2, M, N, K, threads, seed);
+      for (std::size_t d = 0; d < wide.size(); ++d) {
+        EXPECT_TRUE(wide[d].bytes == narrow[d].bytes)
+            << wide[d].name << " M=" << M << " N=" << N << " K=" << K
+            << " threads=" << threads;
+      }
+      ++seed;
+    }
+  }
+}
+
+TEST(StampParity, GemmExactDatapathsMatchOnEveryStamp) {
+  std::string compared;
+  std::uint32_t seed = 500;
+  for (const auto& [M, N, K] : parity_shapes()) {
+    const auto ref = gemm_bytes_on(Stamp::kScalar, M, N, K, 1, seed);
+    for (const Stamp s : kAllStamps) {
+      if (s == Stamp::kScalar || !kernels::simd::stamp_supported(s)) continue;
+      if (seed == 500) {
+        compared += std::string(" ") + kernels::simd::stamp_name(s);
+      }
+      const auto got = gemm_bytes_on(s, M, N, K, 1, seed);
+      for (std::size_t d = 0; d < got.size(); ++d) {
+        if (!got[d].exact) continue;
+        EXPECT_TRUE(got[d].bytes == ref[d].bytes)
+            << got[d].name << " on " << kernels::simd::stamp_name(s)
+            << " M=" << M << " N=" << N << " K=" << K;
+      }
+    }
+    ++seed;
+  }
+  std::printf("[ stamps   ] selected %s; exact GEMM datapaths compared on "
+              "scalar%s\n",
+              kernels::simd_stamp(), compared.c_str());
+}
+
+/// lane_transform and snap_q16 outputs on stamp `s` for a fixed battery of
+/// shapes, lane counts (full wide vectors, 4-lane steps and tails) and
+/// inputs with signed zeros, denormals, infinities, NaNs and Q16 ties.
+std::vector<unsigned char> lane_bytes_on(Stamp s) {
+  const kernels::simd::ScopedStampCap cap(s);
+  EXPECT_STREQ(kernels::simd_stamp(), kernels::simd::stamp_name(s));
+  std::mt19937 rng(601);
+  std::uniform_real_distribution<double> uni(-4.0, 4.0);
+  std::uniform_int_distribution<int> pick(0, 15);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double specials[] = {0.0, -0.0, 4.9e-324, -4.9e-324, 1e-310, -1e-310,
+                             inf, -inf};
+  std::vector<unsigned char> out;
+  for (int b = 1; b <= kernels::kLaneTransformMaxDim; ++b) {
+    std::vector<double> L(std::size_t(b) * b);
+    for (double& v : L) v = pick(rng) < 4 ? 0.0 : uni(rng);
+    for (const int a : {b, std::max(1, b - 2)}) {
+      for (const int lanes : {1, 3, 4, 5, 8, 12, 13, 16, 21, 49}) {
+        const std::size_t xs = lanes + 2, ys = lanes + 1;
+        std::vector<double> x(xs * b * b), y(ys * a * a, -1.0);
+        for (double& v : x) {
+          const int p = pick(rng);
+          v = p < 8 ? specials[p] : uni(rng);
+        }
+        kernels::lane_transform(L.data(), L.data(), a, b, x.data(), xs,
+                                y.data(), ys, lanes);
+        const auto bytes = as_bytes(y);
+        out.insert(out.end(), bytes.begin(), bytes.end());
+      }
+    }
+  }
+  for (int frac = 0; frac <= 15; ++frac) {
+    std::vector<float> src;
+    const float ulp = fixed::Fixed16::pow2(-frac);
+    for (int k = -40000; k <= 40000; k += 997) {
+      src.push_back((static_cast<float>(k) + 0.5f) * ulp);
+    }
+    for (int i = 0; i < 3000; ++i) {
+      src.push_back(std::bit_cast<float>(static_cast<std::uint32_t>(rng())));
+    }
+    for (const std::size_t n : {std::size_t{1}, std::size_t{7},
+                                std::size_t{16}, std::size_t{17},
+                                src.size()}) {
+      std::vector<float> dst(n);
+      kernels::snap_q16(src.data(), dst.data(), n, frac);
+      const auto bytes = as_bytes(dst);
+      out.insert(out.end(), bytes.begin(), bytes.end());
+    }
+  }
+  return out;
+}
+
+TEST(StampParity, LaneKernelsMatchBaseOnEveryStamp) {
+  if (!kernels::simd::stamp_supported(Stamp::kBase)) {
+    GTEST_SKIP() << "built with HETACC_NO_SIMD: only the scalar twins exist";
+  }
+  const std::vector<unsigned char> base = lane_bytes_on(Stamp::kBase);
+  std::string compared;
+  for (const Stamp s : kAllStamps) {
+    if (s == Stamp::kBase || !kernels::simd::stamp_supported(s)) continue;
+    compared += std::string(" ") + kernels::simd::stamp_name(s);
+    EXPECT_TRUE(lane_bytes_on(s) == base) << kernels::simd::stamp_name(s);
+  }
+  std::printf("[ stamps   ] lane kernels compared on base against%s\n",
+              compared.c_str());
+  if (!kernels::simd::stamp_supported(Stamp::kAvx512)) {
+    GTEST_SKIP() << "AVX-512 (F, VL, BW, DQ) is not available on this CPU "
+                    "or build: its lane stamp was not compared";
   }
 }
 
