@@ -12,8 +12,8 @@
 // machine it ran on (hardware thread count and
 // kernels::machine_topology_key()) and the SIMD stamp its kernels ran
 // (kernels::simd_stamp()). The kernel-layer paths run on the selected stamp
-// at every thread count, then once more single-threaded on each lower stamp
-// the CPU runs.
+// at every thread count; single-threaded, each path also runs on every lower
+// stamp the CPU runs, in alternating rounds with the selected stamp.
 
 #include <algorithm>
 #include <chrono>
@@ -93,40 +93,57 @@ double quantile(const std::vector<double>& sorted, double q) {
   return sorted[lo] + (pos - static_cast<double>(lo)) * (sorted[hi] - sorted[lo]);
 }
 
-/// One untimed warmup, then median and quartiles of the collected samples:
-/// at least 5, stopping once ~250 ms of samples accumulated (cap 25) —
-/// robust against both scheduler spikes (median, not min-skewed
-/// distribution tails) and cold-start effects (warmup).
+/// Times `fn` on each of `stamps`: one untimed warmup per stamp, then
+/// rounds of one call per stamp, at least 5, stopping once the stamps
+/// average ~250 ms of samples (cap 25); median and quartiles per stamp.
+/// Robust against scheduler spikes (median, not min-skewed distribution
+/// tails) and cold-start effects (warmup); alternating the stamps round by
+/// round puts the machine's drift on all of them alike.
 template <typename Fn>
-Timing time_ms(const Fn& fn) {
+std::vector<Timing> time_ms(const Fn& fn, const std::vector<Stamp>& stamps) {
   using clock = std::chrono::steady_clock;
-  fn();  // warmup (pages, arena high-water, worker pool)
-  std::vector<double> samples;
-  double total = 0.0;
-  while (samples.size() < 5 || (total < 250.0 && samples.size() < 25)) {
+  const auto call = [&fn](Stamp st) {
+    const kernels::simd::ScopedStampCap cap(st);
     const auto t0 = clock::now();
     fn();
-    const auto t1 = clock::now();
-    const double ms =
-        std::chrono::duration<double, std::milli>(t1 - t0).count();
-    samples.push_back(ms);
-    total += ms;
+    return std::chrono::duration<double, std::milli>(clock::now() - t0)
+        .count();
+  };
+  for (const Stamp st : stamps) call(st);  // pages, arena, worker pool
+  std::vector<std::vector<double>> samples(stamps.size());
+  double total = 0.0;
+  for (int round = 0;
+       round < 5 || (total < 250.0 * stamps.size() && round < 25); ++round) {
+    for (std::size_t i = 0; i < stamps.size(); ++i) {
+      samples[i].push_back(call(stamps[i]));
+      total += samples[i].back();
+    }
   }
-  std::sort(samples.begin(), samples.end());
-  return {quantile(samples, 0.5), quantile(samples, 0.25),
-          quantile(samples, 0.75), static_cast<int>(samples.size())};
+  std::vector<Timing> out;
+  for (std::vector<double>& v : samples) {
+    std::sort(v.begin(), v.end());
+    out.push_back({quantile(v, 0.5), quantile(v, 0.25), quantile(v, 0.75),
+                   static_cast<int>(v.size())});
+  }
+  return out;
+}
+
+template <typename Fn>
+Timing time_ms(const Fn& fn) {
+  return time_ms(fn, {kernels::simd::active_stamp()})[0];
 }
 
 volatile float g_sink = 0.0f;  // defeats whole-call dead-code elimination
 
 /// Records one row. `baseline_ms` is the scalar time the row is quoted
-/// against (a baseline row passes its own time; 0 = no baseline), and
-/// `fixed16_ms` the 16-bit fixed model's time an int8 row is compared to.
+/// against (a baseline row passes its own time; 0 = no baseline),
+/// `fixed16_ms` the 16-bit fixed model's time an int8 row is compared to,
+/// and `stamp` the stamp the row's kernels ran.
 void emit(std::vector<Record>& out, const char* kernel, const Geometry& g,
           int threads, const Timing& t, double baseline_ms,
-          double fixed16_ms = 0.0) {
+          double fixed16_ms = 0.0, const char* stamp = kernels::simd_stamp()) {
   Record r{kernel,
-           kernels::simd_stamp(),
+           stamp,
            g,
            threads,
            t,
@@ -253,56 +270,65 @@ int main() {
       emit(recs, "im2col_i8_scalar", g, 1, i8_sc, i8_sc_ms);
     }
 
-    // Kernel-layer paths at thread count t on the active stamp. Speedups are
-    // quoted against the scalar implementation of the same numerics:
-    // direct_scalar for the float paths (the headline "blocked GEMM vs
-    // scalar conv" number is im2col_gemm vs direct_scalar), the fixed and
-    // int8 seeds for theirs.
-    const auto paths = [&](int t) {
+    // Kernel-layer paths at thread count t on stamps `on`, each row's stamps
+    // timed in alternating rounds. Speedups are quoted against the scalar
+    // implementation of the same numerics: direct_scalar for the float paths
+    // (the headline "blocked GEMM vs scalar conv" number is im2col_gemm vs
+    // direct_scalar), the fixed and int8 seeds for theirs.
+    const auto paths = [&](int t, const std::vector<Stamp>& on) {
       kernels::set_num_threads(t);
+      const auto row = [&](const char* kernel, double baseline_ms,
+                           const auto& fn,
+                           const std::vector<Timing>* vs_fixed16 = nullptr) {
+        const std::vector<Timing> ts = time_ms(fn, on);
+        for (std::size_t i = 0; i < ts.size(); ++i) {
+          emit(recs, kernel, g, t, ts[i], baseline_ms,
+               vs_fixed16 ? (*vs_fixed16)[i].ms : 0.0,
+               kernels::simd::stamp_name(on[i]));
+        }
+        return ts;
+      };
       if (!g.wino_only) {
-        emit(recs, "im2col_gemm", g, t, time_ms([&] {
-               g_sink = algo::conv_im2col(s.in, s.f, s.bias, 1, 1, true)
-                            .at(0, 0, 0);
-             }),
-             direct.ms);
+        row("im2col_gemm", direct.ms, [&] {
+          g_sink = algo::conv_im2col(s.in, s.f, s.bias, 1, 1, true).at(0, 0, 0);
+        });
       }
-      emit(recs, "winograd_f43_gemm", g, t, time_ms([&] {
-             g_sink =
-                 algo::winograd_conv_pretransformed(tf, s.in, s.bias, 1, true)
+      row("winograd_f43_gemm", direct.ms, [&] {
+        g_sink = algo::winograd_conv_pretransformed(tf, s.in, s.bias, 1, true)
                      .at(0, 0, 0);
-           }),
-           direct.ms);
+      });
       // The 16-bit direct model and int8 im2col GEMM run on every geometry
       // (including the tile-batch stress one): the pair is the datapath
       // headline.
-      const Timing fixed16 = time_ms([&] {
-        g_sink = algo::conv_direct_fixed(s.in, s.f, s.bias, 1, 1, true,
-                                         kDataFrac, kWeightFrac, kOutFrac)
-                     .at(0, 0, 0);
-      });
-      emit(recs, "direct_fixed_gemm", g, t, fixed16, fixed_sc_ms);
+      const std::vector<Timing> fixed16 =
+          row("direct_fixed_gemm", fixed_sc_ms, [&] {
+            g_sink = algo::conv_direct_fixed(s.in, s.f, s.bias, 1, 1, true,
+                                             kDataFrac, kWeightFrac, kOutFrac)
+                         .at(0, 0, 0);
+          });
       if (!g.wino_only) {
-        emit(recs, "winograd_fixed_gemm", g, t, time_ms([&] {
-               g_sink = algo::winograd_conv_fixed(wt, s.in, s.f, s.bias, 1,
-                                                  true, kDataFrac, kOutFrac)
-                            .at(0, 0, 0);
-             }),
-             wfix_sc_ms);
+        row("winograd_fixed_gemm", wfix_sc_ms, [&] {
+          g_sink = algo::winograd_conv_fixed(wt, s.in, s.f, s.bias, 1, true,
+                                             kDataFrac, kOutFrac)
+                       .at(0, 0, 0);
+        });
       }
-      emit(recs, "im2col_gemm_i8", g, t, time_ms([&] {
-             g_sink =
-                 algo::conv_quant_i8(s.in, s.f, s.bias, 1, 1, true, i8q)
-                     .at(0, 0, 0);
-           }),
-           i8_sc_ms, fixed16.ms);
+      row(
+          "im2col_gemm_i8", i8_sc_ms,
+          [&] {
+            g_sink = algo::conv_quant_i8(s.in, s.f, s.bias, 1, 1, true, i8q)
+                         .at(0, 0, 0);
+          },
+          &fixed16);
     };
-    for (int t : thread_counts) paths(t);
-    // The same paths on each lower stamp this CPU runs, one thread.
+    // Single-threaded, the selected stamp alternates with each lower stamp
+    // this CPU runs.
+    std::vector<Stamp> stamps = {kernels::simd::active_stamp()};
     for (const Stamp st : {Stamp::kAvx2, Stamp::kBase, Stamp::kScalar}) {
-      if (st >= kernels::simd::active_stamp()) continue;
-      const kernels::simd::ScopedStampCap cap(st);
-      paths(1);
+      if (st < stamps[0]) stamps.push_back(st);
+    }
+    for (int t : thread_counts) {
+      paths(t, t == 1 ? stamps : std::vector<Stamp>{stamps[0]});
     }
     kernels::set_num_threads(1);
     std::printf("\n");

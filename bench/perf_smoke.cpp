@@ -65,7 +65,6 @@
 #include "algo/winograd_conv.h"
 #include "arch/pipeline.h"
 #include "kernels/arena.h"
-#include "kernels/blocking.h"
 #include "kernels/gemm.h"
 #include "kernels/parallel.h"
 #include "kernels/simd.h"
@@ -189,19 +188,6 @@ int main() {
   const algo::WinogradTransform wt = algo::winograd_f4x3();
   const algo::TransformedFilters tf = algo::transform_filters(wt, f);
   constexpr int kDataFrac = 12, kWeightFrac = 14, kOutFrac = 10;
-
-  // Committed per-machine tuning cache (written by autotune_blocking). On a
-  // machine with a different cache topology 0 entries apply and dispatch
-  // stays on the shipped defaults — either way results are identical, the
-  // cache can only change speed.
-#ifdef HETACC_TUNING_CACHE
-  {
-    const int applied = kernels::load_tuning_cache_file(HETACC_TUNING_CACHE);
-    std::printf("perf_smoke: tuning cache %s — %d entr%s applied\n",
-                HETACC_TUNING_CACHE, applied < 0 ? 0 : applied,
-                applied == 1 ? "y" : "ies");
-  }
-#endif
 
   kernels::set_num_threads(1);  // single-thread comparison: pure kernel win
   const double scalar = best_ms(

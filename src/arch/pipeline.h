@@ -96,7 +96,6 @@ class FusionPipeline {
       const std::vector<nn::Tensor>& inputs, int threads = 0) const;
 
   [[nodiscard]] const PipelineStats& stats() const { return stats_; }
-  [[nodiscard]] std::size_t engine_count() const { return engines_.size(); }
   /// Engine for layer i+1. Merge layers (concat / eltwise-add) have no
   /// stream engine — they are computed on whole tensors between streams —
   /// so this throws for them; check has_engine() first on DAG nets.

@@ -58,12 +58,6 @@ struct FaultPlan {
   /// DATAFLOW watchdog (a real AXI-stream stall looks exactly like this).
   int wedge_channel = -1;
   long long wedge_after_pushes = 0;
-
-  /// True if any functional-corruption site can fire.
-  [[nodiscard]] bool any_functional() const {
-    return ddr_burst_flip_rate > 0.0 || line_buffer_flip_rate > 0.0 ||
-           weight_panel_flip_rate > 0.0 || fifo_corrupt_rate > 0.0;
-  }
 };
 
 /// Identity of an escalated (unrecovered) fault: which site struck which

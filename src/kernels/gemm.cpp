@@ -15,14 +15,15 @@ namespace hetacc::kernels {
 
 namespace {
 
-// A-side register blocking, shared by every datapath (PackedLhsT bakes this
-// interleave, so it is compile-time). The B-side register width NR is a
-// property of the stamp the call runs (see pick_micro below): B is packed
-// per call, so nothing stored depends on it. The cache-level blocking
-// (MC/KC/NC/grain) is runtime: per-datapath BlockingParams from blocking.h,
-// tuned by the persistent autotuner cache, defaulting to the constants this
-// driver shipped with (MC=96, KC=256).
+// A-side register blocking and cache blocking, shared by every datapath
+// (PackedLhsT bakes them). The B-side register width NR is a property of the
+// stamp the call runs (see pick_micro below): B is packed per call, so
+// nothing stored depends on it.
 constexpr int MR = kPackedMR;
+constexpr int MC = kGemmMC;
+constexpr int KC = kGemmKC;
+/// Most tile-grid tasks one parallel_for chunk takes.
+constexpr std::size_t kMaxGrain = 16;
 
 /// NR of the 256-bit stamps (baseline, AVX2) and of the scalar reference:
 /// two 32-byte vectors of accumulator lanes. The AVX-512 stamp doubles it.
@@ -181,15 +182,13 @@ struct RequantSink {
   const QuantParams* q = nullptr;
 };
 
-/// Blocked GEMM driver. Exactly one of A / pA is used. Per KC step and NC
-/// block: pack B once at the stamp's NR (parallel over panels, then shared
-/// read-only), pack A blocks once per KC step unless pre-packed, then run
-/// the 2D (MC-block x NR-panel) tile grid cooperatively — every tile owns a
-/// disjoint patch of C, each KC step is a barrier, and per-element
-/// accumulation is k-ascending, so output bytes are independent of the
-/// thread count, the chunk grain, the MC/NC/grain blocking and the stamp's
-/// NR (KC regrouping is additionally exact on the integer datapaths; see
-/// blocking.h).
+/// Blocked GEMM core. Exactly one of A / pA is used. Per KC step: pack B
+/// once at the stamp's NR (parallel over panels, then shared read-only),
+/// pack A blocks once unless pre-packed, then run the 2D (MC-block x
+/// NR-panel) tile grid cooperatively — every tile owns a disjoint patch of
+/// C, each KC step is a barrier, and per-element accumulation is
+/// k-ascending, so output bytes are independent of the thread count, the
+/// chunk grain and the stamp's NR.
 ///
 /// With kRequant, C is an i32 staging buffer (null when K fits one KC step)
 /// and the last-KC writeback requantizes straight into sink->c8 alongside
@@ -199,8 +198,7 @@ template <typename TA, typename TAcc, typename TC, typename TBias,
 void gemm_run(int M, int N, int K, const TA* A, int lda,
               const PackedLhsT<KernelOperand<TA, TAcc>>* pA, const TA* B,
               int ldb, TC* C, int ldc, const TBias* bias, bool relu,
-              int threads, Stamp stamp, const BlockingParams& bp,
-              const RequantSink* sink = nullptr) {
+              int threads, Stamp stamp, const RequantSink* sink = nullptr) {
   if (M <= 0 || N <= 0) return;
   if (K <= 0) {
     for (int i = 0; i < M; ++i) {
@@ -229,205 +227,162 @@ void gemm_run(int M, int N, int K, const TA* A, int lda,
   const int NR = mk.nr;
   if (threads == 0) threads = num_threads();
 
-  // Pre-packed A bakes its (MC, KC); otherwise take the dispatch blocking.
-  const int mc = pA ? pA->mc() : bp.mc;
-  const int kc = pA ? pA->kc() : bp.kc;
-  const int ncb = bp.nc > 0 ? std::min(bp.nc, N) : N;
-
-  const int iblocks = (M + mc - 1) / mc;
-  const int jpanels_cap = (ncb + NR - 1) / NR;
-  const int mpanels_cap = (mc + MR - 1) / MR;
+  const int iblocks = (M + MC - 1) / MC;
+  const int jpanels = (N + NR - 1) / NR;
+  constexpr int mpanels_cap = (MC + MR - 1) / MR;
 
   ScratchArena& arena = ScratchArena::tls();
   ScratchArena::Scope scope(arena);
-  TA* bpack =
-      arena.alloc<TA>(static_cast<std::size_t>(jpanels_cap) * NR * kc);
+  TA* bpack = arena.alloc<TA>(static_cast<std::size_t>(jpanels) * NR * KC);
   TK* apack = nullptr;
   if (!pA) {
     apack = arena.alloc<TK>(static_cast<std::size_t>(iblocks) * mpanels_cap *
-                            MR * kc);
+                            MR * KC);
   }
 
+  // 2D cooperative tile grid. Task index g walks NR-panels fastest so
+  // consecutive chunks reuse the same packed A block while B panels stream.
   const int tw = std::max(1, resolve_threads(threads));
-  const std::size_t grain_cap = bp.grain > 0
-                                    ? static_cast<std::size_t>(bp.grain)
-                                    : static_cast<std::size_t>(16);
+  const std::size_t tasks =
+      static_cast<std::size_t>(iblocks) * static_cast<std::size_t>(jpanels);
+  const std::size_t grain = std::clamp<std::size_t>(
+      tasks / (static_cast<std::size_t>(tw) * 4), 1, kMaxGrain);
 
-  for (int p0 = 0, pb = 0; p0 < K; p0 += kc, ++pb) {
-    const int kb = std::min(kc, K - p0);
+  for (int p0 = 0, pb = 0; p0 < K; p0 += KC, ++pb) {
+    const int kb = std::min(KC, K - p0);
     const bool first = (p0 == 0);
     const bool last = (p0 + kb == K);
 
     if (!pA) {
       parallel_for(static_cast<std::size_t>(iblocks), 1, threads,
                    [&](std::size_t ib) {
-                     const int i0 = static_cast<int>(ib) * mc;
-                     pack_a_panels(A, lda, i0, std::min(mc, M - i0), p0, kb,
+                     const int i0 = static_cast<int>(ib) * MC;
+                     pack_a_panels(A, lda, i0, std::min(MC, M - i0), p0, kb,
                                    apack + ib * static_cast<std::size_t>(
                                                     mpanels_cap) *
                                                MR * kb);
                    });
     }
 
-    for (int jc = 0; jc < N; jc += ncb) {
-      const int nb = std::min(ncb, N - jc);
-      const int jpanels = (nb + NR - 1) / NR;
+    // Pack this KC step's B panel row once; every compute task below reads
+    // it, no task re-packs.
+    parallel_for(static_cast<std::size_t>(jpanels), 8, threads,
+                 [&](std::size_t pj) {
+                   const int j0 = static_cast<int>(pj) * NR;
+                   pack_b_panel(
+                       B, ldb, p0, kb, j0, std::min(NR, N - j0), NR,
+                       bpack + pj * static_cast<std::size_t>(NR) * kb);
+                 });
 
-      // Pack this NC block's B panel row once; every compute task below
-      // reads it, no task re-packs.
-      parallel_for(static_cast<std::size_t>(jpanels), 8, threads,
-                   [&](std::size_t pj) {
-                     const int j0 = jc + static_cast<int>(pj) * NR;
-                     pack_b_panel(
-                         B, ldb, p0, kb, j0, std::min(NR, N - j0), NR,
-                         bpack + pj * static_cast<std::size_t>(NR) * kb);
-                   });
-
-      // 2D cooperative tile grid. Task index g walks NR-panels fastest so
-      // consecutive chunks reuse the same packed A block while B panels
-      // stream.
-      const std::size_t tasks = static_cast<std::size_t>(iblocks) *
-                                static_cast<std::size_t>(jpanels);
-      const std::size_t grain = std::clamp<std::size_t>(
-          tasks / (static_cast<std::size_t>(tw) * 4), 1, grain_cap);
-      parallel_for(tasks, grain, threads, [&](std::size_t g) {
-        const int ib = static_cast<int>(g / jpanels);
-        const int pj = static_cast<int>(g % jpanels);
-        const int i0 = ib * mc;
-        const int mb = std::min(mc, M - i0);
-        const std::size_t aoff =
-            ib * static_cast<std::size_t>(mpanels_cap) * MR * kb;
-        const TK* ablk = pA ? pA->block(pb, ib).data() : apack + aoff;
-        const TA* bsrc = bpack + pj * static_cast<std::size_t>(NR) * kb;
-        const TK* bpan;
-        std::optional<ScratchArena::Scope> widened;
-        if constexpr (kWidenB) {
-          ScratchArena& task_arena = ScratchArena::tls();
-          widened.emplace(task_arena);
-          TK* wide = task_arena.alloc<TK>(static_cast<std::size_t>(NR) * kb);
-          std::copy(bsrc, bsrc + static_cast<std::size_t>(NR) * kb, wide);
-          bpan = wide;
-        } else {
-          bpan = bsrc;
-        }
-        const int j0 = jc + pj * NR;
-        const int cols = std::min(NR, N - j0);
-        const int ipanels = (mb + MR - 1) / MR;
-        for (int pi = 0; pi < ipanels; ++pi) {
-          TAcc acc[MR * kMaxNR<TAcc>];
-          mk.fn(kb, ablk + static_cast<std::size_t>(pi) * MR * kb, bpan, acc);
-          const int rows = std::min(MR, mb - pi * MR);
-          for (int ir = 0; ir < rows; ++ir) {
-            const int i = i0 + pi * MR + ir;
-            const TAcc* arow = acc + ir * NR;
-            if constexpr (kRequant) {
-              const QuantParams& q = *sink->q;
-              if (last) {
-                // Requantize-on-writeback: fold bias (or the staged partial
-                // sum), scale, RNE, zero-point, ReLU, saturate — straight
-                // into the i8 output, no second pass over C.
-                const float sc = q.per_channel ? q.scales[i] : q.scales[0];
-                std::int8_t* orow =
-                    sink->c8 + static_cast<std::size_t>(i) * sink->ldc8 + j0;
-                if (first) {
-                  const std::int32_t bv =
-                      bias ? static_cast<std::int32_t>(bias[i]) : 0;
-                  for (int jr = 0; jr < cols; ++jr) {
-                    orow[jr] = requantize_i32(bv + arow[jr], sc,
-                                              q.zero_point, q.relu);
-                  }
-                } else {
-                  const TC* srow =
-                      C + static_cast<std::size_t>(i) * ldc + j0;
-                  for (int jr = 0; jr < cols; ++jr) {
-                    orow[jr] = requantize_i32(srow[jr] + arow[jr], sc,
-                                              q.zero_point, q.relu);
-                  }
+    parallel_for(tasks, grain, threads, [&](std::size_t g) {
+      const int ib = static_cast<int>(g / jpanels);
+      const int pj = static_cast<int>(g % jpanels);
+      const int i0 = ib * MC;
+      const int mb = std::min(MC, M - i0);
+      const std::size_t aoff =
+          ib * static_cast<std::size_t>(mpanels_cap) * MR * kb;
+      const TK* ablk = pA ? pA->block(pb, ib).data() : apack + aoff;
+      const TA* bsrc = bpack + pj * static_cast<std::size_t>(NR) * kb;
+      const TK* bpan;
+      std::optional<ScratchArena::Scope> widened;
+      if constexpr (kWidenB) {
+        ScratchArena& task_arena = ScratchArena::tls();
+        widened.emplace(task_arena);
+        TK* wide = task_arena.alloc<TK>(static_cast<std::size_t>(NR) * kb);
+        std::copy(bsrc, bsrc + static_cast<std::size_t>(NR) * kb, wide);
+        bpan = wide;
+      } else {
+        bpan = bsrc;
+      }
+      const int j0 = pj * NR;
+      const int cols = std::min(NR, N - j0);
+      const int ipanels = (mb + MR - 1) / MR;
+      for (int pi = 0; pi < ipanels; ++pi) {
+        TAcc acc[MR * kMaxNR<TAcc>];
+        mk.fn(kb, ablk + static_cast<std::size_t>(pi) * MR * kb, bpan, acc);
+        const int rows = std::min(MR, mb - pi * MR);
+        for (int ir = 0; ir < rows; ++ir) {
+          const int i = i0 + pi * MR + ir;
+          const TAcc* arow = acc + ir * NR;
+          if constexpr (kRequant) {
+            const QuantParams& q = *sink->q;
+            if (last) {
+              // Requantize-on-writeback: fold bias (or the staged partial
+              // sum), scale, RNE, zero-point, ReLU, saturate — straight
+              // into the i8 output, no second pass over C.
+              const float sc = q.per_channel ? q.scales[i] : q.scales[0];
+              std::int8_t* orow =
+                  sink->c8 + static_cast<std::size_t>(i) * sink->ldc8 + j0;
+              if (first) {
+                const std::int32_t bv =
+                    bias ? static_cast<std::int32_t>(bias[i]) : 0;
+                for (int jr = 0; jr < cols; ++jr) {
+                  orow[jr] = requantize_i32(bv + arow[jr], sc,
+                                            q.zero_point, q.relu);
                 }
               } else {
-                TC* crow = C + static_cast<std::size_t>(i) * ldc + j0;
-                if (first) {
-                  const std::int32_t bv =
-                      bias ? static_cast<std::int32_t>(bias[i]) : 0;
-                  for (int jr = 0; jr < cols; ++jr) {
-                    crow[jr] = bv + arow[jr];
-                  }
-                } else {
-                  for (int jr = 0; jr < cols; ++jr) crow[jr] += arow[jr];
+                const TC* srow =
+                    C + static_cast<std::size_t>(i) * ldc + j0;
+                for (int jr = 0; jr < cols; ++jr) {
+                  orow[jr] = requantize_i32(srow[jr] + arow[jr], sc,
+                                            q.zero_point, q.relu);
                 }
               }
             } else {
               TC* crow = C + static_cast<std::size_t>(i) * ldc + j0;
               if (first) {
-                if (bias) {
-                  const TAcc bv = static_cast<TAcc>(bias[i]);
-                  for (int jr = 0; jr < cols; ++jr) {
-                    crow[jr] = static_cast<TC>(bv + arow[jr]);
-                  }
-                } else {
-                  for (int jr = 0; jr < cols; ++jr) {
-                    crow[jr] = static_cast<TC>(arow[jr]);
-                  }
+                const std::int32_t bv =
+                    bias ? static_cast<std::int32_t>(bias[i]) : 0;
+                for (int jr = 0; jr < cols; ++jr) {
+                  crow[jr] = bv + arow[jr];
+                }
+              } else {
+                for (int jr = 0; jr < cols; ++jr) crow[jr] += arow[jr];
+              }
+            }
+          } else {
+            TC* crow = C + static_cast<std::size_t>(i) * ldc + j0;
+            if (first) {
+              if (bias) {
+                const TAcc bv = static_cast<TAcc>(bias[i]);
+                for (int jr = 0; jr < cols; ++jr) {
+                  crow[jr] = static_cast<TC>(bv + arow[jr]);
                 }
               } else {
                 for (int jr = 0; jr < cols; ++jr) {
-                  crow[jr] = static_cast<TC>(static_cast<TAcc>(crow[jr]) +
-                                             arow[jr]);
+                  crow[jr] = static_cast<TC>(arow[jr]);
                 }
               }
-              if constexpr (std::is_floating_point_v<TC>) {
-                if (last && relu) {
-                  for (int jr = 0; jr < cols; ++jr) {
-                    crow[jr] = std::max(crow[jr], TC(0));
-                  }
+            } else {
+              for (int jr = 0; jr < cols; ++jr) {
+                crow[jr] = static_cast<TC>(static_cast<TAcc>(crow[jr]) +
+                                           arow[jr]);
+              }
+            }
+            if constexpr (std::is_floating_point_v<TC>) {
+              if (last && relu) {
+                for (int jr = 0; jr < cols; ++jr) {
+                  crow[jr] = std::max(crow[jr], TC(0));
                 }
               }
             }
           }
         }
-      });
-    }
+      }
+    });
   }
   if constexpr (!std::is_floating_point_v<TC>) (void)relu;
 }
 
 }  // namespace
 
-namespace {
-
-/// Datapath whose blocking a PackedLhsT<T> built without an explicit
-/// BlockingParams should bake: the pack layout is per element type, shared
-/// by every datapath consuming that type (f32 and f32d read the same float
-/// pack, and float KC is pinned, so their blocking agrees by construction).
-template <typename T>
-constexpr Datapath pack_datapath();
-template <>
-constexpr Datapath pack_datapath<float>() {
-  return Datapath::kF32;
-}
-template <>
-constexpr Datapath pack_datapath<double>() {
-  return Datapath::kF64;
-}
-template <>
-constexpr Datapath pack_datapath<std::int8_t>() {
-  return Datapath::kI8;
-}
-
-}  // namespace
-
 template <typename T>
 PackedLhsT<T>::PackedLhsT(const T* A, int M, int K, int lda)
-    : PackedLhsT(A, M, K, lda, blocking_for(pack_datapath<T>())) {}
-
-template <typename T>
-PackedLhsT<T>::PackedLhsT(const T* A, int M, int K, int lda,
-                          const BlockingParams& bp)
-    : PackedLhsT(M, K, bp) {
-  for (int p0 = 0, pb = 0; p0 < K; p0 += kc_, ++pb) {
-    const int kb = std::min(kc_, K - p0);
-    for (int i0 = 0, ib = 0; i0 < M; i0 += mc_, ++ib) {
-      pack_a_panels(A, lda, i0, std::min(mc_, M - i0), p0, kb,
+    : PackedLhsT(M, K) {
+  for (int p0 = 0, pb = 0; p0 < K; p0 += KC, ++pb) {
+    const int kb = std::min(KC, K - p0);
+    for (int i0 = 0, ib = 0; i0 < M; i0 += MC, ++ib) {
+      pack_a_panels(A, lda, i0, std::min(MC, M - i0), p0, kb,
                     blocks_[static_cast<std::size_t>(pb) * iblocks_ + ib]
                         .data());
     }
@@ -435,19 +390,14 @@ PackedLhsT<T>::PackedLhsT(const T* A, int M, int K, int lda,
 }
 
 template <typename T>
-PackedLhsT<T>::PackedLhsT(int M, int K)
-    : PackedLhsT(M, K, blocking_for(pack_datapath<T>())) {}
-
-template <typename T>
-PackedLhsT<T>::PackedLhsT(int M, int K, const BlockingParams& bp)
-    : m_(M), k_(K), mc_(bp.mc), kc_(bp.kc) {
-  pblocks_ = K > 0 ? (K + kc_ - 1) / kc_ : 0;
-  iblocks_ = M > 0 ? (M + mc_ - 1) / mc_ : 0;
+PackedLhsT<T>::PackedLhsT(int M, int K) : m_(M), k_(K) {
+  pblocks_ = K > 0 ? (K + KC - 1) / KC : 0;
+  iblocks_ = M > 0 ? (M + MC - 1) / MC : 0;
   blocks_.resize(static_cast<std::size_t>(pblocks_) * iblocks_);
-  for (int p0 = 0, pb = 0; p0 < K; p0 += kc_, ++pb) {
-    const int kb = std::min(kc_, K - p0);
-    for (int i0 = 0, ib = 0; i0 < M; i0 += mc_, ++ib) {
-      const int panels = (std::min(mc_, M - i0) + MR - 1) / MR;
+  for (int p0 = 0, pb = 0; p0 < K; p0 += KC, ++pb) {
+    const int kb = std::min(KC, K - p0);
+    for (int i0 = 0, ib = 0; i0 < M; i0 += MC, ++ib) {
+      const int panels = (std::min(MC, M - i0) + MR - 1) / MR;
       blocks_[static_cast<std::size_t>(pb) * iblocks_ + ib].resize(
           static_cast<std::size_t>(panels) * MR * kb);
     }
@@ -463,14 +413,14 @@ void gemm_f32(int M, int N, int K, const float* A, int lda, const float* B,
               int threads) {
   gemm_run<float, float, float, float>(
       M, N, K, A, lda, nullptr, B, ldb, C, ldc, bias, relu, threads,
-      simd::active_stamp(), blocking_for(Datapath::kF32));
+      simd::active_stamp());
 }
 
 void gemm_f32(const PackedLhsF32& A, int N, const float* B, int ldb, float* C,
               int ldc, const float* bias, bool relu, int threads) {
   gemm_run<float, float, float, float>(
       A.rows(), N, A.depth(), nullptr, 0, &A, B, ldb, C, ldc, bias, relu,
-      threads, simd::active_stamp(), blocking_for(Datapath::kF32));
+      threads, simd::active_stamp());
 }
 
 void gemm_f32d(int M, int N, int K, const float* A, int lda, const float* B,
@@ -478,28 +428,28 @@ void gemm_f32d(int M, int N, int K, const float* A, int lda, const float* B,
                int threads) {
   gemm_run<float, double, double, float>(
       M, N, K, A, lda, nullptr, B, ldb, C, ldc, bias, relu, threads,
-      simd::active_stamp(), blocking_for(Datapath::kF32d));
+      simd::active_stamp());
 }
 
 void gemm_f32d(const PackedLhsF64& A, int N, const float* B, int ldb,
                double* C, int ldc, const float* bias, bool relu, int threads) {
   gemm_run<float, double, double, float>(
       A.rows(), N, A.depth(), nullptr, 0, &A, B, ldb, C, ldc, bias, relu,
-      threads, simd::active_stamp(), blocking_for(Datapath::kF32d));
+      threads, simd::active_stamp());
 }
 
 void gemm_f64(int M, int N, int K, const double* A, int lda, const double* B,
               int ldb, double* C, int ldc, int threads) {
   gemm_run<double, double, double, double>(
       M, N, K, A, lda, nullptr, B, ldb, C, ldc, nullptr, false, threads,
-      simd::active_stamp(), blocking_for(Datapath::kF64));
+      simd::active_stamp());
 }
 
 void gemm_f64(const PackedLhsF64& A, int N, const double* B, int ldb,
               double* C, int ldc, int threads) {
   gemm_run<double, double, double, double>(
       A.rows(), N, A.depth(), nullptr, 0, &A, B, ldb, C, ldc, nullptr, false,
-      threads, simd::active_stamp(), blocking_for(Datapath::kF64));
+      threads, simd::active_stamp());
 }
 
 void require_exact_q16_depth(long long K, const char* what) {
@@ -520,20 +470,18 @@ void gemm_i8_run(int M, int N, int K, const std::int8_t* A, int lda,
                  const PackedLhsI8* pA, const std::int8_t* B, int ldb,
                  std::int8_t* C, int ldc, const QuantParams& q, int threads,
                  Stamp stamp) {
-  const BlockingParams bp = blocking_for(Datapath::kI8);
-  const int kc = pA ? pA->kc() : bp.kc;
   RequantSink sink{C, ldc, &q};
   ScratchArena& arena = ScratchArena::tls();
   ScratchArena::Scope scope(arena);
   std::int32_t* stage = nullptr;
   int lds = 0;
-  if (K > kc && M > 0 && N > 0) {
+  if (K > KC && M > 0 && N > 0) {
     stage = arena.alloc<std::int32_t>(static_cast<std::size_t>(M) * N);
     lds = N;
   }
   gemm_run<std::int8_t, std::int32_t, std::int32_t, std::int32_t, true>(
       M, N, K, A, lda, pA, B, ldb, stage, lds, q.bias, false, threads,
-      stamp, bp, &sink);
+      stamp, &sink);
 }
 
 }  // namespace
@@ -556,7 +504,7 @@ void gemm_i8_i32(int M, int N, int K, const std::int8_t* A, int lda,
                  int threads) {
   gemm_run<std::int8_t, std::int32_t, std::int32_t, std::int32_t>(
       M, N, K, A, lda, nullptr, B, ldb, C, ldc, nullptr, false, threads,
-      simd::active_stamp(), blocking_for(Datapath::kI8));
+      simd::active_stamp());
 }
 
 bool simd_enabled() { return simd::active_stamp() != Stamp::kScalar; }

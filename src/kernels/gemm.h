@@ -20,11 +20,11 @@
 // byte-identical for any `threads` value. A single accumulation chain is
 // never split; per output element it is strictly ascending in k.
 //
-// Blocking (MC/KC/NC/grain) comes from the per-datapath BlockingParams in
-// blocking.h — tuned entries from the persistent autotuner cache when
-// loaded, the shipped defaults otherwise. KC is pinned on float datapaths
-// (accumulation grouping) and tunable on integer ones (exact accumulation),
-// so a cache hit can only change speed, never bytes.
+// Cache blocking is fixed at compile time (kGemmMC, kGemmKC; NC is all of
+// N). KC is part of every float result: C accumulates one partial sum per KC
+// step, so a different KC would regroup each element's additions and move
+// output bytes. Pre-packed weights, their CRCs and the pinned pipeline
+// outputs all assume these values.
 //
 // Scratch (packed panels, im2col matrices) comes from the calling thread's
 // ScratchArena, so steady-state calls perform zero heap allocations.
@@ -34,40 +34,37 @@
 #include <cstdint>
 #include <vector>
 
-#include "kernels/blocking.h"
-
 namespace hetacc::kernels {
 
 /// Rows per A micro-panel (the A-side register blocking every datapath's
 /// micro-kernel shares; PackedLhsT bakes it into its layout).
 inline constexpr int kPackedMR = 4;
+/// Rows of A per cache block; packed blocks hold whole micro-panels.
+inline constexpr int kGemmMC = 96;
+static_assert(kGemmMC % kPackedMR == 0);
+/// Depth of one K step. Float C accumulates per KC step, so this constant
+/// fixes every float GEMM's addition order (see the header comment).
+inline constexpr int kGemmKC = 256;
 
 /// Left operand pre-packed into micro-panels (weights reused across many
-/// GEMM calls: conv engines pack once per layer, not once per image/row).
-/// The pack bakes the (MC, KC) blocking it was built with; gemm_run reads it
-/// back from the pack so pre-packed dispatch stays consistent even when the
-/// tuned blocking changes between pack time and call time.
+/// GEMM calls: conv engines pack once per layer, not once per image/row),
+/// laid out in kGemmMC x kGemmKC blocks.
 template <typename T>
 class PackedLhsT {
  public:
   PackedLhsT() = default;
-  /// Packs row-major A (M x K, leading dimension lda) with the datapath's
-  /// current blocking (f32 for float, f64 for double, i8 for int8 element
-  /// types).
+  /// Packs row-major A (M x K, leading dimension lda).
   PackedLhsT(const T* A, int M, int K, int lda);
-  /// Packs with an explicit blocking (autotuner / tests).
-  PackedLhsT(const T* A, int M, int K, int lda, const BlockingParams& bp);
-  /// An all-zero M x K pack with the datapath's current blocking, to be
-  /// filled element by element through slot()/at(): builders that produce
-  /// A one (row, column) at a time write straight into the panels, with no
-  /// row-major staging copy.
+  /// An all-zero M x K pack, to be filled element by element through
+  /// slot()/at(): builders that produce A one (row, column) at a time write
+  /// straight into the panels, with no row-major staging copy.
   PackedLhsT(int M, int K);
-  /// `src` with every element converted to T: same shape, blocking and
-  /// panel layout (a float pack widened to double once, for gemm_f32d).
+  /// `src` with every element converted to T: same shape and panel layout
+  /// (a float pack widened to double once, for gemm_f32d).
   template <typename U>
   explicit PackedLhsT(const PackedLhsT<U>& src)
       : m_(src.rows()), k_(src.depth()), pblocks_(src.pblocks()),
-        iblocks_(src.iblocks()), mc_(src.mc()), kc_(src.kc()) {
+        iblocks_(src.iblocks()) {
     blocks_.reserve(static_cast<std::size_t>(pblocks_) * iblocks_);
     for (int pb = 0; pb < pblocks_; ++pb) {
       for (int ib = 0; ib < iblocks_; ++ib) {
@@ -79,8 +76,6 @@ class PackedLhsT {
 
   [[nodiscard]] int rows() const { return m_; }
   [[nodiscard]] int depth() const { return k_; }
-  [[nodiscard]] int mc() const { return mc_; }
-  [[nodiscard]] int kc() const { return kc_; }
   /// Panel block for K-block pb and M-block ib (kernel-layer internal).
   [[nodiscard]] const std::vector<T>& block(int pb, int ib) const {
     return blocks_[static_cast<std::size_t>(pb) * iblocks_ + ib];
@@ -91,17 +86,18 @@ class PackedLhsT {
   [[nodiscard]] int iblocks() const { return iblocks_; }
 
   /// Where A(i, k) lives in the panels: a block index and an offset inside
-  /// that block. Every pack of the same shape and blocking agrees on it, so
-  /// a builder filling several packs at once locates each element once.
+  /// that block. Every pack of the same shape agrees on it, so a builder
+  /// filling several packs at once locates each element once.
   struct Slot {
     std::size_t block = 0, offset = 0;
   };
   [[nodiscard]] Slot slot(int i, int k) const {
-    const int ib = i / mc_, pb = k / kc_;
-    const int kb = std::min(kc_, k_ - pb * kc_);
-    const int il = i - ib * mc_;
+    const int ib = i / kGemmMC, pb = k / kGemmKC;
+    const int kb = std::min(kGemmKC, k_ - pb * kGemmKC);
+    const int il = i - ib * kGemmMC;
     return {static_cast<std::size_t>(pb) * iblocks_ + ib,
-            (static_cast<std::size_t>(il / kPackedMR) * kb + (k - pb * kc_)) *
+            (static_cast<std::size_t>(il / kPackedMR) * kb +
+             (k - pb * kGemmKC)) *
                     kPackedMR +
                 il % kPackedMR};
   }
@@ -124,11 +120,7 @@ class PackedLhsT {
   }
 
  private:
-  /// All-zero panel blocks laid out for (M, K, bp).
-  PackedLhsT(int M, int K, const BlockingParams& bp);
-
   int m_ = 0, k_ = 0, pblocks_ = 0, iblocks_ = 0;
-  int mc_ = 96, kc_ = 256;
   std::vector<std::vector<T>> blocks_;
 };
 
@@ -170,8 +162,8 @@ void gemm_f64(const PackedLhsF64& A, int N, const double* B, int ldb,
 /// is a 16-bit integer times 2^-f, so each product is an integer of at most
 /// 2^30 times 2^-(fa+fb), and K <= 2^22 of them keep every partial sum below
 /// 2^52 of that unit: every addition is exact in double, in any order, and C
-/// equals the int64 MAC sum times 2^-(fa+fb) for any blocking, thread count
-/// and ISA stamp.
+/// equals the int64 MAC sum times 2^-(fa+fb) for any thread count and ISA
+/// stamp.
 inline constexpr long long kExactQ16MaxDepth = 1LL << 22;
 
 /// Throws std::invalid_argument naming `what` when K exceeds
@@ -212,7 +204,7 @@ inline std::int8_t requantize_i32(std::int32_t acc, float scale,
 /// int8 x int8 GEMM with i32 accumulation and the requantize epilogue folded
 /// into the last-KC writeback: C (i8) = requantize(A * B + bias). Multi-KC
 /// runs stage partial i32 sums in the scratch arena; results are bit-exact
-/// for any thread count, blocking, and ISA stamp.
+/// for any thread count and ISA stamp.
 void gemm_i8(int M, int N, int K, const std::int8_t* A, int lda,
              const std::int8_t* B, int ldb, std::int8_t* C, int ldc,
              const QuantParams& q, int threads);

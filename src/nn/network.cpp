@@ -421,12 +421,6 @@ std::int64_t Network::total_ops() const {
   return total;
 }
 
-std::int64_t Network::total_weight_count() const {
-  std::int64_t total = 0;
-  for (const auto& l : layers_) total += l.weight_count();
-  return total;
-}
-
 std::int64_t Network::unfused_feature_transfer_bytes(int bytes_per_elem) const {
   // Every edge moves its producer's output once per consumer; every sink
   // layer's output is written back. On a chain this is exactly "input of

@@ -101,7 +101,6 @@ class Network {
                                 std::string module_name) const;
 
   [[nodiscard]] std::int64_t total_ops() const;
-  [[nodiscard]] std::int64_t total_weight_count() const;
   /// Total feature-map bytes moved if every layer spills to DDR: each edge
   /// transfers its producer's output once per consumer, plus the outputs of
   /// all sink layers, at `bytes_per_elem` width. On chains this reduces to

@@ -58,7 +58,7 @@ class Tensor {
   [[nodiscard]] std::vector<float>& vec() { return data_; }
   [[nodiscard]] const std::vector<float>& vec() const { return data_; }
 
-  /// Raw row/channel pointers for hot loops: no per-element bounds check
+  /// Raw row pointers for hot loops: no per-element bounds check
   /// (the caller owns range correctness, checked once here).
   [[nodiscard]] float* row_ptr(int c, int h) {
     check(c, h, 0);
@@ -68,8 +68,6 @@ class Tensor {
     check(c, h, 0);
     return data_.data() + (static_cast<std::size_t>(c) * shape_.h + h) * shape_.w;
   }
-  [[nodiscard]] float* channel_ptr(int c) { return row_ptr(c, 0); }
-  [[nodiscard]] const float* channel_ptr(int c) const { return row_ptr(c, 0); }
 
   void fill(float v) { std::fill(data_.begin(), data_.end(), v); }
 
@@ -124,16 +122,6 @@ class FilterBank {
   }
   [[nodiscard]] float* data() { return data_.data(); }
   [[nodiscard]] const float* data() const { return data_.data(); }
-
-  /// Raw pointer to output-channel n's m*k*k weights (row-major (m,u,v) —
-  /// exactly one im2col/GEMM weight row). Bounds checked once.
-  [[nodiscard]] const float* filter_ptr(int n) const {
-    return data_.data() + index(n, 0, 0, 0);
-  }
-  /// Raw pointer to the k*k kernel for channel pair (n, m).
-  [[nodiscard]] const float* kernel_ptr(int n, int m) const {
-    return data_.data() + index(n, m, 0, 0);
-  }
 
  private:
   [[nodiscard]] std::size_t index(int n, int m, int u, int v) const {

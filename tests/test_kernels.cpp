@@ -60,6 +60,13 @@ std::vector<float> random_floats(std::size_t n, std::mt19937& rng) {
   return v;
 }
 
+std::vector<std::int8_t> random_i8(std::size_t n, std::mt19937& rng) {
+  std::uniform_int_distribution<int> d(-128, 127);
+  std::vector<std::int8_t> v(n);
+  for (auto& x : v) x = std::int8_t(d(rng));
+  return v;
+}
+
 // ------------------------------------------------------------------ GEMM --
 void naive_f32(int M, int N, int K, const float* A, const float* B, float* C,
                const float* bias, bool relu) {
@@ -121,6 +128,20 @@ TEST(Gemm, PackedLhsMatchesRawBitwise) {
   kernels::gemm_f32(pa, N, B.data(), N, packed.data(), N, nullptr, false, 1);
   EXPECT_EQ(0, std::memcmp(raw.data(), packed.data(),
                            raw.size() * sizeof(float)));
+
+  // int8, requantizing, over two MC blocks and three KC steps: the packed
+  // path stages the same partial sums as the raw one.
+  const int M8 = 101, K8 = 530;
+  const auto A8 = random_i8(std::size_t(M8) * K8, rng);
+  const auto B8 = random_i8(std::size_t(K8) * N, rng);
+  const float s = 1e-4f;
+  const kernels::QuantParams q{&s, false, nullptr, 0, false};
+  std::vector<std::int8_t> raw8(std::size_t(M8) * N), packed8(raw8.size());
+  kernels::gemm_i8(M8, N, K8, A8.data(), K8, B8.data(), N, raw8.data(), N, q,
+                   1);
+  const kernels::PackedLhsI8 pa8(A8.data(), M8, K8, K8);
+  kernels::gemm_i8(pa8, N, B8.data(), N, packed8.data(), N, q, 1);
+  EXPECT_EQ(0, std::memcmp(raw8.data(), packed8.data(), raw8.size()));
 }
 
 /// 16-bit integers snapped to Q(frac) — the operands the 16-bit fixed-point
@@ -937,13 +958,15 @@ TEST(Gemm, SimdBitExactAgainstScalarFallbackQ16) {
   }
 }
 
-// A geometry spanning several MC blocks and NR panels so the 2D cooperative
-// tile grid genuinely has both dimensions; results must stay byte-identical
-// for every thread count (disjoint output tiles, serial KC outer loop).
+// A geometry spanning several MC blocks, NR panels and KC steps so the 2D
+// cooperative tile grid genuinely has both dimensions and C carries partial
+// sums between steps; results must stay byte-identical for every thread
+// count (disjoint output tiles, serial KC outer loop).
 TEST(Gemm, ThreadInvarianceAcrossMcBlocks2D) {
   ThreadGuard guard;
   std::mt19937 rng(109);
-  const int M = 250, N = 200, K = 300;  // 3 MC blocks x many NR panels
+  // 3 MC blocks x many NR panels x 3 KC steps (256 + 256 + 88).
+  const int M = 250, N = 200, K = 600;
   const auto A = random_floats(std::size_t(M) * K, rng);
   const auto B = random_floats(std::size_t(K) * N, rng);
   const auto bias = random_floats(std::size_t(M), rng);
@@ -955,6 +978,19 @@ TEST(Gemm, ThreadInvarianceAcrossMcBlocks2D) {
   std::vector<double> serial_q(std::size_t(M) * N);
   kernels::gemm_f32d(M, N, K, Aq.q.data(), K, Bq.q.data(), N, serial_q.data(),
                      N, nullptr, false, 1);
+  const std::vector<double> Ad(A.begin(), A.end()), Bd(B.begin(), B.end());
+  std::vector<double> serial_d(std::size_t(M) * N);
+  kernels::gemm_f64(M, N, K, Ad.data(), K, Bd.data(), N, serial_d.data(), N,
+                    1);
+  const auto A8 = random_i8(std::size_t(M) * K, rng);
+  const auto B8 = random_i8(std::size_t(K) * N, rng);
+  std::vector<std::int32_t> bias8(static_cast<std::size_t>(M));
+  for (auto& b : bias8) b = std::int32_t(rng() % 20001) - 10000;
+  const float scale8 = 1e-4f;
+  const kernels::QuantParams q{&scale8, false, bias8.data(), 5, true};
+  std::vector<std::int8_t> serial8(std::size_t(M) * N);
+  kernels::gemm_i8(M, N, K, A8.data(), K, B8.data(), N, serial8.data(), N, q,
+                   1);
   for (int t : {2, 3, 5, 8}) {
     std::vector<float> par(std::size_t(M) * N);
     kernels::gemm_f32(M, N, K, A.data(), K, B.data(), N, par.data(), N,
@@ -968,6 +1004,16 @@ TEST(Gemm, ThreadInvarianceAcrossMcBlocks2D) {
     EXPECT_EQ(0, std::memcmp(serial_q.data(), par_q.data(),
                              serial_q.size() * sizeof(double)))
         << "f32d threads=" << t;
+    std::vector<double> par_d(std::size_t(M) * N);
+    kernels::gemm_f64(M, N, K, Ad.data(), K, Bd.data(), N, par_d.data(), N, t);
+    EXPECT_EQ(0, std::memcmp(serial_d.data(), par_d.data(),
+                             serial_d.size() * sizeof(double)))
+        << "f64 threads=" << t;
+    std::vector<std::int8_t> par8(std::size_t(M) * N);
+    kernels::gemm_i8(M, N, K, A8.data(), K, B8.data(), N, par8.data(), N, q,
+                     t);
+    EXPECT_EQ(0, std::memcmp(serial8.data(), par8.data(), serial8.size()))
+        << "i8 threads=" << t;
   }
 }
 
@@ -1147,19 +1193,6 @@ TEST(Parallel, SerialDispatchSpendsNoSystemTime) {
 
 // ----------------------------------------------------------- int8 datapath --
 
-/// Restores default dispatch blocking on scope exit so blocking overrides
-/// cannot leak between tests.
-struct BlockingGuard {
-  ~BlockingGuard() { kernels::clear_tuned_blocking(); }
-};
-
-std::vector<std::int8_t> random_i8(std::size_t n, std::mt19937& rng) {
-  std::uniform_int_distribution<int> d(-128, 127);
-  std::vector<std::int8_t> v(n);
-  for (auto& x : v) x = std::int8_t(d(rng));
-  return v;
-}
-
 TEST(GemmI8, I32AccumulationExactAgainstNaive) {
   std::mt19937 rng(29);
   const int M = 21, N = 35, K = 530;  // straddles the KC=256 panel boundary
@@ -1287,9 +1320,8 @@ TEST(GemmI8, SimdBitExactAgainstScalarFallback) {
 
 TEST(GemmI8, ThreadAndBlockingInvarianceBytewise) {
   ThreadGuard tguard;
-  BlockingGuard bguard;
   std::mt19937 rng(41);
-  const int M = 53, N = 87, K = 700;  // multi-KC under every kc below
+  const int M = 53, N = 87, K = 700;  // three KC steps: 256 + 256 + 188
   const auto A = random_i8(std::size_t(M) * K, rng);
   const auto B = random_i8(std::size_t(K) * N, rng);
   std::uniform_real_distribution<float> sd(1e-4f, 1e-2f);
@@ -1297,50 +1329,14 @@ TEST(GemmI8, ThreadAndBlockingInvarianceBytewise) {
   for (auto& s : scales) s = sd(rng);
   kernels::QuantParams q{scales.data(), true, nullptr, -3, false};
 
-  kernels::clear_tuned_blocking();
   std::vector<std::int8_t> want(std::size_t(M) * N);
   kernels::gemm_i8(M, N, K, A.data(), K, B.data(), N, want.data(), N, q, 1);
-
-  const kernels::BlockingParams overrides[] = {
-      {},                  // shipped defaults
-      {64, 128, 64, 4},    // small everything, NC blocking on
-      {256, 512, 0, 0},    // two uneven KC steps (512 + 188)
-      {8, 16, 32, 1},      // degenerate minima
-  };
-  for (const auto& bp : overrides) {
-    kernels::set_blocking(kernels::Datapath::kI8, bp);
-    for (int t : {1, 2, 5, 8}) {
-      std::vector<std::int8_t> got(std::size_t(M) * N);
-      kernels::gemm_i8(M, N, K, A.data(), K, B.data(), N, got.data(), N, q,
-                       t);
-      EXPECT_EQ(0, std::memcmp(want.data(), got.data(), want.size()))
-          << "mc=" << bp.mc << " kc=" << bp.kc << " nc=" << bp.nc
-          << " grain=" << bp.grain << " threads=" << t;
-    }
+  for (int t : {2, 5, 8}) {
+    std::vector<std::int8_t> got(std::size_t(M) * N);
+    kernels::gemm_i8(M, N, K, A.data(), K, B.data(), N, got.data(), N, q, t);
+    EXPECT_EQ(0, std::memcmp(want.data(), got.data(), want.size()))
+        << "threads=" << t;
   }
-}
-
-TEST(GemmI8, PackedMatchesRawAcrossBlockingChange) {
-  BlockingGuard bguard;
-  std::mt19937 rng(43);
-  const int M = 31, N = 44, K = 290;
-  const auto A = random_i8(std::size_t(M) * K, rng);
-  const auto B = random_i8(std::size_t(K) * N, rng);
-  const float s = 0.002f;
-  kernels::QuantParams q{&s, false, nullptr, 0, false};
-
-  // Pack with an explicit blocking, then point dispatch somewhere else: the
-  // pack must keep using the blocking it was built with.
-  const kernels::PackedLhsI8 pa(A.data(), M, K, K,
-                                kernels::BlockingParams{64, 128, 0, 0});
-  EXPECT_EQ(64, pa.mc());
-  EXPECT_EQ(128, pa.kc());
-  kernels::set_blocking(kernels::Datapath::kI8, {256, 512, 256, 8});
-
-  std::vector<std::int8_t> raw(std::size_t(M) * N), packed(std::size_t(M) * N);
-  kernels::gemm_i8(M, N, K, A.data(), K, B.data(), N, raw.data(), N, q, 1);
-  kernels::gemm_i8(pa, N, B.data(), N, packed.data(), N, q, 1);
-  EXPECT_EQ(0, std::memcmp(raw.data(), packed.data(), raw.size()));
 }
 
 TEST(GemmI8, Im2colUsesZeroPointPadding) {
@@ -1401,97 +1397,6 @@ TEST(ConvKernels, QuantI8BlockedMatchesScalarSeedBitExact) {
     }
   }
   kernels::set_num_threads(1);
-}
-
-// ---------------------------------------------------- blocking tuning cache --
-
-TEST(Blocking, SanitizePinsFloatKcAndClampsRanges) {
-  BlockingGuard guard;
-  // Float datapaths: KC is part of the accumulation grouping, so a tuned KC
-  // must be forced back to the default.
-  kernels::set_blocking(kernels::Datapath::kF32, {128, 512, 0, 0});
-  EXPECT_EQ(kernels::default_blocking(kernels::Datapath::kF32).kc,
-            kernels::blocking_for(kernels::Datapath::kF32).kc);
-  EXPECT_EQ(128, kernels::blocking_for(kernels::Datapath::kF32).mc);
-  EXPECT_FALSE(kernels::kc_tunable(kernels::Datapath::kF32));
-  EXPECT_FALSE(kernels::kc_tunable(kernels::Datapath::kF64));
-
-  // Integer datapaths: exact accumulation commutes, KC tunes freely.
-  kernels::set_blocking(kernels::Datapath::kI8, {130, 512, 7, 9999});
-  const auto bp = kernels::blocking_for(kernels::Datapath::kI8);
-  EXPECT_TRUE(kernels::kc_tunable(kernels::Datapath::kI8));
-  EXPECT_EQ(512, bp.kc);
-  EXPECT_EQ(128, bp.mc);    // clamped to a multiple of MR=4
-  EXPECT_EQ(32, bp.nc);     // nonzero NC clamped up to the minimum
-  EXPECT_EQ(4096, bp.grain);
-}
-
-TEST(Blocking, CacheJsonRoundTripsAndIgnoresForeignEntries) {
-  BlockingGuard guard;
-  kernels::set_blocking(kernels::Datapath::kI8, {192, 384, 256, 8});
-  kernels::set_blocking(kernels::Datapath::kF32, {64, 256, 512, 0});
-  const std::string json = kernels::tuning_cache_to_json();
-
-  kernels::clear_tuned_blocking();
-  EXPECT_EQ(kernels::default_blocking(kernels::Datapath::kI8),
-            kernels::blocking_for(kernels::Datapath::kI8));
-  EXPECT_EQ(2, kernels::load_tuning_cache_json(json));
-  EXPECT_EQ((kernels::BlockingParams{192, 384, 256, 8}),
-            kernels::blocking_for(kernels::Datapath::kI8));
-  EXPECT_EQ((kernels::BlockingParams{64, 256, 512, 0}),
-            kernels::blocking_for(kernels::Datapath::kF32));
-
-  // Entries measured on another machine must not apply.
-  kernels::clear_tuned_blocking();
-  std::string foreign = json;
-  const std::string me = kernels::machine_topology_key();
-  for (std::size_t at = foreign.find(me); at != std::string::npos;
-       at = foreign.find(me, at + 1)) {
-    foreign.replace(at, me.size(), "other-box");
-  }
-  EXPECT_EQ(0, kernels::load_tuning_cache_json(foreign));
-  EXPECT_EQ(kernels::default_blocking(kernels::Datapath::kI8),
-            kernels::blocking_for(kernels::Datapath::kI8));
-
-  // A version bump invalidates the whole document.
-  kernels::clear_tuned_blocking();
-  std::string stale = json;
-  const std::string vkey = "\"version\": ";
-  const std::size_t vat = stale.find(vkey);
-  ASSERT_NE(std::string::npos, vat);
-  stale.insert(vat + vkey.size(), "9");
-  EXPECT_EQ(0, kernels::load_tuning_cache_json(stale));
-  EXPECT_EQ(kernels::default_blocking(kernels::Datapath::kF32),
-            kernels::blocking_for(kernels::Datapath::kF32));
-}
-
-TEST(Blocking, CacheSkipsUnknownDatapathNames) {
-  BlockingGuard guard;
-  // A cache written by a build with another datapath set (an "i16" GEMM
-  // entry) still applies its known entries and skips the unknown one.
-  const std::string me = kernels::machine_topology_key();
-  const auto entry = [&me](const char* dp, int mc, int kc) {
-    return std::string("    {\"datapath\": \"") + dp + "\", \"machine\": \"" +
-           me + "\", \"mc\": " + std::to_string(mc) +
-           ", \"kc\": " + std::to_string(kc) + ", \"nc\": 0, \"grain\": 0}";
-  };
-  const std::string doc =
-      "{\n  \"version\": " + std::to_string(kernels::kTuningCacheVersion) +
-      ",\n  \"machine\": \"" + me + "\",\n  \"entries\": [\n" +
-      entry("f64", 64, 256) + ",\n" + entry("i16", 32, 128) + ",\n" +
-      entry("i8", 256, 128) + "\n  ]\n}\n";
-
-  kernels::clear_tuned_blocking();
-  EXPECT_EQ(2, kernels::load_tuning_cache_json(doc));
-  EXPECT_EQ((kernels::BlockingParams{64, 256, 0, 0}),
-            kernels::blocking_for(kernels::Datapath::kF64));
-  EXPECT_EQ((kernels::BlockingParams{256, 128, 0, 0}),
-            kernels::blocking_for(kernels::Datapath::kI8));
-  for (const kernels::Datapath dp :
-       {kernels::Datapath::kF32, kernels::Datapath::kF32d}) {
-    EXPECT_EQ(kernels::default_blocking(dp), kernels::blocking_for(dp))
-        << kernels::datapath_name(dp);
-  }
 }
 
 // ---------------------------------------------------------- stamp parity --
