@@ -578,6 +578,7 @@ TEST(FleetChaosTest, SlowReplicaIsCaughtByTheMissWindowNotTheWatchdog) {
   const auto kinds = kinds_for(fleet, 0, 1);
   EXPECT_LT(first_of(kinds, HealthEvent::Kind::kSlowed),
             first_of(kinds, HealthEvent::Kind::kQuarantine));
+  EXPECT_EQ(s.response_hash, 17197640662674072468ull);
 }
 
 TEST(FleetChaosTest, HealthDisabledLosesTheWedgedRequests) {
@@ -596,6 +597,7 @@ TEST(FleetChaosTest, HealthDisabledLosesTheWedgedRequests) {
   EXPECT_LT(s.tenants[0].completed, 60);
   EXPECT_EQ(s.quarantines, 0);
   EXPECT_EQ(s.unrecovered_replicas, 1);
+  EXPECT_EQ(s.response_hash, 15718412054438178942ull);
 }
 
 TEST(FleetChaosTest, HedgingRescuesAWedgeEvenWithHealthScoringOff) {
@@ -647,6 +649,8 @@ TEST(FleetChaosTest, HedgingImprovesTheTailUnderOneSlowReplica) {
   // (the replica is slow for the whole run here — the <5% extra-work claim
   // is the bench's transient-burst scenario, not this saturated one).
   EXPECT_LT(on.hedges_fired, on.tenants[0].completed);
+  EXPECT_EQ(off.response_hash, 4957564238985409953ull);
+  EXPECT_EQ(on.response_hash, 16625465179805558507ull);
 }
 
 TEST(FleetChaosTest, CorruptBundleIsScrubbedOnTheRespawnLease) {

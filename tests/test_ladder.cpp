@@ -277,6 +277,7 @@ TEST_F(LadderServerTest, RungTimelineIsInvariantAcrossThreadCounts) {
     FleetServer s = make(ladder3(), load_config(threads));
     const FleetStats st = s.run({osc_trace()});
     if (threads == 1) {
+      EXPECT_EQ(st.response_hash, 14226001050535768091ull);
       ref = st;
       ref_logs = s.rung_logs()[0];
       continue;

@@ -500,6 +500,8 @@ TEST_F(ServerTest, StatsAreByteIdenticalForAnyWorkerCount) {
   cfg.tenant.queue_capacity = 8;
   cfg.tenant.deadline_cycles = 20000;
   expect_thread_invariant(burst_trace(80, 17), cfg);
+  EXPECT_EQ(run_once(burst_trace(80, 17), cfg).stats.response_hash,
+            1143510471221907758ull);
 }
 
 // Batching under a burst: a failed home-rung batch retries every request
@@ -515,6 +517,7 @@ TEST_F(ServerTest, BurstUnderBatchingIsAbsorbedAndThreadInvariant) {
   EXPECT_GT(r.model().batches, 0);
   EXPECT_LT(r.model().batches, r.req().completed + r.model().retries);
   expect_thread_invariant(t, cfg);
+  EXPECT_EQ(r.stats.response_hash, 3170513584712694310ull);
 }
 
 TEST_F(ServerTest, ResponseDigestDependsOnRequestPayloads) {
