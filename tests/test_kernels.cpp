@@ -991,6 +991,15 @@ TEST(Gemm, ThreadInvarianceAcrossMcBlocks2D) {
   std::vector<std::int8_t> serial8(std::size_t(M) * N);
   kernels::gemm_i8(M, N, K, A8.data(), K, B8.data(), N, serial8.data(), N, q,
                    1);
+  // The other requantize epilogue: per-channel scales, no bias, an
+  // asymmetric zero-point and no ReLU clamp.
+  std::uniform_real_distribution<float> sd(1e-4f, 1e-2f);
+  std::vector<float> scales8(static_cast<std::size_t>(M));
+  for (auto& s : scales8) s = sd(rng);
+  const kernels::QuantParams qc{scales8.data(), true, nullptr, -3, false};
+  std::vector<std::int8_t> serial8c(std::size_t(M) * N);
+  kernels::gemm_i8(M, N, K, A8.data(), K, B8.data(), N, serial8c.data(), N,
+                   qc, 1);
   for (int t : {2, 3, 5, 8}) {
     std::vector<float> par(std::size_t(M) * N);
     kernels::gemm_f32(M, N, K, A.data(), K, B.data(), N, par.data(), N,
@@ -1014,6 +1023,10 @@ TEST(Gemm, ThreadInvarianceAcrossMcBlocks2D) {
                      t);
     EXPECT_EQ(0, std::memcmp(serial8.data(), par8.data(), serial8.size()))
         << "i8 threads=" << t;
+    kernels::gemm_i8(M, N, K, A8.data(), K, B8.data(), N, par8.data(), N, qc,
+                     t);
+    EXPECT_EQ(0, std::memcmp(serial8c.data(), par8.data(), serial8c.size()))
+        << "i8 per-channel threads=" << t;
   }
 }
 
@@ -1316,27 +1329,6 @@ TEST(GemmI8, SimdBitExactAgainstScalarFallback) {
     kernels::gemm_i8_i32(M, N, K, A.data(), K, B.data(), N, ref32.data(), N, 1);
   });
   EXPECT_EQ(simd32, ref32);
-}
-
-TEST(GemmI8, ThreadAndBlockingInvarianceBytewise) {
-  ThreadGuard tguard;
-  std::mt19937 rng(41);
-  const int M = 53, N = 87, K = 700;  // three KC steps: 256 + 256 + 188
-  const auto A = random_i8(std::size_t(M) * K, rng);
-  const auto B = random_i8(std::size_t(K) * N, rng);
-  std::uniform_real_distribution<float> sd(1e-4f, 1e-2f);
-  std::vector<float> scales(static_cast<std::size_t>(M));
-  for (auto& s : scales) s = sd(rng);
-  kernels::QuantParams q{scales.data(), true, nullptr, -3, false};
-
-  std::vector<std::int8_t> want(std::size_t(M) * N);
-  kernels::gemm_i8(M, N, K, A.data(), K, B.data(), N, want.data(), N, q, 1);
-  for (int t : {2, 5, 8}) {
-    std::vector<std::int8_t> got(std::size_t(M) * N);
-    kernels::gemm_i8(M, N, K, A.data(), K, B.data(), N, got.data(), N, q, t);
-    EXPECT_EQ(0, std::memcmp(want.data(), got.data(), want.size()))
-        << "threads=" << t;
-  }
 }
 
 TEST(GemmI8, Im2colUsesZeroPointPadding) {
