@@ -76,15 +76,6 @@ std::string_view to_string(HealthEvent::Kind k) {
   return "?";
 }
 
-bool TenantStats::operator==(const TenantStats& o) const {
-  return name == o.name && submitted == o.submitted &&
-         rejected_queue_full == o.rejected_queue_full &&
-         shed_deadline == o.shed_deadline && completed == o.completed &&
-         failed == o.failed && deadline_misses == o.deadline_misses &&
-         completed_degraded == o.completed_degraded &&
-         queue_peak == o.queue_peak && latency == o.latency;
-}
-
 double ModelStats::mean_batch() const {
   if (batches == 0) return 0.0;
   long long requests = 0;
@@ -92,19 +83,6 @@ double ModelStats::mean_batch() const {
     requests += batch_size_counts[b] * static_cast<long long>(b);
   }
   return static_cast<double>(requests) / static_cast<double>(batches);
-}
-
-bool ModelStats::operator==(const ModelStats& o) const {
-  return name == o.name && batches == o.batches &&
-         batch_size_counts == o.batch_size_counts &&
-         rung_completions == o.rung_completions &&
-         rung_transitions == o.rung_transitions && scale_ups == o.scale_ups &&
-         scale_downs == o.scale_downs && replica_peak == o.replica_peak &&
-         cold_spinups == o.cold_spinups && warm_spinups == o.warm_spinups &&
-         spinup_cycles == o.spinup_cycles && retries == o.retries &&
-         faults_absorbed == o.faults_absorbed &&
-         breaker_opens == o.breaker_opens &&
-         breaker_closes == o.breaker_closes && rung_cycles == o.rung_cycles;
 }
 
 bool FleetStats::accounted() const {
@@ -118,17 +96,6 @@ long long FleetStats::completed_total() const {
   long long total = 0;
   for (const TenantStats& t : tenants) total += t.completed;
   return total;
-}
-
-bool FleetStats::operator==(const FleetStats& o) const {
-  return tenants == o.tenants && models == o.models && cache == o.cache &&
-         makespan_cycles == o.makespan_cycles &&
-         hedges_fired == o.hedges_fired && hedge_wins == o.hedge_wins &&
-         quarantines == o.quarantines && probes == o.probes &&
-         readmits == o.readmits && requeued == o.requeued &&
-         bundles_scrubbed == o.bundles_scrubbed &&
-         unrecovered_replicas == o.unrecovered_replicas &&
-         response_hash == o.response_hash;
 }
 
 std::string FleetStats::summary() const {
@@ -329,9 +296,1194 @@ FleetServer::FleetServer(std::vector<FleetModel> models,
 
 FleetServer::~FleetServer() = default;
 
-FleetStats FleetServer::run(const std::vector<ArrivalTrace>& traces) {
-  return run(traces, fault::FleetFaultPlan{});
+namespace {
+
+/// The dispatcher's event kinds in tie order: of two events due at the same
+/// cycle, the one whose kind comes first fires first. Fault strikes land
+/// before anything else observes the cycle; capacity frees (completion) and
+/// comes online (replica-ready) before sickness is judged; admitted work
+/// (retry-eligible) beats detection (watchdog), detection beats duplication
+/// (hedge fire), and all of them beat new admission (batch-close timer,
+/// arrival). DESIGN.md §16.
+enum class Event : std::uint8_t {
+  kFault,
+  kCompletion,
+  kReplicaReady,
+  kRetry,
+  kWatchdog,
+  kHedge,
+  kTimer,
+  kArrival,
+  kNone,  ///< nothing can fire
+};
+
+/// One entry of the merged arrival stream, ordered (cycle, tenant, id) — the
+/// global event order every run sees regardless of threads.
+struct Arrival {
+  long long cycle = 0;
+  std::size_t tenant = 0;
+  std::uint64_t id = 0;
+};
+
+struct BatchItem {
+  std::size_t tenant = 0;
+  std::uint64_t id = 0;
+  long long arrival = 0;
+  int attempt = 1;  ///< > 1 on retries after a failed home-rung batch
+};
+
+/// The requests one dispatch carries, and the class they were drawn from.
+struct Batch {
+  std::vector<BatchItem> items;
+  bool is_hedge = false;  ///< hedge copies (already counted in the ledger)
+  bool pinned = false;    ///< retries whose budget is spent
+};
+
+struct Retry {
+  long long eligible = 0;  ///< failure cycle + retry_backoff(attempt)
+  BatchItem item;
+  bool pinned = false;  ///< retry budget spent: conservative rung only
+};
+
+struct Replica {
+  enum class Health : std::uint8_t { kHealthy, kQuarantined, kProbation };
+  int id = 0;
+  long long busy_until = -1;  ///< -1 = free
+  long long ready_at = 0;
+  bool spinning = false;  ///< between spawn and its replica-ready event
+  bool retired = false;
+  // Fault-domain state. The dispatcher *applies* wedge/crash/slow strikes
+  // but never reads them for scheduling decisions (it cannot know a
+  // replica is sick until the health layer detects it) — except that a
+  // wedged/crashed replica's batches simply never complete.
+  Health health = Health::kHealthy;
+  bool wedged = false;
+  bool crashed = false;
+  double slow_factor = 1.0;
+  long long slow_until = 0;  ///< kInf = until quarantine replaces it
+  std::unique_ptr<CircuitBreaker> gate;  ///< quarantine state machine
+  bool probe_pending = false;  ///< mirror of the gate's probe slot
+  std::deque<char> miss_ring;  ///< rolling service-overrun window
+  int window_misses = 0;
+  int consec_failures = 0;
+  std::unique_ptr<RegimeController> regime;
+  std::vector<std::unique_ptr<PrepackCache::Lease>> leases;  ///< per rung
+
+  void reset_health_window() {
+    miss_ring.clear();
+    window_misses = 0;
+    consec_failures = 0;
+  }
+  [[nodiscard]] bool idle() const {
+    return !retired && !spinning && busy_until < 0;
+  }
+};
+
+struct ModelState {
+  std::vector<Replica> replicas;
+  int next_replica_id = 0;
+  std::vector<std::size_t> tenant_ids;
+  std::vector<long long> deficit;  ///< DRR, aligned with tenant_ids
+  std::size_t drr_next = 0;        ///< next tenant_ids slot to visit
+  long long batch_timer = kInf;    ///< armed virtual-age close cycle
+  std::size_t cap_total = 0;       ///< sum of tenant queue capacities
+  std::size_t up_depth = 0, down_depth = 0;  ///< autoscale watermarks
+  int up_streak = 0, idle_streak = 0;
+  long long last_scale = 0;
+  std::vector<long long> service;  ///< per-rung service cycles
+  std::deque<BatchItem> rescue;    ///< requeued at quarantine; served first
+  std::deque<BatchItem> hedge_q;   ///< hedge copies awaiting a replica
+  std::vector<Retry> retries;      ///< failed home-rung requests
+  std::vector<const FaultBurst*> bursts;  ///< its tenants' trace bursts
+  CircuitBreaker breaker;          ///< fault breaker over home outcomes
+  bool breaker_degraded = false;   ///< last state pushed to the regimes
+};
+
+int live_count(const ModelState& ms) {
+  return static_cast<int>(
+      std::count_if(ms.replicas.begin(), ms.replicas.end(),
+                    [](const Replica& r) { return !r.retired; }));
 }
+
+struct InFlight {
+  long long completion = 0;  ///< kInf while the replica is wedged/crashed
+  long long dispatched = 0;
+  long long nominal = 0;      ///< svc(b) at the dispatcher's price list
+  long long watchdog_at = kInf;
+  long long hedge_at = kInf;
+  std::size_t model = 0;
+  std::size_t replica = 0;  ///< index into the model's replicas
+  int rung = 0;
+  bool hedged = false;    ///< hedge copies were cloned off this batch
+  bool is_hedge = false;  ///< this batch carries hedge copies
+  bool is_probe = false;  ///< probation probe batch
+  bool breaker_probe = false;  ///< the model breaker's half-open probe
+  std::vector<BatchItem> items;
+  std::unique_ptr<FleetJob> job;
+  std::future<std::vector<std::uint32_t>> fut;
+};
+
+/// Live-copy ledger entry for hedging dedup: copies = dispatched duplicates
+/// plus queued hedge clones; done = the request's single completion
+/// happened. Entries exist only between first dispatch and last copy's
+/// resolution, so the ledger stays O(in-flight), not O(trace).
+struct ReqState {
+  int copies = 0;
+  bool done = false;
+};
+using Ledger = std::map<std::uint64_t, ReqState>;
+
+/// The fleet's real execution machinery: ONE shared job queue and worker
+/// set for the whole fleet. Replicas are virtual-time capacity, not threads
+/// — a 32-replica fleet on a 4-core box still runs at most
+/// resolve_threads() workers, all drawing kernel parallelism from the one
+/// process pool. The destructor closes the queue and joins; workers drain
+/// it first, so every submitted job's promise is resolved by then.
+class WorkerPool {
+ public:
+  WorkerPool(const std::vector<FleetModel>& models, const FleetConfig& cfg)
+      : models_(models), q_(slots(models, cfg) * 2 + 4) {
+    // The queue's headroom beyond one batch per replica: cancelled (zombie)
+    // jobs linger until a worker pops them, and quarantine bursts can stack
+    // a few; the bound only back-pressures the dispatcher, never drops.
+    const int n = std::max(
+        1, std::min(kernels::resolve_threads(cfg.threads),
+                    static_cast<int>(slots(models, cfg))));
+    threads_.reserve(static_cast<std::size_t>(n));
+    for (int w = 0; w < n; ++w) {
+      threads_.emplace_back([this] { work(); });
+    }
+  }
+  ~WorkerPool() {
+    q_.close();
+    for (std::thread& t : threads_) t.join();
+  }
+  WorkerPool(const WorkerPool&) = delete;
+  WorkerPool& operator=(const WorkerPool&) = delete;
+
+  void submit(FleetJob* job) { q_.push(job); }
+
+ private:
+  /// Most replicas the fleet can hold at once: the initial pools, or the
+  /// autoscale ceiling where that is higher.
+  static std::size_t slots(const std::vector<FleetModel>& models,
+                           const FleetConfig& cfg) {
+    int total = 0;
+    for (const FleetModel& m : models) {
+      total += cfg.autoscale.enabled
+                   ? std::max(cfg.autoscale.max_replicas, m.replicas)
+                   : m.replicas;
+    }
+    return static_cast<std::size_t>(total);
+  }
+
+  void work() {
+    // Worker-owned warm pipelines, one per (model, rung, burst) this worker
+    // actually serves — every one adopts the dispatcher's shared bundle, so
+    // construction skips the pack/transform work entirely. A burst-struck
+    // pipeline carries the burst's plan and the rung's hardening.
+    std::map<std::tuple<std::size_t, int, const FaultBurst*>,
+             std::unique_ptr<arch::FusionPipeline>>
+        pipes;
+    FleetJob* job = nullptr;
+    while (q_.pop(job)) {
+      const FleetModel& model = models_[job->model];
+      std::vector<std::uint32_t> crcs;
+      arch::FusionPipeline* pipe = nullptr;
+      try {
+        auto& slot = pipes[{job->model, job->rung, job->burst}];
+        if (!slot) {
+          const ServingMode& mode =
+              model.ladder.rungs[static_cast<std::size_t>(job->rung)];
+          slot = std::make_unique<arch::FusionPipeline>(
+              model.net, model.ws, mode.choices, job->bundle);
+          if (job->burst) {
+            slot->install_fault_plan(job->burst->plan, mode.protect);
+          }
+        }
+        pipe = slot.get();
+        if (job->reset_first) pipe->reset();
+        pipe->set_cancel_token(&job->cancel);
+        crcs.reserve(job->seeds.size());
+        for (const std::uint32_t seed : job->seeds) {
+          nn::Tensor in(model.net[0].out);
+          nn::fill_deterministic(in, seed);
+          const nn::Tensor out = pipe->run(in);
+          crcs.push_back(fault::crc32_f32(out.data(), out.vec().size()));
+        }
+      } catch (const std::exception&) {
+        // Execution failure OR cooperative cancellation — either way the
+        // batch carries no usable CRCs. The dispatcher distinguishes the
+        // two by whether it cancelled the job itself.
+        crcs.clear();
+      }
+      if (pipe) pipe->set_cancel_token(nullptr);
+      job->done.set_value(std::move(crcs));
+    }
+  }
+
+  const std::vector<FleetModel>& models_;
+  BoundedQueue<FleetJob*> q_;
+  std::vector<std::thread> threads_;
+};
+
+/// The single-threaded, virtual-time discrete-event loop: every
+/// stats-bearing decision of a run is made here, one event at a time, in
+/// the order `next_event` picks. Workers only grind the functional work of
+/// the batches `launch` hands the pool.
+class Dispatcher {
+ public:
+  Dispatcher(const std::vector<FleetModel>& models,
+             const std::vector<TenantConfig>& tenants,
+             const FleetConfig& cfg,
+             const std::vector<ArrivalTrace>& traces,
+             const fault::FleetFaultPlan& chaos, FleetStats& stats,
+             std::vector<ScaleEvent>& scale_log,
+             std::vector<HealthEvent>& health_log)
+      : models_(models),
+        tenants_(tenants),
+        cfg_(cfg),
+        traces_(traces),
+        chaos_(chaos),
+        stats_(stats),
+        scale_log_(scale_log),
+        health_log_(health_log),
+        cache_(cfg.share_prepack),
+        mstate_(models.size()),
+        tq_(tenants.size()),
+        pool_(models, cfg) {
+    stats_.tenants.resize(tenants_.size());
+    for (std::size_t t = 0; t < tenants_.size(); ++t) {
+      stats_.tenants[t].name = tenants_[t].name;
+      ModelState& ms = mstate_[tenants_[t].model];
+      ms.tenant_ids.push_back(t);
+      ms.cap_total += tenants_[t].queue_capacity;
+      if (traces_[t].burst.active()) ms.bursts.push_back(&traces_[t].burst);
+      for (const TraceRequest& r : traces_[t].requests) {
+        arrivals_.push_back({r.arrival_cycle, t, r.id});
+      }
+    }
+    std::sort(arrivals_.begin(), arrivals_.end(),
+              [](const Arrival& a, const Arrival& b) {
+                return std::tie(a.cycle, a.tenant, a.id) <
+                       std::tie(b.cycle, b.tenant, b.id);
+              });
+    stats_.models.resize(models_.size());
+    for (std::size_t m = 0; m < models_.size(); ++m) {
+      const std::size_t rungs = models_[m].ladder.rungs.size();
+      stats_.models[m].name = models_[m].name;
+      stats_.models[m].rung_completions.assign(rungs, 0);
+      stats_.models[m].rung_cycles.assign(rungs, 0);
+      ModelState& ms = mstate_[m];
+      ms.deficit.assign(ms.tenant_ids.size(), 0);
+      ms.breaker = CircuitBreaker(cfg_.breaker);
+      ms.up_depth = static_cast<std::size_t>(
+          cfg_.autoscale.up_queue_frac * static_cast<double>(ms.cap_total));
+      ms.down_depth = static_cast<std::size_t>(
+          cfg_.autoscale.down_queue_frac * static_cast<double>(ms.cap_total));
+      for (const ServingMode& r : models_[m].ladder.rungs) {
+        ms.service.push_back(r.service_cycles);
+      }
+      for (int k = 0; k < models_[m].replicas; ++k) {
+        spawn_replica(m, 0, /*initial=*/true);
+      }
+    }
+  }
+
+  /// Cancels the batches still in flight (wedged ones, or all of them when
+  /// the loop threw); `pool_` then joins before any job dies.
+  ~Dispatcher() {
+    for (InFlight& f : inflight_) {
+      f.job->cancel.store(true, std::memory_order_relaxed);
+    }
+  }
+  Dispatcher(const Dispatcher&) = delete;
+  Dispatcher& operator=(const Dispatcher&) = delete;
+
+  /// Fires events until no work is left or none can fire.
+  void run() {
+    // Work-driven: the loop ends with the last live event, so a plan event
+    // later than that never strikes (DESIGN.md §16).
+    while (has_work()) {
+      const Next e = next_event();
+      switch (e.kind) {
+        case Event::kFault: on_fault(chaos_.events[next_fault_++]); break;
+        case Event::kCompletion: on_completion(e.flight); break;
+        case Event::kReplicaReady:
+          on_replica_ready(e.model, e.replica, e.cycle);
+          break;
+        case Event::kRetry: try_dispatch(e.model, e.cycle); break;
+        case Event::kWatchdog: on_watchdog(e.flight); break;
+        case Event::kHedge: on_hedge(e.flight); break;
+        case Event::kTimer:
+          mstate_[e.model].batch_timer = kInf;
+          try_dispatch(e.model, e.cycle);
+          break;
+        case Event::kArrival: on_arrival(); break;
+        case Event::kNone:
+          // No event can fire: only wedged batches (health + hedging both
+          // off) remain. Their requests are lost — the accounting surfaces
+          // it — and the destructor cancels their real jobs.
+          return;
+      }
+    }
+  }
+
+  /// End of run: closes the rung timelines and the breaker logs, folds the
+  /// rung moves into the digest and snapshots the cache.
+  void close(
+      std::vector<std::vector<std::vector<RungTransition>>>& rung_logs,
+      std::vector<std::vector<BreakerTransition>>& breaker_logs) {
+    for (std::size_t m = 0; m < models_.size(); ++m) {
+      ModelState& ms = mstate_[m];
+      ModelStats& mst = stats_.models[m];
+      breaker_logs[m] = ms.breaker.transitions();
+      mst.breaker_opens = ms.breaker.opens();
+      mst.breaker_closes = ms.breaker.closes();
+      rung_logs[m].resize(static_cast<std::size_t>(ms.next_replica_id));
+      for (Replica& r : ms.replicas) {
+        if (!r.retired) {
+          r.regime->finish(last_completion_);
+          if (r.health != Replica::Health::kHealthy || r.wedged || r.crashed) {
+            ++stats_.unrecovered_replicas;
+          }
+        }
+        rung_logs[m][static_cast<std::size_t>(r.id)] = r.regime->log();
+        mst.rung_transitions += static_cast<long long>(r.regime->log().size());
+        for (std::size_t i = 0; i < mst.rung_cycles.size(); ++i) {
+          mst.rung_cycles[i] += r.regime->cycles_in_rung()[i];
+        }
+        for (const RungTransition& t : r.regime->log()) {
+          stats_.response_hash += mix64(
+              static_cast<std::uint64_t>(t.cycle) * 0x2545F4914F6CDD1Dull ^
+              (static_cast<std::uint64_t>(m + 1) << 40) ^
+              (static_cast<std::uint64_t>(static_cast<unsigned>(r.id)) << 32) ^
+              (static_cast<std::uint64_t>(static_cast<unsigned>(t.from))
+               << 24) ^
+              (static_cast<std::uint64_t>(static_cast<unsigned>(t.to)) << 16) ^
+              static_cast<std::uint64_t>(static_cast<unsigned>(t.reason)));
+        }
+      }
+    }
+    stats_.makespan_cycles = last_completion_;
+    stats_.cache = cache_.stats();  // snapshot with live leases still resident
+    stats_.bundles_scrubbed = stats_.cache.scrubs;
+  }
+
+ private:
+  /// The earliest event: its cycle, its kind and what it belongs to.
+  struct Next {
+    long long cycle = kInf;
+    Event kind = Event::kNone;
+    std::size_t model = 0;
+    std::size_t replica = 0;  ///< replica index (ready, and in-flight ties)
+    std::size_t flight = 0;   ///< index into inflight_
+  };
+  Next next_event() const {
+    // One scan over every event source. Same-cycle events order by kind
+    // (Event), then by (model, replica): completions and watchdogs pick the
+    // smallest (model, replica), replica-ready the first model and the first
+    // replica in spawn order, retries and timers the first model — so every
+    // pick is a pure function of the virtual schedule.
+    Next best;
+    const auto offer = [&best](long long cycle, Event kind,
+                               std::size_t model = 0, std::size_t replica = 0,
+                               std::size_t flight = 0) {
+      if (cycle == kInf) return;
+      if (std::tie(cycle, kind, model, replica) <
+          std::tie(best.cycle, best.kind, best.model, best.replica)) {
+        best = {cycle, kind, model, replica, flight};
+      }
+    };
+    if (next_fault_ < chaos_.events.size()) {
+      offer(chaos_.events[next_fault_].cycle, Event::kFault);
+    }
+    for (std::size_t i = 0; i < inflight_.size(); ++i) {
+      const InFlight& f = inflight_[i];
+      offer(f.completion, Event::kCompletion, f.model, f.replica, i);
+      offer(f.watchdog_at, Event::kWatchdog, f.model, f.replica, i);
+      if (!f.hedged) offer(f.hedge_at, Event::kHedge, f.model, f.replica, i);
+    }
+    for (std::size_t m = 0; m < mstate_.size(); ++m) {
+      const ModelState& ms = mstate_[m];
+      for (std::size_t k = 0; k < ms.replicas.size(); ++k) {
+        if (ms.replicas[k].spinning) {
+          offer(ms.replicas[k].ready_at, Event::kReplicaReady, m, k);
+        }
+      }
+      // A retry is an event only while its model has a replica to take it;
+      // otherwise the next completion's dispatch picks it up.
+      if (!ms.retries.empty() && free_replica(ms).first >= 0) {
+        for (const Retry& r : ms.retries) {
+          offer(r.eligible, Event::kRetry, m);
+        }
+      }
+      offer(ms.batch_timer, Event::kTimer, m);
+    }
+    if (next_arrival_ < arrivals_.size()) {
+      offer(arrivals_[next_arrival_].cycle, Event::kArrival);
+    }
+    return best;
+  }
+
+  void on_fault(const fault::FleetFaultEvent& e) {
+    const long long now = e.cycle;
+    if (e.model >= models_.size()) return;
+    if (e.kind == fault::FleetFaultKind::kCorruptBundle) {
+      const int rung = e.rung < 0
+                           ? static_cast<int>(models_[e.model].ladder.home)
+                           : e.rung;
+      if (rung >= static_cast<int>(models_[e.model].ladder.rungs.size())) {
+        return;
+      }
+      if (cache_.corrupt_resident(bundle_key(e.model, rung))) {
+        health_log_.push_back(
+            {now, HealthEvent::Kind::kCorrupted, e.model, -1});
+      }
+      return;
+    }
+    std::vector<Replica>& reps = mstate_[e.model].replicas;
+    const auto it =
+        std::find_if(reps.begin(), reps.end(),
+                     [&](const Replica& r) { return r.id == e.replica; });
+    if (it == reps.end()) return;
+    Replica& rep = *it;
+    const auto ki = static_cast<std::size_t>(it - reps.begin());
+    if (rep.retired || rep.spinning ||
+        rep.health != Replica::Health::kHealthy) {
+      return;  // already out of service — the strike is a no-op
+    }
+    switch (e.kind) {
+      case fault::FleetFaultKind::kWedge:
+        rep.wedged = true;
+        health_log_.push_back(
+            {now, HealthEvent::Kind::kWedged, e.model, rep.id});
+        // Only the watchdog (or a hedge) can save its requests now.
+        stall(e.model, ki);
+        break;
+      case fault::FleetFaultKind::kSlow:
+        rep.slow_factor = e.slow_factor;
+        rep.slow_until = e.slow_duration > 0 ? now + e.slow_duration : kInf;
+        health_log_.push_back(
+            {now, HealthEvent::Kind::kSlowed, e.model, rep.id});
+        break;
+      case fault::FleetFaultKind::kCrash:
+        rep.crashed = true;
+        health_log_.push_back(
+            {now, HealthEvent::Kind::kCrashed, e.model, rep.id});
+        if (cfg_.health.enabled) {
+          // The virtual machine-check: detection is immediate.
+          quarantine(e.model, ki, now);
+          try_dispatch(e.model, now);
+        } else {
+          stall(e.model, ki);
+        }
+        break;
+      case fault::FleetFaultKind::kCorruptBundle:
+        break;  // handled above
+    }
+  }
+
+  void on_completion(std::size_t i) {
+    InFlight f = std::move(inflight_[i]);
+    inflight_.erase(inflight_.begin() + static_cast<long>(i));
+    const long long now = f.completion;
+    last_completion_ = std::max(last_completion_, now);
+    // The real job may still be running.
+    const std::vector<std::uint32_t> crcs = f.fut.get();
+    const std::size_t m = f.model;
+    ModelState& ms = mstate_[m];
+    ms.replicas[f.replica].busy_until = -1;
+    const bool ok = crcs.size() == f.items.size();
+    const int home = static_cast<int>(models_[m].ladder.home);
+    long long delivered = 0;
+    for (std::size_t k = 0; k < f.items.size(); ++k) {
+      const BatchItem& it = f.items[k];
+      TenantStats& ts = stats_.tenants[it.tenant];
+      const auto st = req_state_.find(request_key(it.tenant, it.id));
+      const bool done_before = st->second.done;
+      st->second.done = done_before || ok;
+      const bool last_copy = drop_copy(st) == 0;
+      if (!ok) {
+        // Failed execution, decided by the last copy: a home-rung failure
+        // retries after backoff (pinned to the conservative rung once the
+        // budget is spent); a failure off home is terminal.
+        if (!last_copy || done_before) continue;
+        if (f.rung == home) {
+          ms.retries.push_back({now + retry_backoff(cfg_.retry, it.attempt),
+                                {it.tenant, it.id, it.arrival, it.attempt + 1},
+                                it.attempt > cfg_.retry.max_retries});
+          ++stats_.models[m].retries;
+        } else {
+          ++ts.failed;
+        }
+        continue;
+      }
+      // Hedge race loser: the request already completed elsewhere. Dedup
+      // keeps accounted() exact and the digest single-voiced.
+      if (done_before) continue;
+      ++delivered;
+      const long long lat = now - it.arrival;
+      ++ts.completed;
+      ts.latency.record(lat);
+      if (f.rung != home) ++ts.completed_degraded;
+      if (it.attempt > 1) ++stats_.models[m].faults_absorbed;
+      if (f.is_hedge) ++stats_.hedge_wins;
+      stats_.response_hash += mix64(
+          request_key(it.tenant, it.id) * 0x9E3779B97F4A7C15ull ^ crcs[k]);
+      const bool late = tenants_[it.tenant].deadline_cycles > 0 &&
+                        lat > tenants_[it.tenant].deadline_cycles;
+      if (late) ++ts.deadline_misses;
+      ms.replicas[f.replica].regime->observe_completion(now, late);
+    }
+    if (ok) {
+      stats_.models[m].rung_completions[static_cast<std::size_t>(f.rung)] +=
+          delivered;
+    }
+    if (f.rung == home) {
+      // The breaker hears execution outcomes only: lateness is the regime's
+      // miss-window signal, never a breaker failure.
+      if (ok) {
+        ms.breaker.record_success(now);
+      } else {
+        ms.breaker.record_failure(now);
+      }
+      sync_breaker(m, now);
+    }
+    score_health(f, ok, now);
+    if (cfg_.autoscale.enabled && pending_total(ms) == 0) {
+      ++ms.idle_streak;
+      ms.up_streak = 0;
+    }
+    maybe_scale(m, now);
+    reap_deduped(now);
+    try_dispatch(m, now);
+  }
+
+  void on_replica_ready(std::size_t m, std::size_t ki, long long now) {
+    Replica& r = mstate_[m].replicas[ki];
+    r.spinning = false;
+    if (r.health == Replica::Health::kQuarantined) {
+      // Respawn finished; the gate's cooldown == spin-up, so reading the
+      // state commits open -> half-open and probation begins.
+      (void)r.gate->state(now);
+      r.health = Replica::Health::kProbation;
+      health_log_.push_back({now, HealthEvent::Kind::kRespawn, m, r.id});
+    }
+    try_dispatch(m, now);
+  }
+
+  void on_watchdog(std::size_t i) {
+    // A batch overdue past watchdog_factor x nominal means its replica
+    // wedged. Quarantine cancels + rescues the batch.
+    const InFlight& f = inflight_[i];
+    const std::size_t m = f.model;
+    const long long now = f.watchdog_at;
+    quarantine(m, f.replica, now);
+    try_dispatch(m, now);
+  }
+
+  void on_hedge(std::size_t i) {
+    // Clone the straggling batch's unfinished requests onto the model's hedge
+    // queue; the next free replica picks them up.
+    InFlight& f = inflight_[i];
+    f.hedged = true;
+    ModelState& ms = mstate_[f.model];
+    for (const BatchItem& it : f.items) {
+      const auto st = req_state_.find(request_key(it.tenant, it.id));
+      if (st == req_state_.end() || st->second.done) continue;
+      ++st->second.copies;
+      ms.hedge_q.push_back(it);
+      ++stats_.hedges_fired;
+    }
+    try_dispatch(f.model, f.hedge_at);
+  }
+
+  void on_arrival() {
+    const Arrival& a = arrivals_[next_arrival_++];
+    const std::size_t t = a.tenant;
+    const std::size_t m = tenants_[t].model;
+    ModelState& ms = mstate_[m];
+    TenantStats& ts = stats_.tenants[t];
+    ++ts.submitted;
+    if (tq_[t].size() >= tenants_[t].queue_capacity) {
+      ++ts.rejected_queue_full;
+    } else {
+      tq_[t].push_back(a.id);
+      ts.queue_peak =
+          std::max(ts.queue_peak, static_cast<long long>(tq_[t].size()));
+    }
+    const std::size_t depth = pending_total(ms);
+    for (Replica& r : ms.replicas) {
+      if (!r.retired) r.regime->observe_queue(a.cycle, depth);
+    }
+    if (cfg_.autoscale.enabled) {
+      const bool pressure = depth >= std::max<std::size_t>(ms.up_depth, 1);
+      const bool idle = !pressure && depth <= ms.down_depth;
+      ms.up_streak = pressure ? ms.up_streak + 1 : 0;
+      ms.idle_streak = idle ? ms.idle_streak + 1 : 0;
+      maybe_scale(m, a.cycle);
+    }
+    try_dispatch(m, a.cycle);
+  }
+
+  void try_dispatch(std::size_t m, long long now) {
+    while (true) {
+      const auto [k, probe] = free_replica(mstate_[m]);
+      if (k < 0) return;
+      Batch batch = next_batch(m, now);
+      if (batch.items.empty()) return;
+      launch(m, static_cast<std::size_t>(k), probe, std::move(batch), now);
+    }
+  }
+
+  Batch next_batch(std::size_t m, long long now) {
+    // Batch class priority: quarantine rescues, then due retries, then hedge
+    // copies, then fresh DRR work. Rescue/retry/hedge batches bypass the
+    // close rule — their requests were already admitted.
+    ModelState& ms = mstate_[m];
+    const std::size_t cap = model_cap(m);
+    Batch batch;
+    std::vector<BatchItem>& items = batch.items;
+    while (!ms.rescue.empty() && items.size() < cap) {
+      const BatchItem it = ms.rescue.front();
+      ms.rescue.pop_front();
+      if (!shed_if_late(it.tenant, it.arrival, now)) items.push_back(it);
+    }
+    if (!items.empty()) return batch;
+    // Due retries, earliest eligibility first (ties by tenant, id); a batch
+    // never mixes pinned and home-bound retries.
+    while (items.size() < cap) {
+      auto pick = ms.retries.end();
+      for (auto r = ms.retries.begin(); r != ms.retries.end(); ++r) {
+        if (r->eligible > now ||
+            (!items.empty() && r->pinned != batch.pinned)) {
+          continue;
+        }
+        if (pick == ms.retries.end() ||
+            std::tie(r->eligible, r->item.tenant, r->item.id) <
+                std::tie(pick->eligible, pick->item.tenant, pick->item.id)) {
+          pick = r;
+        }
+      }
+      if (pick == ms.retries.end()) break;
+      const Retry r = *pick;
+      ms.retries.erase(pick);
+      if (shed_if_late(r.item.tenant, r.item.arrival, now)) continue;
+      batch.pinned = r.pinned;
+      items.push_back(r.item);
+    }
+    if (!items.empty()) return batch;
+    while (!ms.hedge_q.empty() && items.size() < cap) {
+      const BatchItem it = ms.hedge_q.front();
+      ms.hedge_q.pop_front();
+      const auto st = req_state_.find(request_key(it.tenant, it.id));
+      if (st == req_state_.end() || st->second.done) {
+        // The original finished while this copy queued — drop it.
+        if (st != req_state_.end()) drop_copy(st);
+        continue;
+      }
+      items.push_back(it);
+      batch.is_hedge = true;
+    }
+    if (items.empty()) items = form_batch(m, now);
+    return batch;
+  }
+
+  /// Deterministic batch close rule: dispatch when pending >= the effective cap
+  /// (min over tenants with queued work) OR the oldest pending request of some
+  /// tenant has aged past that tenant's budget. Otherwise arm the model's close
+  /// timer at the earliest such age-out cycle.
+  std::vector<BatchItem> form_batch(std::size_t m, long long now) {
+    ModelState& ms = mstate_[m];
+    std::size_t avail = 0;
+    std::size_t cap = 0;
+    long long close_at = kInf;
+    for (const std::size_t t : ms.tenant_ids) {
+      if (tq_[t].empty()) continue;
+      avail += tq_[t].size();
+      cap = cap == 0 ? tenants_[t].batch_cap
+                     : std::min(cap, tenants_[t].batch_cap);
+      const TraceRequest& front = traces_[t].requests[tq_[t].front()];
+      close_at = std::min(close_at,
+                          front.arrival_cycle + tenants_[t].batch_age_cycles);
+    }
+    if (avail == 0) return {};
+    if (avail < cap && now < close_at) {
+      ms.batch_timer = std::min(ms.batch_timer, close_at);
+      return {};
+    }
+    // Deficit round-robin over the model's tenants: quantum = weight, cost 1
+    // per request. A drained queue forfeits its deficit (standard DRR), so an
+    // idle tenant cannot bank service.
+    std::vector<BatchItem> batch;
+    const std::size_t T = ms.tenant_ids.size();
+    while (batch.size() < cap && pending_total(ms) > 0) {
+      const std::size_t ti = ms.drr_next;
+      const std::size_t t = ms.tenant_ids[ti];
+      if (tq_[t].empty()) {
+        ms.deficit[ti] = 0;
+        ms.drr_next = (ti + 1) % T;
+        continue;
+      }
+      ms.deficit[ti] += tenants_[t].weight;
+      while (ms.deficit[ti] >= 1 && !tq_[t].empty() && batch.size() < cap) {
+        const std::uint64_t id = tq_[t].front();
+        tq_[t].pop_front();
+        const long long arrival = traces_[t].requests[id].arrival_cycle;
+        // Load-shedding does not consume the tenant's deficit.
+        if (shed_if_late(t, arrival, now)) continue;
+        batch.push_back({t, id, arrival});
+        --ms.deficit[ti];
+      }
+      if (tq_[t].empty()) ms.deficit[ti] = 0;
+      if (batch.size() >= cap) {
+        // Mid-round stop: the pointer stays on a tenant with live deficit and
+        // queued work (it resumes first), advances otherwise.
+        if (tq_[t].empty() || ms.deficit[ti] < 1) ms.drr_next = (ti + 1) % T;
+        break;
+      }
+      ms.drr_next = (ti + 1) % T;
+    }
+    return batch;
+  }
+
+  void launch(std::size_t m, std::size_t ki, bool probe, Batch batch,
+              long long now) {
+    ModelState& ms = mstate_[m];
+    Replica& rep = ms.replicas[ki];
+    const int home = static_cast<int>(models_[m].ladder.home);
+    int rung = rep.regime->conservative_rung();
+    bool breaker_probe = false;
+    if (!batch.pinned) {
+      // Reading the breaker commits open -> half-open once the cooldown has
+      // passed; a half-open breaker tests home with one batch.
+      const BreakerState st = ms.breaker.state(now);
+      sync_breaker(m, now);
+      breaker_probe =
+          st == BreakerState::kHalfOpen && ms.breaker.try_acquire_probe(now);
+      rung = breaker_probe ? home : rep.regime->rung();
+    }
+    // A trace burst strikes the model's home design only: the hardened
+    // conservative rung and load-descended rungs run unstruck.
+    const FaultBurst* burst = nullptr;
+    if (rung == home) {
+      const auto b = std::find_if(ms.bursts.begin(), ms.bursts.end(),
+                                  [&](const FaultBurst* fb) {
+                                    return fb->covers(now);
+                                  });
+      if (b != ms.bursts.end()) burst = *b;
+    }
+    acquire_rung(m, rep, rung, now);  // deterministic cache event
+    const long long service = ms.service[static_cast<std::size_t>(rung)];
+    const long long setup = static_cast<long long>(
+        static_cast<double>(service) * cfg_.batch_setup_frac);
+    const long long nominal =
+        setup + static_cast<long long>(batch.items.size()) * (service - setup);
+    // The dispatcher prices the batch at the *nominal* rate — it cannot know
+    // the replica is sick. The fault only shows in when (whether) the
+    // completion event actually fires.
+    long long actual = nominal;
+    if (rep.slow_factor > 1.0 && now < rep.slow_until) {
+      actual = static_cast<long long>(static_cast<double>(nominal) *
+                                      rep.slow_factor);
+    }
+    InFlight f;
+    f.completion = (rep.wedged || rep.crashed) ? kInf : now + actual;
+    f.dispatched = now;
+    f.nominal = nominal;
+    f.model = m;
+    f.replica = ki;
+    f.rung = rung;
+    f.is_hedge = batch.is_hedge;
+    f.breaker_probe = breaker_probe;
+    f.items = std::move(batch.items);
+    if (cfg_.health.enabled) {
+      f.watchdog_at =
+          now + static_cast<long long>(cfg_.health.watchdog_factor *
+                                       static_cast<double>(nominal));
+    }
+    if (cfg_.hedge.enabled && !f.is_hedge && !probe) {
+      f.hedge_at = now + nominal + cfg_.hedge.delay_cycles;
+    }
+    if (probe) {
+      (void)rep.gate->try_acquire_probe(now);  // scan guaranteed the slot
+      rep.probe_pending = true;
+      f.is_probe = true;
+      ++stats_.probes;
+      health_log_.push_back({now, HealthEvent::Kind::kProbe, m, rep.id});
+    }
+    // Live-copy ledger: hedge copies were already counted at clone time.
+    if (!f.is_hedge) {
+      for (const BatchItem& it : f.items) {
+        ++req_state_[request_key(it.tenant, it.id)].copies;
+      }
+    }
+    f.job = std::make_unique<FleetJob>();
+    f.job->model = m;
+    f.job->rung = rung;
+    f.job->burst = burst;
+    f.job->reset_first =
+        std::any_of(f.items.begin(), f.items.end(),
+                    [](const BatchItem& it) { return it.attempt > 1; });
+    f.job->bundle = rep.leases[static_cast<std::size_t>(rung)]->bundle;
+    for (const BatchItem& it : f.items) {
+      f.job->seeds.push_back(traces_[it.tenant].requests[it.id].input_seed);
+    }
+    f.fut = f.job->done.get_future();
+    rep.busy_until = f.completion;
+    ++stats_.models[m].batches;
+    auto& hist = stats_.models[m].batch_size_counts;
+    if (hist.size() <= f.items.size()) hist.resize(f.items.size() + 1, 0);
+    ++hist[f.items.size()];
+    pool_.submit(f.job.get());
+    inflight_.push_back(std::move(f));
+  }
+
+  void score_health(const InFlight& f, bool ok, long long now) {
+    Replica& rep = mstate_[f.model].replicas[f.replica];
+    // Replica-attributable miss: the batch overran its nominal svc(b). Honest
+    // replicas complete exactly on time in virtual time, so the window only
+    // ever fills on a sick one.
+    const bool overran = now - f.dispatched > f.nominal;
+    if (f.is_probe) {
+      rep.probe_pending = false;
+      if (ok && !overran) {
+        rep.gate->record_success(now);  // half-open -> closed (1 probe)
+        rep.health = Replica::Health::kHealthy;
+        rep.reset_health_window();
+        ++stats_.readmits;
+        health_log_.push_back(
+            {now, HealthEvent::Kind::kReadmit, f.model, rep.id});
+      } else {
+        health_log_.push_back(
+            {now, HealthEvent::Kind::kProbeFail, f.model, rep.id});
+        quarantine(f.model, f.replica, now);
+      }
+      return;
+    }
+    if (!cfg_.health.enabled || rep.health != Replica::Health::kHealthy) return;
+    if (!ok) {
+      if (++rep.consec_failures >= cfg_.health.failure_threshold) {
+        quarantine(f.model, f.replica, now);
+      }
+      return;
+    }
+    rep.consec_failures = 0;
+    rep.miss_ring.push_back(overran ? 1 : 0);
+    if (overran) ++rep.window_misses;
+    if (static_cast<int>(rep.miss_ring.size()) > cfg_.health.miss_window) {
+      if (rep.miss_ring.front()) --rep.window_misses;
+      rep.miss_ring.pop_front();
+    }
+    if (rep.window_misses >= cfg_.health.miss_threshold) {
+      quarantine(f.model, f.replica, now);
+    }
+  }
+
+  /// Quarantine: isolate the replica, cancel + rescue its in-flight batch, and
+  /// respawn it in place through the cold/warm spin-up ledger. The gate breaker
+  /// opens with the spin-up as cooldown, so the replica-ready event lands
+  /// exactly when half-open probation can begin.
+  void quarantine(std::size_t m, std::size_t ki, long long now) {
+    ModelState& ms = mstate_[m];
+    Replica& rep = ms.replicas[ki];
+    if (rep.health == Replica::Health::kQuarantined) return;
+    ++stats_.quarantines;
+    health_log_.push_back({now, HealthEvent::Kind::kQuarantine, m, rep.id});
+    for (std::size_t i = 0; i < inflight_.size();) {
+      InFlight& f = inflight_[i];
+      if (f.model != m || f.replica != ki) {
+        ++i;
+        continue;
+      }
+      if (f.breaker_probe) {
+        // The probe never reports back: count it failed, which frees the
+        // breaker's probe slot for a fresh cooldown.
+        ms.breaker.record_failure(now);
+        sync_breaker(m, now);
+      }
+      for (const BatchItem& it : f.items) {
+        const auto st = req_state_.find(request_key(it.tenant, it.id));
+        const bool done = st->second.done;
+        if (drop_copy(st) == 0 && !done) {
+          // No other copy will complete this request: rescue it. It goes back
+          // through dispatch (and its deadline check) — never lost.
+          ms.rescue.push_back(it);
+          ++stats_.requeued;
+        }
+      }
+      park(i);
+    }
+    // Fresh incarnation: the fault dies with the old one.
+    rep.wedged = false;
+    rep.crashed = false;
+    rep.slow_factor = 1.0;
+    rep.slow_until = 0;
+    rep.busy_until = -1;
+    rep.probe_pending = false;
+    rep.reset_health_window();
+    rep.health = Replica::Health::kQuarantined;
+    release_leases(rep);
+    rep.gate->force_open(now, spin_up(m, rep, now, /*charged=*/true));
+  }
+
+  /// A batch whose every request already completed elsewhere (its hedges
+  /// all won) is pure waste: cancel the real work and free the replica now.
+  /// Wedged/crashed replicas stay busy — there is nothing to free — and
+  /// probes run to completion (probation needs their verdict).
+  void reap_deduped(long long now) {
+    for (std::size_t i = 0; i < inflight_.size();) {
+      InFlight& f = inflight_[i];
+      const Replica& rep = mstate_[f.model].replicas[f.replica];
+      const auto done = [&](const BatchItem& it) {
+        const auto st = req_state_.find(request_key(it.tenant, it.id));
+        return st != req_state_.end() && st->second.done;
+      };
+      if (f.is_probe || f.breaker_probe || rep.wedged || rep.crashed ||
+          f.items.empty() ||
+          !std::all_of(f.items.begin(), f.items.end(), done)) {
+        ++i;
+        continue;
+      }
+      for (const BatchItem& it : f.items) {
+        const auto st = req_state_.find(request_key(it.tenant, it.id));
+        if (st != req_state_.end()) drop_copy(st);
+      }
+      const std::size_t m = f.model;
+      mstate_[m].replicas[f.replica].busy_until = -1;
+      park(i);
+      try_dispatch(m, now);
+    }
+  }
+
+  /// Cancels in-flight batch `i`'s real work and parks it with the zombies
+  /// until the pool joins: its virtual outcome is already settled.
+  void park(std::size_t i) {
+    inflight_[i].job->cancel.store(true, std::memory_order_relaxed);
+    zombies_.push_back(std::move(inflight_[i]));
+    inflight_.erase(inflight_.begin() + static_cast<long>(i));
+  }
+
+  /// A wedged or crashed replica never completes: its in-flight batch loses its
+  /// completion event and the replica stays busy.
+  void stall(std::size_t m, std::size_t ki) {
+    for (InFlight& f : inflight_) {
+      if (f.model == m && f.replica == ki) f.completion = kInf;
+    }
+    Replica& rep = mstate_[m].replicas[ki];
+    if (rep.busy_until >= 0) rep.busy_until = kInf;
+  }
+
+  void maybe_scale(std::size_t m, long long now) {
+    const AutoscaleConfig& as = cfg_.autoscale;
+    if (!as.enabled) return;
+    ModelState& ms = mstate_[m];
+    const int live = live_count(ms);
+    if (now - ms.last_scale < as.dwell_cycles) return;
+    if (ms.up_streak >= as.up_streak && live < as.max_replicas) {
+      spawn_replica(m, now, /*initial=*/false);
+      ++stats_.models[m].scale_ups;
+      scale_log_.push_back({now, m, true, live + 1});
+      ms.up_streak = 0;
+      ms.last_scale = now;
+      return;
+    }
+    if (ms.idle_streak < as.down_streak || live <= as.min_replicas) return;
+    // Retire the youngest free, ready, *healthy* replica; quarantined or
+    // probing replicas are mid-recovery and keep their slot.
+    for (std::size_t i = ms.replicas.size(); i-- > 0;) {
+      Replica& r = ms.replicas[i];
+      if (!r.idle() || r.health != Replica::Health::kHealthy) continue;
+      r.retired = true;
+      r.regime->finish(now);
+      release_leases(r);
+      ++stats_.models[m].scale_downs;
+      scale_log_.push_back({now, m, false, live - 1});
+      ms.idle_streak = 0;
+      ms.last_scale = now;
+      return;
+    }
+  }
+
+  void spawn_replica(std::size_t m, long long now, bool initial) {
+    ModelState& ms = mstate_[m];
+    Replica rep;
+    rep.id = ms.next_replica_id++;
+    rep.regime = std::make_unique<RegimeController>(
+        ms.service, models_[m].ladder.home, ms.cap_total, cfg_.regime);
+    if (ms.breaker_degraded) rep.regime->on_breaker(now, true);
+    rep.leases.resize(models_[m].ladder.rungs.size());
+    BreakerConfig gate_cfg;
+    gate_cfg.probe_successes = 1;  // single-probe probation
+    rep.gate = std::make_unique<CircuitBreaker>(gate_cfg);
+    // Initial replicas are pre-warmed before traffic: ready at cycle 0, their
+    // (modeled) spin-up happened offline and is not charged.
+    spin_up(m, rep, now, /*charged=*/!initial);
+    ms.replicas.push_back(std::move(rep));
+    stats_.models[m].replica_peak =
+        std::max(stats_.models[m].replica_peak, live_count(ms));
+  }
+
+  /// The home-rung bundle decides cold vs warm: a cold spin-up derives the
+  /// constants, a warm one adopts the resident copy a peer already built. A
+  /// charged spin-up takes the replica offline until ready_at; returns its
+  /// cycles.
+  long long spin_up(std::size_t m, Replica& rep, long long now, bool charged) {
+    const bool hit =
+        acquire_rung(m, rep, static_cast<int>(models_[m].ladder.home), now);
+    const long long spinup = hit ? cfg_.autoscale.spinup_warm_cycles
+                                 : cfg_.autoscale.spinup_cold_cycles;
+    if (hit) {
+      ++stats_.models[m].warm_spinups;
+    } else {
+      ++stats_.models[m].cold_spinups;
+    }
+    if (charged) {
+      rep.ready_at = now + spinup;
+      rep.spinning = true;
+      stats_.models[m].spinup_cycles += spinup;
+    }
+    return spinup;
+  }
+
+  /// Leases `rung`'s bundle for the replica unless it already holds it;
+  /// returns whether that lease was a cache hit.
+  bool acquire_rung(std::size_t m, Replica& rep, int rung, long long now) {
+    auto& slot = rep.leases[static_cast<std::size_t>(rung)];
+    if (slot) return false;  // already leased; not a cache event
+    auto lease = cache_.acquire(bundle_key(m, rung), [&] {
+      arch::FusionPipeline p(
+          models_[m].net, models_[m].ws,
+          models_[m].ladder.rungs[static_cast<std::size_t>(rung)].choices);
+      return p.shared_prepack();
+    });
+    const bool hit = lease.hit;
+    if (lease.scrubbed) {
+      health_log_.push_back({now, HealthEvent::Kind::kScrub, m, rep.id});
+    }
+    slot = std::make_unique<PrepackCache::Lease>(std::move(lease));
+    return hit;
+  }
+
+  void release_leases(Replica& rep) {
+    for (auto& lease : rep.leases) {
+      if (lease) cache_.release(*lease);
+      lease.reset();
+    }
+  }
+
+  /// The model breaker's open/half-open state moves every live replica's rung
+  /// pointer off home (RegimeController::on_breaker); pushed on change.
+  void sync_breaker(std::size_t m, long long now) {
+    ModelState& ms = mstate_[m];
+    const bool degraded = ms.breaker.current() != BreakerState::kClosed;
+    if (degraded == ms.breaker_degraded) return;
+    ms.breaker_degraded = degraded;
+    for (Replica& r : ms.replicas) {
+      if (!r.retired) r.regime->on_breaker(now, degraded);
+    }
+  }
+
+  /// Load-shedding: a request already past its tenant's deadline at dispatch
+  /// is dropped (and counted) instead of wasting a replica.
+  bool shed_if_late(std::size_t tenant, long long arrival, long long now) {
+    const long long deadline = tenants_[tenant].deadline_cycles;
+    if (deadline <= 0 || now <= arrival + deadline) return false;
+    ++stats_.tenants[tenant].shed_deadline;
+    return true;
+  }
+
+  /// Drops one live copy of a request; the ledger entry goes with its last
+  /// copy. Returns the copies left.
+  int drop_copy(Ledger::iterator st) {
+    const int left = --st->second.copies;
+    if (left == 0) req_state_.erase(st);
+    return left;
+  }
+
+  /// Free-replica scan: healthy first, then a probation replica whose single
+  /// probe slot is open (index order == id order, so the pick is a pure
+  /// function of the virtual schedule). {-1, false} when none can dispatch.
+  std::pair<int, bool> free_replica(const ModelState& ms) const {
+    int probe = -1;
+    for (std::size_t i = 0; i < ms.replicas.size(); ++i) {
+      const Replica& r = ms.replicas[i];
+      if (!r.idle()) continue;
+      if (r.health == Replica::Health::kHealthy) {
+        return {static_cast<int>(i), false};
+      }
+      if (probe < 0 && r.health == Replica::Health::kProbation &&
+          !r.probe_pending) {
+        probe = static_cast<int>(i);
+      }
+    }
+    return {probe, probe >= 0};
+  }
+
+  std::size_t model_cap(std::size_t m) const {
+    std::size_t cap = 0;
+    for (const std::size_t t : mstate_[m].tenant_ids) {
+      cap = cap == 0 ? tenants_[t].batch_cap
+                     : std::min(cap, tenants_[t].batch_cap);
+    }
+    return std::max<std::size_t>(cap, 1);
+  }
+
+  std::size_t pending_total(const ModelState& ms) const {
+    std::size_t total = 0;
+    for (const std::size_t t : ms.tenant_ids) total += tq_[t].size();
+    return total;
+  }
+
+  bool has_work() const {
+    if (next_arrival_ < arrivals_.size() || !inflight_.empty()) return true;
+    for (const auto& q : tq_) {
+      if (!q.empty()) return true;
+    }
+    for (const ModelState& ms : mstate_) {
+      if (!ms.rescue.empty() || !ms.hedge_q.empty() || !ms.retries.empty() ||
+          std::any_of(ms.replicas.begin(), ms.replicas.end(),
+                      [](const Replica& r) { return r.spinning; })) {
+        return true;
+      }
+    }
+    return false;
+  }
+
+  [[nodiscard]] std::string bundle_key(std::size_t m, int rung) const {
+    // (model, strategy/rung, datapath): the rung label carries the strategy
+    // identity and the datapath mode is a function of the rung's choices.
+    return models_[m].name + "/r" + std::to_string(rung);
+  }
+
+  const std::vector<FleetModel>& models_;
+  const std::vector<TenantConfig>& tenants_;
+  const FleetConfig& cfg_;
+  const std::vector<ArrivalTrace>& traces_;
+  const fault::FleetFaultPlan& chaos_;
+  FleetStats& stats_;
+  std::vector<ScaleEvent>& scale_log_;
+  std::vector<HealthEvent>& health_log_;
+
+  std::vector<Arrival> arrivals_;
+  std::size_t next_arrival_ = 0;
+  std::size_t next_fault_ = 0;
+  long long last_completion_ = 0;
+  PrepackCache cache_;
+  std::vector<ModelState> mstate_;
+  std::vector<std::deque<std::uint64_t>> tq_;  ///< per-tenant request ids
+  Ledger req_state_;
+  std::vector<InFlight> inflight_;
+  // Cancelled batches whose real job may still be in the worker pipeline;
+  // their promises resolve before the workers join, after which these are
+  // safe to destroy. Futures are never read — the virtual outcome already
+  // settled without them.
+  std::vector<InFlight> zombies_;
+  WorkerPool pool_;  ///< last: joins before the jobs above are destroyed
+};
+
+}  // namespace
 
 FleetStats FleetServer::run(const std::vector<ArrivalTrace>& traces,
                             const fault::FleetFaultPlan& plan) {
@@ -348,6 +1500,13 @@ FleetStats FleetServer::run(const std::vector<ArrivalTrace>& traces,
                          "trace ids must be dense from 0 (tenant '" +
                              tenants_[t].name + "')");
       }
+    }
+  }
+  for (std::size_t m = 0; m < models_.size(); ++m) {
+    if (std::none_of(tenants_.begin(), tenants_.end(),
+                     [&](const TenantConfig& t) { return t.model == m; })) {
+      throw ServeError(ServeError::Reason::kConfig,
+                       "model '" + models_[m].name + "' has no tenants");
     }
   }
   fault::FleetFaultPlan chaos = plan;
@@ -369,1190 +1528,13 @@ FleetStats FleetServer::run(const std::vector<ArrivalTrace>& traces,
   breaker_logs_.assign(models_.size(), {});
   scale_log_.clear();
   health_log_.clear();
-
   FleetStats stats;
-  stats.tenants.resize(tenants_.size());
-  for (std::size_t t = 0; t < tenants_.size(); ++t) {
-    stats.tenants[t].name = tenants_[t].name;
-  }
-  stats.models.resize(models_.size());
-  for (std::size_t m = 0; m < models_.size(); ++m) {
-    stats.models[m].name = models_[m].name;
-    stats.models[m].rung_completions.assign(models_[m].ladder.rungs.size(),
-                                            0);
-    stats.models[m].rung_cycles.assign(models_[m].ladder.rungs.size(), 0);
-  }
+  Dispatcher dispatcher(models_, tenants_, cfg_, traces, chaos, stats,
+                        scale_log_, health_log_);
+  dispatcher.run();
+  dispatcher.close(rung_logs_, breaker_logs_);
 
-  // Merged arrival stream, ordered (cycle, tenant, id) — the global event
-  // order every run sees regardless of threads.
-  struct Arrival {
-    long long cycle = 0;
-    std::size_t tenant = 0;
-    std::uint64_t id = 0;
-  };
-  std::vector<Arrival> arrivals;
-  for (std::size_t t = 0; t < traces.size(); ++t) {
-    for (const TraceRequest& r : traces[t].requests) {
-      arrivals.push_back({r.arrival_cycle, t, r.id});
-    }
-  }
-  std::sort(arrivals.begin(), arrivals.end(),
-            [](const Arrival& a, const Arrival& b) {
-              if (a.cycle != b.cycle) return a.cycle < b.cycle;
-              if (a.tenant != b.tenant) return a.tenant < b.tenant;
-              return a.id < b.id;
-            });
-
-  // ---- Dispatcher state (virtual time; workers never touch any of it). --
-  PrepackCache cache(cfg_.share_prepack);
-
-  struct BatchItem {
-    std::size_t tenant = 0;
-    std::uint64_t id = 0;
-    long long arrival = 0;
-    int attempt = 1;  ///< > 1 on retries after a failed home-rung batch
-  };
-  struct Retry {
-    long long eligible = 0;  ///< failure cycle + retry_backoff(attempt)
-    BatchItem item;
-    bool pinned = false;  ///< retry budget spent: conservative rung only
-  };
-  struct Replica {
-    enum class Health : std::uint8_t { kHealthy, kQuarantined, kProbation };
-    int id = 0;
-    long long busy_until = -1;  ///< -1 = free
-    long long ready_at = 0;
-    bool spinning = false;  ///< between spawn and its replica-ready event
-    bool retired = false;
-    // Fault-domain state. The dispatcher *applies* wedge/crash/slow strikes
-    // but never reads them for scheduling decisions (it cannot know a
-    // replica is sick until the health layer detects it) — except that a
-    // wedged/crashed replica's batches simply never complete.
-    Health health = Health::kHealthy;
-    bool wedged = false;
-    bool crashed = false;
-    double slow_factor = 1.0;
-    long long slow_until = 0;  ///< kInf = until quarantine replaces it
-    std::unique_ptr<CircuitBreaker> gate;  ///< quarantine state machine
-    bool probe_pending = false;  ///< mirror of the gate's probe slot
-    std::deque<char> miss_ring;  ///< rolling service-overrun window
-    int window_misses = 0;
-    int consec_failures = 0;
-    std::unique_ptr<RegimeController> regime;
-    std::vector<std::unique_ptr<PrepackCache::Lease>> leases;  ///< per rung
-  };
-  struct ModelState {
-    std::vector<Replica> replicas;
-    int next_replica_id = 0;
-    std::vector<std::size_t> tenant_ids;
-    std::vector<long long> deficit;  ///< DRR, aligned with tenant_ids
-    std::size_t drr_next = 0;        ///< next tenant_ids slot to visit
-    long long batch_timer = kInf;    ///< armed virtual-age close cycle
-    std::size_t cap_total = 0;       ///< sum of tenant queue capacities
-    std::size_t up_depth = 0, down_depth = 0;  ///< autoscale watermarks
-    int up_streak = 0, idle_streak = 0;
-    long long last_scale = 0;
-    std::vector<long long> service;  ///< per-rung service cycles
-    std::deque<BatchItem> rescue;    ///< requeued at quarantine; served first
-    std::deque<BatchItem> hedge_q;   ///< hedge copies awaiting a replica
-    std::vector<Retry> retries;      ///< failed home-rung requests
-    std::vector<const FaultBurst*> bursts;  ///< its tenants' trace bursts
-    CircuitBreaker breaker;          ///< fault breaker over home outcomes
-    bool breaker_degraded = false;   ///< last state pushed to the regimes
-  };
-  std::vector<ModelState> mstate(models_.size());
-  std::vector<std::deque<std::uint64_t>> tq(tenants_.size());
-  for (std::size_t t = 0; t < tenants_.size(); ++t) {
-    ModelState& ms = mstate[tenants_[t].model];
-    ms.tenant_ids.push_back(t);
-    ms.cap_total += tenants_[t].queue_capacity;
-    if (traces[t].burst.active()) ms.bursts.push_back(&traces[t].burst);
-  }
-  for (std::size_t m = 0; m < models_.size(); ++m) {
-    ModelState& ms = mstate[m];
-    if (ms.tenant_ids.empty()) {
-      throw ServeError(ServeError::Reason::kConfig,
-                       "model '" + models_[m].name + "' has no tenants");
-    }
-    ms.deficit.assign(ms.tenant_ids.size(), 0);
-    ms.breaker = CircuitBreaker(cfg_.breaker);
-    ms.up_depth = static_cast<std::size_t>(
-        cfg_.autoscale.up_queue_frac *
-        static_cast<double>(ms.cap_total));
-    ms.down_depth = static_cast<std::size_t>(
-        cfg_.autoscale.down_queue_frac *
-        static_cast<double>(ms.cap_total));
-    for (const ServingMode& r : models_[m].ladder.rungs) {
-      ms.service.push_back(r.service_cycles);
-    }
-  }
-
-  struct InFlight {
-    long long completion = 0;  ///< kInf while the replica is wedged/crashed
-    long long dispatched = 0;
-    long long nominal = 0;      ///< svc(b) at the dispatcher's price list
-    long long watchdog_at = kInf;
-    long long hedge_at = kInf;
-    std::size_t model = 0;
-    std::size_t replica = 0;  ///< index into mstate[model].replicas
-    int rung = 0;
-    bool hedged = false;    ///< hedge copies were cloned off this batch
-    bool is_hedge = false;  ///< this batch carries hedge copies
-    bool is_probe = false;  ///< probation probe batch
-    bool breaker_probe = false;  ///< the model breaker's half-open probe
-    std::vector<BatchItem> items;
-    std::unique_ptr<FleetJob> job;
-    std::future<std::vector<std::uint32_t>> fut;
-  };
-  std::vector<InFlight> inflight;
-  // Cancelled batches whose real job may still be in the worker pipeline;
-  // their promises resolve before the workers join, after which these are
-  // safe to destroy. Futures are never read — the virtual outcome already
-  // settled without them.
-  std::vector<InFlight> zombies;
-  // Live-copy ledger for hedging dedup: copies = dispatched duplicates plus
-  // queued hedge clones; done = the request's single completion happened.
-  // Entries exist only between first dispatch and last copy's resolution,
-  // so the map stays O(in-flight), not O(trace).
-  struct ReqState {
-    int copies = 0;
-    bool done = false;
-  };
-  std::map<std::uint64_t, ReqState> req_state;
-  std::size_t next_arrival = 0;
-  long long last_completion = 0;
-
-  const auto bundle_key = [&](std::size_t m, int rung) {
-    // (model, strategy/rung, datapath): the rung label carries the strategy
-    // identity and the datapath mode is a function of the rung's choices.
-    return models_[m].name + "/r" + std::to_string(rung);
-  };
-  const auto acquire_rung = [&](std::size_t m, Replica& rep, int rung,
-                                long long now) {
-    auto& slot = rep.leases[static_cast<std::size_t>(rung)];
-    if (slot) return false;  // already leased; not a cache event
-    auto lease = cache.acquire(bundle_key(m, rung), [&] {
-      arch::FusionPipeline p(
-          models_[m].net, models_[m].ws,
-          models_[m].ladder.rungs[static_cast<std::size_t>(rung)].choices);
-      return p.shared_prepack();
-    });
-    const bool hit = lease.hit;
-    if (lease.scrubbed) {
-      health_log_.push_back({now, HealthEvent::Kind::kScrub, m, rep.id});
-    }
-    slot = std::make_unique<PrepackCache::Lease>(std::move(lease));
-    return hit;
-  };
-  const auto live_count = [&](const ModelState& ms) {
-    int live = 0;
-    for (const Replica& r : ms.replicas) {
-      if (!r.retired) ++live;
-    }
-    return live;
-  };
-  const auto pending_total = [&](const ModelState& ms) {
-    std::size_t total = 0;
-    for (std::size_t t : ms.tenant_ids) total += tq[t].size();
-    return total;
-  };
-  const auto model_cap = [&](std::size_t m) {
-    std::size_t cap = 0;
-    for (const std::size_t t : mstate[m].tenant_ids) {
-      cap = cap == 0 ? tenants_[t].batch_cap
-                     : std::min(cap, tenants_[t].batch_cap);
-    }
-    return std::max<std::size_t>(cap, 1);
-  };
-
-  // The model breaker's open/half-open state moves every live replica's
-  // rung pointer off home (RegimeController::on_breaker); pushed on change.
-  const auto sync_breaker = [&](std::size_t m, long long now) {
-    ModelState& ms = mstate[m];
-    const bool degraded = ms.breaker.current() != BreakerState::kClosed;
-    if (degraded == ms.breaker_degraded) return;
-    ms.breaker_degraded = degraded;
-    for (Replica& r : ms.replicas) {
-      if (!r.retired) r.regime->on_breaker(now, degraded);
-    }
-  };
-
-  // The home-rung bundle decides cold vs warm: a cold spin-up derives the
-  // constants, a warm one adopts the resident copy a peer already built.
-  // A charged spin-up takes the replica offline until ready_at; returns its
-  // cycles.
-  const auto spin_up = [&](std::size_t m, Replica& rep, long long now,
-                           bool charged) {
-    const bool hit = acquire_rung(
-        m, rep, static_cast<int>(models_[m].ladder.home), now);
-    const long long spinup = hit ? cfg_.autoscale.spinup_warm_cycles
-                                 : cfg_.autoscale.spinup_cold_cycles;
-    if (hit) {
-      ++stats.models[m].warm_spinups;
-    } else {
-      ++stats.models[m].cold_spinups;
-    }
-    if (charged) {
-      rep.ready_at = now + spinup;
-      rep.spinning = true;
-      stats.models[m].spinup_cycles += spinup;
-    }
-    return spinup;
-  };
-  const auto release_leases = [&](Replica& rep) {
-    for (auto& lease : rep.leases) {
-      if (lease) cache.release(*lease);
-      lease.reset();
-    }
-  };
-
-  const auto spawn_replica = [&](std::size_t m, long long now, bool initial) {
-    ModelState& ms = mstate[m];
-    Replica rep;
-    rep.id = ms.next_replica_id++;
-    rep.regime = std::make_unique<RegimeController>(
-        ms.service, models_[m].ladder.home, ms.cap_total, cfg_.regime);
-    if (ms.breaker_degraded) rep.regime->on_breaker(now, true);
-    rep.leases.resize(models_[m].ladder.rungs.size());
-    BreakerConfig gate_cfg;
-    gate_cfg.probe_successes = 1;  // single-probe probation
-    rep.gate = std::make_unique<CircuitBreaker>(gate_cfg);
-    // Initial replicas are pre-warmed before traffic: ready at cycle 0,
-    // their (modeled) spin-up happened offline and is not charged.
-    spin_up(m, rep, now, /*charged=*/!initial);
-    ms.replicas.push_back(std::move(rep));
-    stats.models[m].replica_peak =
-        std::max(stats.models[m].replica_peak, live_count(ms));
-  };
-
-  for (std::size_t m = 0; m < models_.size(); ++m) {
-    for (int k = 0; k < models_[m].replicas; ++k) {
-      spawn_replica(m, 0, /*initial=*/true);
-    }
-  }
-
-  // ---- Real execution machinery: ONE shared job queue + worker set for
-  // the whole fleet. Replicas are virtual-time capacity, not threads — a
-  // 32-replica fleet on a 4-core box still runs at most resolve_threads()
-  // workers, all drawing kernel parallelism from the one process pool.
-  int max_replicas_total = 0;
-  for (std::size_t m = 0; m < models_.size(); ++m) {
-    max_replicas_total += cfg_.autoscale.enabled
-                              ? std::max(cfg_.autoscale.max_replicas,
-                                         models_[m].replicas)
-                              : models_[m].replicas;
-  }
-  // Headroom beyond one-batch-per-replica: cancelled (zombie) jobs linger
-  // in the queue until a worker pops them, and quarantine bursts can stack
-  // a few; the bound only back-pressures the dispatcher, never drops.
-  BoundedQueue<FleetJob*> exec_q(
-      static_cast<std::size_t>(max_replicas_total) * 2 + 4);
-  const int worker_count =
-      std::max(1, std::min(kernels::resolve_threads(cfg_.threads),
-                           max_replicas_total));
-  std::vector<std::thread> workers;
-  workers.reserve(static_cast<std::size_t>(worker_count));
-  for (int w = 0; w < worker_count; ++w) {
-    workers.emplace_back([this, &exec_q] {
-      // Worker-owned warm pipelines, one per (model, rung, burst) this
-      // worker actually serves — every one adopts the dispatcher's shared
-      // bundle, so construction skips the pack/transform work entirely. A
-      // burst-struck pipeline carries the burst's plan and the rung's
-      // hardening.
-      std::map<std::tuple<std::size_t, int, const FaultBurst*>,
-               std::unique_ptr<arch::FusionPipeline>>
-          pipes;
-      FleetJob* job = nullptr;
-      while (exec_q.pop(job)) {
-        std::vector<std::uint32_t> crcs;
-        arch::FusionPipeline* pipe = nullptr;
-        try {
-          auto& slot = pipes[{job->model, job->rung, job->burst}];
-          if (!slot) {
-            const ServingMode& mode =
-                models_[job->model]
-                    .ladder.rungs[static_cast<std::size_t>(job->rung)];
-            slot = std::make_unique<arch::FusionPipeline>(
-                models_[job->model].net, models_[job->model].ws,
-                mode.choices, job->bundle);
-            if (job->burst) {
-              slot->install_fault_plan(job->burst->plan, mode.protect);
-            }
-          }
-          pipe = slot.get();
-          if (job->reset_first) pipe->reset();
-          pipe->set_cancel_token(&job->cancel);
-          crcs.reserve(job->seeds.size());
-          for (const std::uint32_t seed : job->seeds) {
-            nn::Tensor in(models_[job->model].net[0].out);
-            nn::fill_deterministic(in, seed);
-            const nn::Tensor out = pipe->run(in);
-            crcs.push_back(fault::crc32_f32(out.data(), out.vec().size()));
-          }
-        } catch (const std::exception&) {
-          // Execution failure OR cooperative cancellation — either way the
-          // batch carries no usable CRCs. The dispatcher distinguishes the
-          // two by whether it cancelled the job itself.
-          crcs.clear();
-        }
-        if (pipe) pipe->set_cancel_token(nullptr);
-        job->done.set_value(std::move(crcs));
-      }
-    });
-  }
-
-  // ---- The discrete-event loop. Event ties resolve fault strikes <
-  // completions < replica-ready < retry-eligible < watchdog < hedge fire <
-  // batch-close timers < arrivals: faults land before anything else
-  // observes the cycle, capacity frees and comes online before sickness is
-  // judged, admitted work beats detection, detection beats duplication, and
-  // all of them beat new admission.
-  // Deterministic batch close rule: dispatch when pending >= the effective
-  // cap (min over tenants with queued work) OR the oldest pending request
-  // of some tenant has aged past that tenant's budget. Otherwise arm the
-  // model's close timer at the earliest such age-out cycle.
-  const auto form_batch = [&](std::size_t m,
-                              long long now) -> std::vector<BatchItem> {
-    ModelState& ms = mstate[m];
-    std::size_t avail = 0;
-    std::size_t cap = 0;
-    long long close_at = kInf;
-    for (const std::size_t t : ms.tenant_ids) {
-      if (tq[t].empty()) continue;
-      avail += tq[t].size();
-      cap = cap == 0 ? tenants_[t].batch_cap
-                     : std::min(cap, tenants_[t].batch_cap);
-      const TraceRequest& front = traces[t].requests[tq[t].front()];
-      close_at = std::min(close_at, front.arrival_cycle +
-                                        tenants_[t].batch_age_cycles);
-    }
-    if (avail == 0) return {};
-    if (avail < cap && now < close_at) {
-      ms.batch_timer = std::min(
-          ms.batch_timer == kInf ? close_at : ms.batch_timer, close_at);
-      return {};
-    }
-    // Deficit round-robin over the model's tenants: quantum = weight, cost
-    // 1 per request. A drained queue forfeits its deficit (standard DRR),
-    // so an idle tenant cannot bank service.
-    std::vector<BatchItem> batch;
-    const std::size_t T = ms.tenant_ids.size();
-    while (batch.size() < cap) {
-      bool any = false;
-      for (const std::size_t t : ms.tenant_ids) {
-        if (!tq[t].empty()) {
-          any = true;
-          break;
-        }
-      }
-      if (!any) break;
-      const std::size_t ti = ms.drr_next;
-      const std::size_t t = ms.tenant_ids[ti];
-      if (tq[t].empty()) {
-        ms.deficit[ti] = 0;
-        ms.drr_next = (ti + 1) % T;
-        continue;
-      }
-      ms.deficit[ti] += tenants_[t].weight;
-      while (ms.deficit[ti] >= 1 && !tq[t].empty() && batch.size() < cap) {
-        const std::uint64_t id = tq[t].front();
-        tq[t].pop_front();
-        const TraceRequest& req = traces[t].requests[id];
-        if (tenants_[t].deadline_cycles > 0 &&
-            now > req.arrival_cycle + tenants_[t].deadline_cycles) {
-          // Load-shedding: already late at dispatch — free to drop, so it
-          // does not consume the tenant's deficit.
-          ++stats.tenants[t].shed_deadline;
-          continue;
-        }
-        batch.push_back({t, id, req.arrival_cycle});
-        --ms.deficit[ti];
-      }
-      if (tq[t].empty()) ms.deficit[ti] = 0;
-      if (batch.size() >= cap) {
-        // Mid-round stop: the pointer stays on a tenant with live deficit
-        // and queued work (it resumes first), advances otherwise.
-        if (tq[t].empty() || ms.deficit[ti] < 1) ms.drr_next = (ti + 1) % T;
-        break;
-      }
-      ms.drr_next = (ti + 1) % T;
-    }
-    return batch;
-  };
-
-  // Free-replica scan: healthy first, then a probation replica whose single
-  // probe slot is open (index order == id order, so the pick is a pure
-  // function of the virtual schedule). {-1, false} when none can dispatch.
-  const auto free_replica = [&](const ModelState& ms) -> std::pair<int, bool> {
-    for (std::size_t i = 0; i < ms.replicas.size(); ++i) {
-      const Replica& r = ms.replicas[i];
-      if (r.retired || r.spinning || r.busy_until >= 0) continue;
-      if (r.health == Replica::Health::kHealthy) {
-        return {static_cast<int>(i), false};
-      }
-    }
-    for (std::size_t i = 0; i < ms.replicas.size(); ++i) {
-      const Replica& r = ms.replicas[i];
-      if (r.retired || r.spinning || r.busy_until >= 0) continue;
-      if (r.health == Replica::Health::kProbation && !r.probe_pending) {
-        return {static_cast<int>(i), true};
-      }
-    }
-    return {-1, false};
-  };
-
-  const auto try_dispatch = [&](std::size_t m, long long now) {
-    ModelState& ms = mstate[m];
-    while (true) {
-      const auto [k, probe] = free_replica(ms);
-      if (k < 0) return;
-      // Batch class priority: quarantine rescues, then due retries, then
-      // hedge copies, then fresh DRR work. Rescue/retry/hedge batches
-      // bypass the close rule — their requests were already admitted.
-      const std::size_t cap = model_cap(m);
-      std::vector<BatchItem> batch;
-      bool is_hedge = false;
-      bool pinned = false;
-      while (!ms.rescue.empty() && batch.size() < cap) {
-        const BatchItem it = ms.rescue.front();
-        ms.rescue.pop_front();
-        const TenantConfig& tc = tenants_[it.tenant];
-        if (tc.deadline_cycles > 0 &&
-            now > it.arrival + tc.deadline_cycles) {
-          ++stats.tenants[it.tenant].shed_deadline;
-          req_state.erase(request_key(it.tenant, it.id));
-          continue;
-        }
-        batch.push_back(it);
-      }
-      if (batch.empty()) {
-        // Due retries, earliest eligibility first (ties by tenant, id); a
-        // batch never mixes pinned and home-bound retries.
-        while (batch.size() < cap) {
-          auto pick = ms.retries.end();
-          for (auto r = ms.retries.begin(); r != ms.retries.end(); ++r) {
-            if (r->eligible > now || (!batch.empty() && r->pinned != pinned)) {
-              continue;
-            }
-            if (pick == ms.retries.end() || r->eligible < pick->eligible ||
-                (r->eligible == pick->eligible &&
-                 std::tie(r->item.tenant, r->item.id) <
-                     std::tie(pick->item.tenant, pick->item.id))) {
-              pick = r;
-            }
-          }
-          if (pick == ms.retries.end()) break;
-          const Retry r = *pick;
-          ms.retries.erase(pick);
-          const TenantConfig& tc = tenants_[r.item.tenant];
-          if (tc.deadline_cycles > 0 &&
-              now > r.item.arrival + tc.deadline_cycles) {
-            ++stats.tenants[r.item.tenant].shed_deadline;
-            continue;
-          }
-          pinned = r.pinned;
-          batch.push_back(r.item);
-        }
-      }
-      if (batch.empty()) {
-        while (!ms.hedge_q.empty() && batch.size() < cap) {
-          const BatchItem it = ms.hedge_q.front();
-          ms.hedge_q.pop_front();
-          auto st = req_state.find(request_key(it.tenant, it.id));
-          if (st == req_state.end() || st->second.done) {
-            // The original finished while this copy queued — drop it.
-            if (st != req_state.end() && --st->second.copies == 0) {
-              req_state.erase(st);
-            }
-            continue;
-          }
-          batch.push_back(it);
-          is_hedge = true;
-        }
-      }
-      if (batch.empty()) batch = form_batch(m, now);
-      if (batch.empty()) return;
-      Replica& rep = ms.replicas[static_cast<std::size_t>(k)];
-      const int home = static_cast<int>(models_[m].ladder.home);
-      int rung = rep.regime->conservative_rung();
-      bool breaker_probe = false;
-      if (!pinned) {
-        // Reading the breaker commits open -> half-open once the cooldown
-        // has passed; a half-open breaker tests home with one batch.
-        const BreakerState st = ms.breaker.state(now);
-        sync_breaker(m, now);
-        breaker_probe = st == BreakerState::kHalfOpen &&
-                        ms.breaker.try_acquire_probe(now);
-        rung = breaker_probe ? home : rep.regime->rung();
-      }
-      // A trace burst strikes the model's home design only: the hardened
-      // conservative rung and load-descended rungs run unstruck.
-      const FaultBurst* burst = nullptr;
-      if (rung == home) {
-        for (const FaultBurst* b : ms.bursts) {
-          if (b->covers(now)) {
-            burst = b;
-            break;
-          }
-        }
-      }
-      acquire_rung(m, rep, rung, now);  // deterministic cache event
-      const long long service =
-          ms.service[static_cast<std::size_t>(rung)];
-      const long long setup =
-          static_cast<long long>(static_cast<double>(service) *
-                                 cfg_.batch_setup_frac);
-      const long long nominal =
-          setup + static_cast<long long>(batch.size()) * (service - setup);
-      // The dispatcher prices the batch at the *nominal* rate — it cannot
-      // know the replica is sick. The fault only shows in when (whether)
-      // the completion event actually fires.
-      long long actual = nominal;
-      if (rep.slow_factor > 1.0 && now < rep.slow_until) {
-        actual = static_cast<long long>(static_cast<double>(nominal) *
-                                        rep.slow_factor);
-      }
-      InFlight f;
-      f.completion =
-          (rep.wedged || rep.crashed) ? kInf : now + actual;
-      f.dispatched = now;
-      f.nominal = nominal;
-      f.model = m;
-      f.replica = static_cast<std::size_t>(k);
-      f.rung = rung;
-      f.is_hedge = is_hedge;
-      f.breaker_probe = breaker_probe;
-      f.items = std::move(batch);
-      if (cfg_.health.enabled) {
-        f.watchdog_at =
-            now + static_cast<long long>(cfg_.health.watchdog_factor *
-                                         static_cast<double>(nominal));
-      }
-      if (cfg_.hedge.enabled && !is_hedge && !probe) {
-        f.hedge_at = now + nominal + cfg_.hedge.delay_cycles;
-      }
-      if (probe) {
-        (void)rep.gate->try_acquire_probe(now);  // scan guaranteed the slot
-        rep.probe_pending = true;
-        f.is_probe = true;
-        ++stats.probes;
-        health_log_.push_back({now, HealthEvent::Kind::kProbe, m, rep.id});
-      }
-      // Live-copy ledger: hedge copies were already counted at clone time.
-      if (!is_hedge) {
-        for (const BatchItem& it : f.items) {
-          ++req_state[request_key(it.tenant, it.id)].copies;
-        }
-      }
-      f.job = std::make_unique<FleetJob>();
-      f.job->model = m;
-      f.job->rung = rung;
-      f.job->burst = burst;
-      f.job->reset_first =
-          std::any_of(f.items.begin(), f.items.end(),
-                      [](const BatchItem& it) { return it.attempt > 1; });
-      f.job->bundle =
-          rep.leases[static_cast<std::size_t>(rung)]->bundle;
-      for (const BatchItem& it : f.items) {
-        f.job->seeds.push_back(
-            traces[it.tenant].requests[it.id].input_seed);
-      }
-      f.fut = f.job->done.get_future();
-      rep.busy_until = f.completion;
-      ++stats.models[m].batches;
-      auto& hist = stats.models[m].batch_size_counts;
-      if (hist.size() <= f.items.size()) hist.resize(f.items.size() + 1, 0);
-      ++hist[f.items.size()];
-      exec_q.push(f.job.get());
-      inflight.push_back(std::move(f));
-    }
-  };
-
-  const auto maybe_scale = [&](std::size_t m, long long now) {
-    const AutoscaleConfig& as = cfg_.autoscale;
-    if (!as.enabled) return;
-    ModelState& ms = mstate[m];
-    const int live = live_count(ms);
-    if (ms.up_streak >= as.up_streak && live < as.max_replicas &&
-        now - ms.last_scale >= as.dwell_cycles) {
-      spawn_replica(m, now, /*initial=*/false);
-      ++stats.models[m].scale_ups;
-      scale_log_.push_back({now, m, true, live + 1});
-      ms.up_streak = 0;
-      ms.last_scale = now;
-      return;
-    }
-    if (ms.idle_streak >= as.down_streak && live > as.min_replicas &&
-        now - ms.last_scale >= as.dwell_cycles) {
-      // Retire the youngest free, ready, *healthy* replica; quarantined or
-      // probing replicas are mid-recovery and keep their slot.
-      for (std::size_t i = ms.replicas.size(); i-- > 0;) {
-        Replica& r = ms.replicas[i];
-        if (r.retired || r.spinning || r.busy_until >= 0 ||
-            r.health != Replica::Health::kHealthy) {
-          continue;
-        }
-        r.retired = true;
-        r.regime->finish(now);
-        release_leases(r);
-        ++stats.models[m].scale_downs;
-        scale_log_.push_back({now, m, false, live - 1});
-        ms.idle_streak = 0;
-        ms.last_scale = now;
-        return;
-      }
-    }
-  };
-
-  // Quarantine: isolate the replica, cancel + rescue its in-flight batch,
-  // and respawn it in place through the cold/warm spin-up ledger. The gate
-  // breaker opens with the spin-up as cooldown, so the replica-ready event
-  // lands exactly when half-open probation can begin.
-  const auto quarantine = [&](std::size_t m, std::size_t ki, long long now) {
-    ModelState& ms = mstate[m];
-    Replica& rep = ms.replicas[ki];
-    if (rep.health == Replica::Health::kQuarantined) return;
-    ++stats.quarantines;
-    health_log_.push_back(
-        {now, HealthEvent::Kind::kQuarantine, m, rep.id});
-    for (std::size_t i = 0; i < inflight.size();) {
-      InFlight& f = inflight[i];
-      if (f.model != m || f.replica != ki) {
-        ++i;
-        continue;
-      }
-      f.job->cancel.store(true, std::memory_order_relaxed);
-      if (f.breaker_probe) {
-        // The probe never reports back: count it failed, which frees the
-        // breaker's probe slot for a fresh cooldown.
-        ms.breaker.record_failure(now);
-        sync_breaker(m, now);
-      }
-      for (const BatchItem& it : f.items) {
-        auto st = req_state.find(request_key(it.tenant, it.id));
-        if (--st->second.copies == 0) {
-          if (st->second.done) {
-            req_state.erase(st);
-          } else {
-            // No other copy will complete this request: rescue it. It goes
-            // back through dispatch (and its deadline check) — never lost.
-            ms.rescue.push_back(it);
-            ++stats.requeued;
-          }
-        }
-      }
-      zombies.push_back(std::move(f));
-      inflight.erase(inflight.begin() + static_cast<long>(i));
-    }
-    // Fresh incarnation: the fault dies with the old one.
-    rep.wedged = false;
-    rep.crashed = false;
-    rep.slow_factor = 1.0;
-    rep.slow_until = 0;
-    rep.busy_until = -1;
-    rep.probe_pending = false;
-    rep.miss_ring.clear();
-    rep.window_misses = 0;
-    rep.consec_failures = 0;
-    rep.health = Replica::Health::kQuarantined;
-    release_leases(rep);
-    rep.gate->force_open(now, spin_up(m, rep, now, /*charged=*/true));
-  };
-
-  const auto handle_completion = [&](InFlight f) {
-    const long long now = f.completion;
-    last_completion = std::max(last_completion, now);
-    std::vector<std::uint32_t> crcs = f.fut.get();  // may still be running
-    ModelState& ms = mstate[f.model];
-    Replica& rep = ms.replicas[f.replica];
-    rep.busy_until = -1;
-    const bool ok = crcs.size() == f.items.size();
-    const int home = static_cast<int>(models_[f.model].ladder.home);
-    long long delivered = 0;
-    for (std::size_t i = 0; i < f.items.size(); ++i) {
-      const BatchItem& it = f.items[i];
-      TenantStats& ts = stats.tenants[it.tenant];
-      auto st_it = req_state.find(request_key(it.tenant, it.id));
-      ReqState& st = st_it->second;
-      --st.copies;
-      if (!ok) {
-        // Failed execution, decided by the last copy: a home-rung failure
-        // retries after backoff (pinned to the conservative rung once the
-        // budget is spent); a failure off home is terminal.
-        if (st.copies == 0) {
-          if (!st.done && f.rung == home) {
-            ms.retries.push_back(
-                {now + retry_backoff(cfg_.retry, it.attempt),
-                 {it.tenant, it.id, it.arrival, it.attempt + 1},
-                 it.attempt > cfg_.retry.max_retries});
-            ++stats.models[f.model].retries;
-          } else if (!st.done) {
-            ++ts.failed;
-          }
-          req_state.erase(st_it);
-        }
-        continue;
-      }
-      if (st.done) {
-        // Hedge race loser: the request already completed elsewhere. Dedup
-        // keeps accounted() exact and the digest single-voiced.
-        if (st.copies == 0) req_state.erase(st_it);
-        continue;
-      }
-      st.done = true;
-      ++delivered;
-      const long long lat = now - it.arrival;
-      ++ts.completed;
-      ts.latency.record(lat);
-      if (f.rung != home) ++ts.completed_degraded;
-      if (it.attempt > 1) ++stats.models[f.model].faults_absorbed;
-      if (f.is_hedge) ++stats.hedge_wins;
-      stats.response_hash += mix64(
-          request_key(it.tenant, it.id) * 0x9E3779B97F4A7C15ull ^ crcs[i]);
-      const bool late = tenants_[it.tenant].deadline_cycles > 0 &&
-                        lat > tenants_[it.tenant].deadline_cycles;
-      if (late) ++ts.deadline_misses;
-      rep.regime->observe_completion(now, late);
-      if (st.copies == 0) req_state.erase(st_it);
-    }
-    if (ok) {
-      stats.models[f.model]
-          .rung_completions[static_cast<std::size_t>(f.rung)] += delivered;
-    }
-    if (f.rung == home) {
-      // The breaker hears execution outcomes only: lateness is the regime's
-      // miss-window signal, never a breaker failure.
-      if (ok) {
-        ms.breaker.record_success(now);
-      } else {
-        ms.breaker.record_failure(now);
-      }
-      sync_breaker(f.model, now);
-    }
-
-    if (f.is_probe) {
-      rep.probe_pending = false;
-      const bool overran = now - f.dispatched > f.nominal;
-      if (ok && !overran) {
-        rep.gate->record_success(now);  // half-open -> closed (1 probe)
-        rep.health = Replica::Health::kHealthy;
-        rep.miss_ring.clear();
-        rep.window_misses = 0;
-        rep.consec_failures = 0;
-        ++stats.readmits;
-        health_log_.push_back(
-            {now, HealthEvent::Kind::kReadmit, f.model, rep.id});
-      } else {
-        health_log_.push_back(
-            {now, HealthEvent::Kind::kProbeFail, f.model, rep.id});
-        quarantine(f.model, f.replica, now);
-      }
-    } else if (cfg_.health.enabled &&
-               rep.health == Replica::Health::kHealthy) {
-      if (!ok) {
-        if (++rep.consec_failures >= cfg_.health.failure_threshold) {
-          quarantine(f.model, f.replica, now);
-        }
-      } else {
-        rep.consec_failures = 0;
-        // Replica-attributable miss: the batch overran its nominal svc(b).
-        // Honest replicas complete exactly on time in virtual time, so the
-        // window only ever fills on a sick one.
-        const bool overran = now - f.dispatched > f.nominal;
-        rep.miss_ring.push_back(overran ? 1 : 0);
-        if (overran) ++rep.window_misses;
-        if (static_cast<int>(rep.miss_ring.size()) >
-            cfg_.health.miss_window) {
-          if (rep.miss_ring.front()) --rep.window_misses;
-          rep.miss_ring.pop_front();
-        }
-        if (rep.window_misses >= cfg_.health.miss_threshold) {
-          quarantine(f.model, f.replica, now);
-        }
-      }
-    }
-
-    if (cfg_.autoscale.enabled && pending_total(ms) == 0) {
-      ++ms.idle_streak;
-      ms.up_streak = 0;
-    }
-    maybe_scale(f.model, now);
-  };
-
-  // A batch whose every request already completed elsewhere (its hedges all
-  // won) is pure waste: cancel the real work and free the replica now.
-  // Wedged/crashed replicas stay busy — there is nothing to free — and
-  // probes run to completion (probation needs their verdict).
-  const auto reap_deduped = [&](long long now) {
-    for (std::size_t i = 0; i < inflight.size();) {
-      InFlight& f = inflight[i];
-      const Replica& rep = mstate[f.model].replicas[f.replica];
-      if (f.is_probe || f.breaker_probe || rep.wedged || rep.crashed) {
-        ++i;
-        continue;
-      }
-      bool all_done = !f.items.empty();
-      for (const BatchItem& it : f.items) {
-        auto st = req_state.find(request_key(it.tenant, it.id));
-        if (st == req_state.end() || !st->second.done) {
-          all_done = false;
-          break;
-        }
-      }
-      if (!all_done) {
-        ++i;
-        continue;
-      }
-      f.job->cancel.store(true, std::memory_order_relaxed);
-      for (const BatchItem& it : f.items) {
-        auto st = req_state.find(request_key(it.tenant, it.id));
-        if (st != req_state.end() && --st->second.copies == 0) {
-          req_state.erase(st);
-        }
-      }
-      const std::size_t m = f.model;
-      mstate[m].replicas[f.replica].busy_until = -1;
-      zombies.push_back(std::move(f));
-      inflight.erase(inflight.begin() + static_cast<long>(i));
-      try_dispatch(m, now);
-    }
-  };
-
-  const auto find_replica = [&](std::size_t m, int id) -> int {
-    const ModelState& ms = mstate[m];
-    for (std::size_t i = 0; i < ms.replicas.size(); ++i) {
-      if (ms.replicas[i].id == id) return static_cast<int>(i);
-    }
-    return -1;
-  };
-  // A wedged or crashed replica never completes: its in-flight batch loses
-  // its completion event and the replica stays busy.
-  const auto stall = [&](std::size_t m, std::size_t ki) {
-    for (InFlight& f : inflight) {
-      if (f.model == m && f.replica == ki) f.completion = kInf;
-    }
-    Replica& rep = mstate[m].replicas[ki];
-    if (rep.busy_until >= 0) rep.busy_until = kInf;
-  };
-  const auto apply_fault = [&](const fault::FleetFaultEvent& e) {
-    const long long now = e.cycle;
-    if (e.model >= models_.size()) return;
-    if (e.kind == fault::FleetFaultKind::kCorruptBundle) {
-      const int rung = e.rung < 0
-                           ? static_cast<int>(models_[e.model].ladder.home)
-                           : e.rung;
-      if (rung >= static_cast<int>(models_[e.model].ladder.rungs.size())) {
-        return;
-      }
-      if (cache.corrupt_resident(bundle_key(e.model, rung))) {
-        health_log_.push_back(
-            {now, HealthEvent::Kind::kCorrupted, e.model, -1});
-      }
-      return;
-    }
-    const int ki = find_replica(e.model, e.replica);
-    if (ki < 0) return;
-    Replica& rep = mstate[e.model].replicas[static_cast<std::size_t>(ki)];
-    if (rep.retired || rep.spinning ||
-        rep.health != Replica::Health::kHealthy) {
-      return;  // already out of service — the strike is a no-op
-    }
-    switch (e.kind) {
-      case fault::FleetFaultKind::kWedge:
-        rep.wedged = true;
-        health_log_.push_back(
-            {now, HealthEvent::Kind::kWedged, e.model, rep.id});
-        // Only the watchdog (or a hedge) can save its requests now.
-        stall(e.model, static_cast<std::size_t>(ki));
-        break;
-      case fault::FleetFaultKind::kSlow:
-        rep.slow_factor = e.slow_factor;
-        rep.slow_until =
-            e.slow_duration > 0 ? now + e.slow_duration : kInf;
-        health_log_.push_back(
-            {now, HealthEvent::Kind::kSlowed, e.model, rep.id});
-        break;
-      case fault::FleetFaultKind::kCrash:
-        rep.crashed = true;
-        health_log_.push_back(
-            {now, HealthEvent::Kind::kCrashed, e.model, rep.id});
-        if (cfg_.health.enabled) {
-          // The virtual machine-check: detection is immediate.
-          quarantine(e.model, static_cast<std::size_t>(ki), now);
-          try_dispatch(e.model, now);
-        } else {
-          stall(e.model, static_cast<std::size_t>(ki));
-        }
-        break;
-      case fault::FleetFaultKind::kCorruptBundle:
-        break;  // handled above
-    }
-  };
-
-  const std::size_t n_arrivals = arrivals.size();
-  std::size_t next_fault = 0;
-  const auto queues_empty = [&] {
-    for (const auto& q : tq) {
-      if (!q.empty()) return false;
-    }
-    for (const ModelState& ms : mstate) {
-      if (!ms.rescue.empty() || !ms.hedge_q.empty() || !ms.retries.empty()) {
-        return false;
-      }
-    }
-    return true;
-  };
-  const auto any_spinning = [&] {
-    for (const ModelState& ms : mstate) {
-      for (const Replica& r : ms.replicas) {
-        if (r.spinning) return true;
-      }
-    }
-    return false;
-  };
-
-  // The in-flight batch `due` selects with the smallest (model, replica),
-  // so same-cycle picks are a pure function of the virtual schedule.
-  const auto first_due = [&](auto due) {
-    std::size_t best = inflight.size();
-    for (std::size_t i = 0; i < inflight.size(); ++i) {
-      const InFlight& f = inflight[i];
-      if (!due(f)) continue;
-      if (best == inflight.size() ||
-          std::tie(f.model, f.replica) <
-              std::tie(inflight[best].model, inflight[best].replica)) {
-        best = i;
-      }
-    }
-    return best;
-  };
-
-  try {
-    while (next_arrival < n_arrivals || !inflight.empty() ||
-           !queues_empty() || any_spinning()) {
-      const long long t_fault = next_fault < chaos.events.size()
-                                    ? chaos.events[next_fault].cycle
-                                    : kInf;
-      const long long t_arr = next_arrival < n_arrivals
-                                  ? arrivals[next_arrival].cycle
-                                  : kInf;
-      long long t_comp = kInf;
-      long long t_watch = kInf;
-      long long t_hedge = kInf;
-      for (const InFlight& f : inflight) {
-        t_comp = std::min(t_comp, f.completion);
-        t_watch = std::min(t_watch, f.watchdog_at);
-        if (!f.hedged) t_hedge = std::min(t_hedge, f.hedge_at);
-      }
-      long long t_ready = kInf;
-      for (const ModelState& ms : mstate) {
-        for (const Replica& r : ms.replicas) {
-          if (r.spinning) t_ready = std::min(t_ready, r.ready_at);
-        }
-      }
-      long long t_timer = kInf;
-      for (const ModelState& ms : mstate) {
-        t_timer = std::min(t_timer, ms.batch_timer);
-      }
-      // A retry is an event only while its model has a replica to take it;
-      // otherwise the next completion's dispatch picks it up.
-      long long t_retry = kInf;
-      for (const ModelState& ms : mstate) {
-        if (ms.retries.empty() || free_replica(ms).first < 0) continue;
-        for (const Retry& r : ms.retries) {
-          t_retry = std::min(t_retry, r.eligible);
-        }
-      }
-
-      if (t_fault < kInf && t_fault <= t_comp && t_fault <= t_ready &&
-          t_fault <= t_retry && t_fault <= t_watch && t_fault <= t_hedge &&
-          t_fault <= t_timer && t_fault <= t_arr) {
-        apply_fault(chaos.events[next_fault]);
-        ++next_fault;
-      } else if (t_comp < kInf && t_comp <= t_ready && t_comp <= t_retry &&
-                 t_comp <= t_watch && t_comp <= t_hedge &&
-                 t_comp <= t_timer && t_comp <= t_arr) {
-        const std::size_t best = first_due(
-            [&](const InFlight& b) { return b.completion == t_comp; });
-        InFlight f = std::move(inflight[best]);
-        inflight.erase(inflight.begin() + static_cast<long>(best));
-        const std::size_t m = f.model;
-        handle_completion(std::move(f));
-        reap_deduped(t_comp);
-        try_dispatch(m, t_comp);
-      } else if (t_ready < kInf && t_ready <= t_retry &&
-                 t_ready <= t_watch && t_ready <= t_hedge &&
-                 t_ready <= t_timer && t_ready <= t_arr) {
-        std::size_t best_m = 0;
-        int best_r = -1;
-        for (std::size_t m = 0; m < mstate.size() && best_r < 0; ++m) {
-          for (const Replica& r : mstate[m].replicas) {
-            if (r.spinning && r.ready_at == t_ready) {
-              best_m = m;
-              best_r = r.id;
-              break;
-            }
-          }
-        }
-        for (Replica& r : mstate[best_m].replicas) {
-          if (r.id != best_r) continue;
-          r.spinning = false;
-          if (r.health == Replica::Health::kQuarantined) {
-            // Respawn finished; the gate's cooldown == spin-up, so reading
-            // the state commits open -> half-open and probation begins.
-            (void)r.gate->state(t_ready);
-            r.health = Replica::Health::kProbation;
-            health_log_.push_back(
-                {t_ready, HealthEvent::Kind::kRespawn, best_m, r.id});
-          }
-        }
-        try_dispatch(best_m, t_ready);
-      } else if (t_retry < kInf && t_retry <= t_watch &&
-                 t_retry <= t_hedge && t_retry <= t_timer &&
-                 t_retry <= t_arr) {
-        for (std::size_t m = 0; m < mstate.size(); ++m) {
-          const ModelState& ms = mstate[m];
-          if (free_replica(ms).first < 0) continue;
-          if (std::any_of(
-                  ms.retries.begin(), ms.retries.end(),
-                  [&](const Retry& r) { return r.eligible == t_retry; })) {
-            try_dispatch(m, t_retry);
-            break;
-          }
-        }
-      } else if (t_watch < kInf && t_watch <= t_hedge &&
-                 t_watch <= t_timer && t_watch <= t_arr) {
-        // Watchdog: a batch overdue past watchdog_factor x nominal means
-        // its replica wedged. Quarantine cancels + rescues the batch.
-        const std::size_t best = first_due(
-            [&](const InFlight& b) { return b.watchdog_at == t_watch; });
-        const std::size_t m = inflight[best].model;
-        const std::size_t ki = inflight[best].replica;
-        quarantine(m, ki, t_watch);
-        try_dispatch(m, t_watch);
-      } else if (t_hedge < kInf && t_hedge <= t_timer && t_hedge <= t_arr) {
-        // Hedge fire: clone the straggling batch's unfinished requests onto
-        // the model's hedge queue; the next free replica picks them up.
-        InFlight& f = inflight[first_due([&](const InFlight& b) {
-          return !b.hedged && b.hedge_at == t_hedge;
-        })];
-        f.hedged = true;
-        ModelState& ms = mstate[f.model];
-        for (const BatchItem& it : f.items) {
-          auto st = req_state.find(request_key(it.tenant, it.id));
-          if (st == req_state.end() || st->second.done) continue;
-          ++st->second.copies;
-          ms.hedge_q.push_back(it);
-          ++stats.hedges_fired;
-        }
-        try_dispatch(f.model, t_hedge);
-      } else if (t_timer < kInf && t_timer <= t_arr) {
-        for (std::size_t m = 0; m < mstate.size(); ++m) {
-          if (mstate[m].batch_timer == t_timer) {
-            mstate[m].batch_timer = kInf;
-            try_dispatch(m, t_timer);
-            break;  // one timer event per loop turn keeps ordering simple
-          }
-        }
-      } else if (t_arr < kInf) {
-        const Arrival& a = arrivals[next_arrival];
-        ++next_arrival;
-        const std::size_t t = a.tenant;
-        const std::size_t m = tenants_[t].model;
-        ModelState& ms = mstate[m];
-        TenantStats& ts = stats.tenants[t];
-        ++ts.submitted;
-        if (tq[t].size() >= tenants_[t].queue_capacity) {
-          ++ts.rejected_queue_full;
-        } else {
-          tq[t].push_back(a.id);
-          ts.queue_peak = std::max(ts.queue_peak,
-                                   static_cast<long long>(tq[t].size()));
-        }
-        const std::size_t depth = pending_total(ms);
-        for (Replica& r : ms.replicas) {
-          if (!r.retired) r.regime->observe_queue(a.cycle, depth);
-        }
-        if (cfg_.autoscale.enabled) {
-          if (depth >= std::max<std::size_t>(ms.up_depth, 1)) {
-            ++ms.up_streak;
-            ms.idle_streak = 0;
-          } else if (depth <= ms.down_depth) {
-            ++ms.idle_streak;
-            ms.up_streak = 0;
-          } else {
-            ms.up_streak = 0;
-            ms.idle_streak = 0;
-          }
-          maybe_scale(m, a.cycle);
-        }
-        try_dispatch(m, a.cycle);
-      } else {
-        // No event can fire: only wedged batches (health + hedging both
-        // off) remain. Their requests are lost — the accounting surfaces
-        // it — but the real jobs must still resolve before the join.
-        break;
-      }
-    }
-  } catch (...) {
-    for (InFlight& f : inflight) {
-      f.job->cancel.store(true, std::memory_order_relaxed);
-    }
-    exec_q.close();
-    for (auto& w : workers) w.join();
-    throw;
-  }
-
-  for (InFlight& f : inflight) {
-    f.job->cancel.store(true, std::memory_order_relaxed);
-    zombies.push_back(std::move(f));
-  }
-  inflight.clear();
-
-  exec_q.close();
-  for (auto& w : workers) w.join();
-  // Workers have drained the queue: every zombie promise is resolved, so
-  // the zombie jobs (and their unread futures) are safe to destroy now.
-  zombies.clear();
-
-  for (std::size_t m = 0; m < models_.size(); ++m) {
-    for (const Replica& r : mstate[m].replicas) {
-      if (!r.retired && (r.health != Replica::Health::kHealthy ||
-                         r.wedged || r.crashed)) {
-        ++stats.unrecovered_replicas;
-      }
-    }
-  }
-
-  // Close the rung timelines and fold them — plus the scale and
-  // fault-domain timelines — into the digest.
-  for (std::size_t m = 0; m < models_.size(); ++m) {
-    ModelState& ms = mstate[m];
-    ModelStats& mst = stats.models[m];
-    breaker_logs_[m] = ms.breaker.transitions();
-    mst.breaker_opens = ms.breaker.opens();
-    mst.breaker_closes = ms.breaker.closes();
-    rung_logs_[m].resize(static_cast<std::size_t>(ms.next_replica_id));
-    for (Replica& r : ms.replicas) {
-      if (!r.retired) r.regime->finish(last_completion);
-      rung_logs_[m][static_cast<std::size_t>(r.id)] = r.regime->log();
-      mst.rung_transitions += static_cast<long long>(r.regime->log().size());
-      for (std::size_t i = 0; i < mst.rung_cycles.size(); ++i) {
-        mst.rung_cycles[i] += r.regime->cycles_in_rung()[i];
-      }
-      for (const RungTransition& t : r.regime->log()) {
-        stats.response_hash += mix64(
-            static_cast<std::uint64_t>(t.cycle) * 0x2545F4914F6CDD1Dull ^
-            (static_cast<std::uint64_t>(m + 1) << 40) ^
-            (static_cast<std::uint64_t>(static_cast<unsigned>(r.id)) << 32) ^
-            (static_cast<std::uint64_t>(static_cast<unsigned>(t.from))
-             << 24) ^
-            (static_cast<std::uint64_t>(static_cast<unsigned>(t.to))
-             << 16) ^
-            static_cast<std::uint64_t>(static_cast<unsigned>(t.reason)));
-      }
-    }
-  }
+  // Fold the scale and fault-domain timelines and counters into the digest.
   for (const ScaleEvent& e : scale_log_) {
     stats.response_hash += mix64(
         static_cast<std::uint64_t>(e.cycle) * 0xD1B54A32D192ED03ull ^
@@ -1568,10 +1550,6 @@ FleetStats FleetServer::run(const std::vector<ArrivalTrace>& traces,
          << 8) ^
         static_cast<std::uint64_t>(static_cast<unsigned>(e.kind)));
   }
-
-  stats.makespan_cycles = last_completion;
-  stats.cache = cache.stats();  // snapshot with live leases still resident
-  stats.bundles_scrubbed = stats.cache.scrubs;
   stats.response_hash += mix64(
       static_cast<std::uint64_t>(stats.hedges_fired) * 0xD6E8FEB86659FD93ull ^
       (static_cast<std::uint64_t>(stats.hedge_wins) << 40) ^

@@ -210,7 +210,7 @@ struct TenantStats {
     return submitted ==
            rejected_queue_full + shed_deadline + completed + failed;
   }
-  bool operator==(const TenantStats& o) const;
+  bool operator==(const TenantStats& o) const = default;
 };
 
 struct ModelStats {
@@ -235,7 +235,7 @@ struct ModelStats {
   std::vector<long long> rung_cycles;
 
   [[nodiscard]] double mean_batch() const;
-  bool operator==(const ModelStats& o) const;
+  bool operator==(const ModelStats& o) const = default;
 };
 
 struct FleetStats {
@@ -262,7 +262,7 @@ struct FleetStats {
 
   [[nodiscard]] bool accounted() const;
   [[nodiscard]] long long completed_total() const;
-  bool operator==(const FleetStats& o) const;
+  bool operator==(const FleetStats& o) const = default;
   [[nodiscard]] std::string summary() const;
   [[nodiscard]] std::string to_json() const;
 };
@@ -313,18 +313,15 @@ class FleetServer {
 
   /// Serves the tenants' traces (index-aligned with the tenant list; ids
   /// dense from 0 within each trace). A trace's fault burst strikes its
-  /// tenant's model on the home rung. Deterministic for a given (traces,
-  /// config) regardless of cfg.threads.
-  [[nodiscard]] FleetStats run(const std::vector<ArrivalTrace>& traces);
-
-  /// Chaos run: the same loop with `plan` merged in as the
+  /// tenant's model on the home rung. A chaos `plan` is merged in as the
   /// highest-precedence event source (fault strikes resolve before
   /// completions at the same cycle). Plan events later than the last live
   /// fleet event never strike — the campaign out-ran the trace. Corruption
   /// events require share_prepack (the per-copy baseline has no shared
-  /// resident to flip). Deterministic for any cfg.threads, plan included.
+  /// resident to flip). Deterministic for a given (traces, config, plan)
+  /// regardless of cfg.threads.
   [[nodiscard]] FleetStats run(const std::vector<ArrivalTrace>& traces,
-                               const fault::FleetFaultPlan& plan);
+                               const fault::FleetFaultPlan& plan = {});
 
   /// Rung timelines of the last run: one log per replica ever spun up,
   /// indexed [model][replica id] (retired replicas keep their log).
@@ -345,12 +342,8 @@ class FleetServer {
     return health_log_;
   }
 
-  [[nodiscard]] const FleetConfig& config() const { return cfg_; }
   [[nodiscard]] const std::vector<FleetModel>& models() const {
     return models_;
-  }
-  [[nodiscard]] const std::vector<TenantConfig>& tenants() const {
-    return tenants_;
   }
 
  private:
