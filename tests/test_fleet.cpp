@@ -457,6 +457,61 @@ TEST(FleetDeterminismTest, ResponseHashHoldsOnTheAvx2Stamp) {
   EXPECT_EQ(stats.response_hash, kDeterminismFleetHash);
 }
 
+TEST(FleetDeterminismTest, BurstOnOneModelIsThreadInvariant) {
+  // One model's steady tenant carries a wedge burst over the middle third of
+  // its trace; the other model runs clean. Burst-struck and fault-free
+  // batches complete interleaved in one run, so the two settlement paths
+  // (the struck batch's outcome read back from its worker, the clean
+  // batch's response folded in later) must give the same digest for any
+  // worker count.
+  const auto build_models = [] {
+    std::vector<FleetModel> m;
+    m.push_back(tiny_model("a", 2, {1600, 1000}, 1));
+    m.push_back(tiny_model("b", 2, {1200, 800}, 1, 22));
+    return m;
+  };
+  std::vector<TenantConfig> tenants = {
+      tenant("a/steady", 0, 2, 8, 1000, 12000),
+      tenant("a/bursty", 0, 1, 8, 1000, 12000),
+      tenant("b/steady", 1, 2, 8, 800, 9600),
+      tenant("b/bursty", 1, 1, 8, 800, 9600)};
+  std::vector<ArrivalTrace> traces = {
+      ArrivalTrace::synthetic(150, 700, 41, 2.0),
+      ArrivalTrace::oscillating(4, 20, 250, 3000, 42),
+      ArrivalTrace::synthetic(150, 550, 43, 2.0),
+      ArrivalTrace::oscillating(4, 20, 200, 2400, 44)};
+  ArrivalTrace& struck = traces[0];
+  const long long span = struck.last_arrival();
+  struck.burst.from_cycle = span / 3;
+  struck.burst.until_cycle = 2 * span / 3;
+  struck.burst.plan.seed = 7;
+  struck.burst.plan.wedge_channel = 0;
+  struck.burst.plan.wedge_after_pushes = 2;
+
+  std::vector<FleetStats> runs;
+  for (const int threads : {1, 2, 8}) {
+    FleetConfig cfg;
+    cfg.threads = threads;
+    cfg.retry.max_retries = 1;
+    cfg.retry.backoff_base_cycles = 500;
+    cfg.retry.backoff_cap_cycles = 2000;
+    cfg.breaker.failure_threshold = 2;
+    cfg.breaker.cooldown_cycles = 2000;
+    FleetServer fleet(build_models(), tenants, cfg);
+    runs.push_back(fleet.run(traces));
+  }
+  ASSERT_TRUE(runs[0].accounted());
+  EXPECT_GT(runs[0].models[0].retries, 0);  // the burst struck model a
+  EXPECT_GE(runs[0].models[0].breaker_opens, 1);
+  EXPECT_EQ(runs[0].models[1].retries, 0);  // model b ran clean
+  EXPECT_EQ(runs[0].models[1].breaker_opens, 0);
+  EXPECT_EQ(runs[0].response_hash, 4660556615126945740ull);
+  EXPECT_TRUE(runs[0] == runs[1]);
+  EXPECT_TRUE(runs[0] == runs[2]);
+  EXPECT_EQ(runs[0].to_json(), runs[1].to_json());
+  EXPECT_EQ(runs[0].to_json(), runs[2].to_json());
+}
+
 // ---------------------------------------------------------- fault domains --
 using serve::HealthEvent;
 
