@@ -18,23 +18,36 @@
 // virtual-time throughput over batch=1 at an equal-or-better deadline-miss
 // rate, and the shared cache keeps strictly fewer resident bytes than
 // replicas x per-replica copies — plus the §16 claim that hedging beats the
-// unhedged p99 on the struck model at < 5% duplicated work. Emits a table
-// and BENCH_fleet.json with all three verdicts.
+// unhedged p99 on the struck model at < 5% duplicated work. Those claims are
+// virtual-time figures; the wall-clock ones come from running every scenario
+// kRounds times in alternating rounds, reported as the median and quartiles
+// of wall_ms and req_per_s, and the exit status also asserts that every
+// round's FleetStats equal the first round's. Emits a table and
+// BENCH_fleet.json with all verdicts, stamped with the core count, the SIMD
+// stamp and kernels::machine_topology_key().
 
 #include <algorithm>
 #include <cstdio>
+#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
 #include "fault/fleet_fault.h"
+#include "kernels/blocking.h"
+#include "kernels/gemm.h"
 #include "nn/model_zoo.h"
 #include "serve/fleet.h"
 #include "serve_common.h"
+#include "support/hardware.h"
 
 using namespace hetacc;
 
 namespace {
+
+/// Repetitions of every scenario.
+constexpr int kRounds = 5;
 
 /// Three single-rung models (no regime descent, so the batch1-vs-batched
 /// delta is batching alone) over the tiny functional testbed.
@@ -108,9 +121,10 @@ int main(int argc, char** argv) {
   std::printf("%zu models x %d replicas, %zu tenants, ~%zu requests each\n\n",
               models.size(), replicas, tenants.size(), n);
 
-  std::vector<bench::ServeRecord> recs;
-  const auto run = [&](const std::string& name, std::size_t batch_cap,
-                       bool share, bool autoscale) {
+  // Every scenario is a fresh FleetServer over the same traces, so every
+  // repetition must report the same FleetStats; only wall time varies.
+  const auto fleet_run = [&](std::size_t batch_cap, bool share,
+                             bool autoscale) {
     serve::FleetConfig cfg;
     cfg.threads = 0;
     cfg.share_prepack = share;
@@ -130,36 +144,15 @@ int main(int argc, char** argv) {
     }
     serve::FleetServer fleet(make_models(replicas), std::move(ts), cfg);
     double wall_ms = 0.0;
-    Scenario sc;
-    sc.stats = bench::timed_ms(wall_ms, [&] { return fleet.run(traces); });
-    for (const auto& t : sc.stats.tenants) sc.submitted += t.submitted;
-    sc.misses = miss_count(sc.stats);
-    sc.throughput = sc.stats.makespan_cycles > 0
-                        ? 1000.0 *
-                              static_cast<double>(sc.stats.completed_total()) /
-                              static_cast<double>(sc.stats.makespan_cycles)
-                        : 0.0;
-    recs.push_back({name, sc.stats.to_json(), wall_ms,
-                    bench::req_per_s(sc.stats.completed_total(), wall_ms)});
-    std::printf("  %-16s %6lld ok  %5lld missed/shed  %7.3f req/kcyc  "
-                "cache %8lld B resident (%lld saved)  %s\n",
-                name.c_str(), sc.stats.completed_total(), sc.misses,
-                sc.throughput, sc.stats.cache.resident_bytes,
-                sc.stats.cache.bytes_saved,
-                sc.stats.accounted() ? "accounted" : "LOST REQUESTS");
-    return sc;
+    serve::FleetStats stats =
+        bench::timed_ms(wall_ms, [&] { return fleet.run(traces); });
+    return std::make_pair(std::move(stats), wall_ms);
   };
-
-  const Scenario batch1 = run("fleet-batch1", 1, true, false);
-  const Scenario batched = run("fleet-batched", 8, true, false);
-  const Scenario copies = run("fleet-copies", 8, false, false);
-  const Scenario scaled = run("fleet-autoscale", 8, true, true);
-
-  // Fault-burst row (DESIGN.md §16): one replica of model-0 runs 6x slow
+  // Fault-burst rows (DESIGN.md §16): one replica of model-0 runs 6x slow
   // for a ~100k-cycle burst mid-run. Hedging must pull the struck model's
   // p99 back down while duplicating only a small fraction of the work —
   // the whole point of hedging stragglers instead of replicating requests.
-  const auto run_burst = [&](const std::string& name, bool hedge) {
+  const auto burst_run = [&](bool hedge) {
     serve::FleetConfig cfg;
     cfg.threads = 0;
     cfg.batch_setup_frac = 0.5;
@@ -177,25 +170,81 @@ int main(int argc, char** argv) {
     plan.events.push_back(slow);
     serve::FleetServer fleet(make_models(replicas), tenants, cfg);
     double wall_ms = 0.0;
-    Scenario sc;
-    sc.stats =
+    serve::FleetStats stats =
         bench::timed_ms(wall_ms, [&] { return fleet.run(traces, plan); });
-    for (const auto& t : sc.stats.tenants) sc.submitted += t.submitted;
-    sc.misses = miss_count(sc.stats);
-    recs.push_back({name, sc.stats.to_json(), wall_ms,
-                    bench::req_per_s(sc.stats.completed_total(), wall_ms)});
-    // The struck model's tail: worst p99 over model-0's two tenants.
-    const long long p99 = std::max(sc.stats.tenants[0].latency.p99(),
-                                   sc.stats.tenants[1].latency.p99());
-    std::printf("  %-16s %6lld ok  %5lld missed/shed  model-0 p99 %8lld  "
-                "%5lld hedges (%lld wins)  %s\n",
-                name.c_str(), sc.stats.completed_total(), sc.misses, p99,
-                sc.stats.hedges_fired, sc.stats.hedge_wins,
-                sc.stats.accounted() ? "accounted" : "LOST REQUESTS");
-    return sc;
+    return std::make_pair(std::move(stats), wall_ms);
   };
-  const Scenario unhedged = run_burst("fleet-faultburst", false);
-  const Scenario hedged = run_burst("fleet-hedged", true);
+  const std::vector<
+      std::pair<std::string,
+                std::function<std::pair<serve::FleetStats, double>()>>>
+      specs = {
+          {"fleet-batch1", [&] { return fleet_run(1, true, false); }},
+          {"fleet-batched", [&] { return fleet_run(8, true, false); }},
+          {"fleet-copies", [&] { return fleet_run(8, false, false); }},
+          {"fleet-autoscale", [&] { return fleet_run(8, true, true); }},
+          {"fleet-faultburst", [&] { return burst_run(false); }},
+          {"fleet-hedged", [&] { return burst_run(true); }},
+      };
+
+  // Rounds of one run per scenario, so drift in the machine's speed lands
+  // on every scenario alike; each scenario's wall time and request rate are
+  // the median and quartiles over its rounds.
+  std::vector<Scenario> sc(specs.size());
+  std::vector<std::vector<double>> wall(specs.size()), rate(specs.size());
+  bool repeatable = true;
+  for (int round = 0; round < kRounds; ++round) {
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      auto [stats, wall_ms] = specs[i].second();
+      wall[i].push_back(wall_ms);
+      rate[i].push_back(bench::req_per_s(stats.completed_total(), wall_ms));
+      if (round == 0) {
+        sc[i].stats = std::move(stats);
+      } else if (!(stats == sc[i].stats)) {
+        repeatable = false;
+        std::printf("  %s: round %d's FleetStats differ from round 0's\n",
+                    specs[i].first.c_str(), round);
+      }
+    }
+  }
+
+  std::vector<bench::ServeRecord> recs;
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    Scenario& s = sc[i];
+    for (const auto& t : s.stats.tenants) s.submitted += t.submitted;
+    s.misses = miss_count(s.stats);
+    s.throughput = s.stats.makespan_cycles > 0
+                       ? 1000.0 *
+                             static_cast<double>(s.stats.completed_total()) /
+                             static_cast<double>(s.stats.makespan_cycles)
+                       : 0.0;
+    const bench::Quartiles w = bench::quartiles(wall[i]);
+    const bench::Quartiles q = bench::quartiles(rate[i]);
+    bench::ServeRecord r{.scenario = specs[i].first,
+                         .stats_json = s.stats.to_json(),
+                         .wall_ms = w.median,
+                         .req_per_s = q.median,
+                         .wall = w,
+                         .rate = q,
+                         .reps = kRounds};
+    // The struck model's tail: worst p99 over model-0's two tenants.
+    const long long p99 = std::max(s.stats.tenants[0].latency.p99(),
+                                   s.stats.tenants[1].latency.p99());
+    std::printf("  %-16s %6lld ok  %5lld missed/shed  %7.3f req/kcyc  "
+                "model-0 p99 %6lld  %4lld hedges  cache %6lld B  "
+                "%8.1f req/s [%.1f, %.1f]  %s\n",
+                r.scenario.c_str(), s.stats.completed_total(), s.misses,
+                s.throughput, p99, s.stats.hedges_fired,
+                s.stats.cache.resident_bytes, r.rate.median, r.rate.p25,
+                r.rate.p75,
+                s.stats.accounted() ? "accounted" : "LOST REQUESTS");
+    recs.push_back(std::move(r));
+  }
+  const Scenario& batch1 = sc[0];
+  const Scenario& batched = sc[1];
+  const Scenario& copies = sc[2];
+  const Scenario& scaled = sc[3];
+  const Scenario& unhedged = sc[4];
+  const Scenario& hedged = sc[5];
 
   // Claim (a): batching amortizes the per-batch setup into >= 1.3x
   // virtual-time throughput without trading deadline quality away.
@@ -247,6 +296,8 @@ int main(int argc, char** argv) {
               scaled.stats.models[0].warm_spinups +
                   scaled.stats.models[1].warm_spinups +
                   scaled.stats.models[2].warm_spinups);
+  std::printf("repeat:   %d rounds per scenario, FleetStats %s\n", kRounds,
+              repeatable ? "identical in every round" : "DIFFER");
 
   std::FILE* f = std::fopen("BENCH_fleet.json", "w");
   if (f) {
@@ -257,11 +308,16 @@ int main(int argc, char** argv) {
                  "\"replica_copy_resident_bytes\": %lld, \"cache_ok\": %s, "
                  "\"p99_unhedged\": %lld, \"p99_hedged\": %lld, "
                  "\"hedge_extra_work\": %.4f, \"hedging_ok\": %s, "
+                 "\"rounds\": %d, \"repeatable\": %s, \"nproc\": %u, "
+                 "\"simd_stamp\": \"%s\", \"machine_topology_key\": \"%s\", "
                  "\"scenarios\": %s}\n",
                  speedup, miss1, missb, batching_ok ? "true" : "false",
                  shared_bytes, copy_bytes, cache_ok ? "true" : "false",
                  p99_unhedged, p99_hedged, extra_work,
-                 hedging_ok ? "true" : "false",
+                 hedging_ok ? "true" : "false", kRounds,
+                 repeatable ? "true" : "false", hardware_threads(),
+                 kernels::simd_stamp(),
+                 kernels::machine_topology_key().c_str(),
                  bench::records_json(recs).c_str());
     std::fclose(f);
     std::printf("wrote BENCH_fleet.json (%zu scenarios)\n", recs.size());
@@ -273,5 +329,7 @@ int main(int argc, char** argv) {
       batch1.stats.accounted() && batched.stats.accounted() &&
       copies.stats.accounted() && scaled.stats.accounted() &&
       unhedged.stats.accounted() && hedged.stats.accounted();
-  return accounted && batching_ok && cache_ok && hedging_ok ? 0 : 1;
+  return accounted && repeatable && batching_ok && cache_ok && hedging_ok
+             ? 0
+             : 1;
 }

@@ -85,14 +85,6 @@ struct Setup {
   }
 };
 
-/// Linear-interpolated quantile q of sorted samples.
-double quantile(const std::vector<double>& sorted, double q) {
-  const double pos = q * static_cast<double>(sorted.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-  return sorted[lo] + (pos - static_cast<double>(lo)) * (sorted[hi] - sorted[lo]);
-}
-
 /// Times `fn` on each of `stamps`: one untimed warmup per stamp, then
 /// rounds of one call per stamp, at least 5, stopping once the stamps
 /// average ~250 ms of samples (cap 25); median and quartiles per stamp.
@@ -120,10 +112,9 @@ std::vector<Timing> time_ms(const Fn& fn, const std::vector<Stamp>& stamps) {
     }
   }
   std::vector<Timing> out;
-  for (std::vector<double>& v : samples) {
-    std::sort(v.begin(), v.end());
-    out.push_back({quantile(v, 0.5), quantile(v, 0.25), quantile(v, 0.75),
-                   static_cast<int>(v.size())});
+  for (const std::vector<double>& v : samples) {
+    const bench::Quartiles q = bench::quartiles(v);
+    out.push_back({q.median, q.p25, q.p75, static_cast<int>(v.size())});
   }
   return out;
 }

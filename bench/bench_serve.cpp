@@ -101,8 +101,11 @@ int main(int argc, char** argv) {
         log.empty() || log.back().to == serve::BreakerState::kClosed;
     const serve::TenantStats& s = req(o);
     const serve::ModelStats& m = o.stats.models[0];
-    bench::ServeRecord r{name, o.stats.to_json(), wall_ms,
-                         bench::req_per_s(s.completed, wall_ms)};
+    bench::ServeRecord r;
+    r.scenario = name;
+    r.stats_json = o.stats.to_json();
+    r.wall_ms = wall_ms;
+    r.req_per_s = bench::req_per_s(s.completed, wall_ms);
     std::printf(
         "  %-12s %6lld ok (%4lld degraded) %4lld retries  p50 %7lld  "
         "p99 %7lld cyc  %8.1f req/s  %s\n",

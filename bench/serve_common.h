@@ -9,6 +9,8 @@
 #include <string>
 #include <vector>
 
+#include "bench_util.h"
+
 namespace hetacc::bench {
 
 /// One scenario's outcome: the runtime's own stats JSON plus the harness's
@@ -19,6 +21,10 @@ struct ServeRecord {
   std::string stats_json;
   double wall_ms = 0.0;
   double req_per_s = 0.0;
+  /// Over `reps` repeated runs: wall_ms and req_per_s are the medians, and
+  /// these their medians and quartiles (emitted only when reps > 1).
+  Quartiles wall, rate;
+  int reps = 1;
 };
 
 /// Runs `fn`, returns its result, stores the elapsed wall milliseconds.
@@ -43,12 +49,21 @@ inline std::string records_json(const std::vector<ServeRecord>& recs) {
   std::string out = "[\n";
   for (std::size_t i = 0; i < recs.size(); ++i) {
     const ServeRecord& r = recs[i];
-    char head[160];
+    char head[320];
     std::snprintf(head, sizeof(head),
                   "  {\"scenario\": \"%s\", \"wall_ms\": %.3f, "
-                  "\"req_per_s\": %.1f, \"stats\": ",
+                  "\"req_per_s\": %.1f, ",
                   r.scenario.c_str(), r.wall_ms, r.req_per_s);
     out += head;
+    if (r.reps > 1) {
+      std::snprintf(head, sizeof(head),
+                    "\"wall_ms_p25\": %.3f, \"wall_ms_p75\": %.3f, "
+                    "\"req_per_s_p25\": %.1f, \"req_per_s_p75\": %.1f, "
+                    "\"reps\": %d, ",
+                    r.wall.p25, r.wall.p75, r.rate.p25, r.rate.p75, r.reps);
+      out += head;
+    }
+    out += "\"stats\": ";
     out += r.stats_json;
     out += i + 1 < recs.size() ? "},\n" : "}\n";
   }
