@@ -11,9 +11,7 @@ PrepackCache::Lease PrepackCache::acquire(const std::string& key,
     auto it = entries_.find(key);
     if (it != entries_.end()) {
       Entry& e = it->second;
-      const bool dirty =
-          verify_ && (e.corrupt || e.bundle->content_crc() != e.crc);
-      if (!dirty) {
+      if (!e.corrupt && e.bundle->content_crc() == e.crc) {
         ++e.refs;
         ++stats_.hits;
         stats_.bytes_saved += e.bytes;
@@ -33,7 +31,7 @@ PrepackCache::Lease PrepackCache::acquire(const std::string& key,
           std::max(stats_.peak_resident_bytes, stats_.resident_bytes);
       e.bundle = std::move(fresh);
       e.bytes = fresh_bytes;
-      e.crc = verify_ ? e.bundle->content_crc() : 0u;
+      e.crc = e.bundle->content_crc();
       e.corrupt = false;
       ++e.refs;
       ++stats_.misses;
@@ -52,7 +50,7 @@ PrepackCache::Lease PrepackCache::acquire(const std::string& key,
   e.bundle = lease.bundle;
   e.refs = 1;
   e.bytes = lease.bundle->resident_bytes();
-  e.crc = verify_ ? e.bundle->content_crc() : 0u;
+  e.crc = e.bundle->content_crc();
   stats_.resident_bytes += e.bytes;
   stats_.peak_resident_bytes =
       std::max(stats_.peak_resident_bytes, stats_.resident_bytes);

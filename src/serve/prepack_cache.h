@@ -15,7 +15,7 @@
 // `share = false` turns the cache into a measurement foil: every acquire
 // builds a private copy under a synthesized unique key, so resident bytes
 // grow linearly with replicas. bench_fleet runs both and asserts the shared
-// mode stays strictly below 2x the per-replica cost.
+// mode's resident bytes stay strictly below the per-replica copies'.
 
 #include <cstddef>
 #include <cstdint>
@@ -37,21 +37,13 @@ struct PrepackCacheStats {
   long long bytes_saved = 0;  ///< bytes a hit avoided duplicating (sum)
   long long scrubs = 0;  ///< corrupted residents caught by CRC and re-derived
 
-  bool operator==(const PrepackCacheStats& o) const {
-    return hits == o.hits && misses == o.misses && evictions == o.evictions &&
-           resident_bytes == o.resident_bytes &&
-           peak_resident_bytes == o.peak_resident_bytes &&
-           bytes_saved == o.bytes_saved && scrubs == o.scrubs;
-  }
+  bool operator==(const PrepackCacheStats& o) const = default;
 };
 
 class PrepackCache {
  public:
   /// `share = false` disables deduplication (the per-replica-copy baseline).
-  /// `verify = false` drops the CRC re-check on lease (measurement baseline;
-  /// the integrity guard is on by default).
-  explicit PrepackCache(bool share = true, bool verify = true)
-      : share_(share), verify_(verify) {}
+  explicit PrepackCache(bool share = true) : share_(share) {}
 
   /// Builds a bundle on a cache miss. Must be deterministic for a given key
   /// (the fleet derives from golden weights, so it is).
@@ -103,7 +95,6 @@ class PrepackCache {
     bool corrupt = false;   ///< virtual flip pending detection on next lease
   };
   bool share_;
-  bool verify_;
   long long serial_ = 0;  ///< synthesized-key counter for the baseline mode
   std::map<std::string, Entry> entries_;
   PrepackCacheStats stats_;

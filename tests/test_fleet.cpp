@@ -902,22 +902,6 @@ TEST_F(PrepackShareTest, CacheCrcCatchesARealBitFlip) {
   cache.release(l2);
 }
 
-TEST_F(PrepackShareTest, VerifyOffDisablesTheCrcGuard) {
-  PrepackCache cache(/*share=*/true, /*verify=*/false);
-  const PrepackCache::Builder build = [&] {
-    FusionPipeline p(net_, ws_);
-    return p.shared_prepack();
-  };
-  const auto l1 = cache.acquire("m/r0", build);
-  ASSERT_TRUE(cache.corrupt_resident("m/r0"));
-  const auto l2 = cache.acquire("m/r0", build);  // adopted unchecked
-  EXPECT_TRUE(l2.hit);
-  EXPECT_FALSE(l2.scrubbed);
-  EXPECT_EQ(cache.stats().scrubs, 0);
-  cache.release(l1);
-  cache.release(l2);
-}
-
 // -------------------------------------------------- breaker as quarantine --
 TEST(BreakerForceOpenTest, ForceOpenWalksTheOrdinaryProbationPath) {
   serve::BreakerConfig bc;
