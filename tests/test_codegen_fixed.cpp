@@ -173,5 +173,39 @@ TEST_F(FixedCsim, AvgPoolRounding) {
   run_fixed_csim(net, trivial_strategy(net, model), 0.01f);
 }
 
+/// FNV-1a over the bytes of a generated source file.
+std::uint64_t fnv1a(const std::string& s) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (unsigned char c : s) h = (h ^ c) * 1099511628211ull;
+  return h;
+}
+
+// The design.cpp bytes of a float and a 16-bit Winograd design, F(4x4, 3x3)
+// and F(2x2, 5x5) with an out-channel count that leaves a partial GEMM
+// panel: every baked U = G g G^T constant, its Q format and the BT/AT tables
+// are pinned, whichever filter form the generator reads them from.
+TEST(CodegenPins, WinogradDesignSourceIsPinned) {
+  Network net("pin");
+  net.input({3, 12, 12});
+  net.conv(5, 3, 1, 1, "w3");
+  net.conv(6, 5, 1, 2, "w5");
+  const WeightStore ws = WeightStore::deterministic(net, 9);
+  const fpga::EngineModel model(fpga::zc706());
+  core::Strategy s = trivial_strategy(net, model);
+  s.groups[0].impls[0] =
+      model.implement(net[1], {fpga::ConvAlgo::kWinograd, 1, 1, 1, 4});
+  s.groups[0].impls[1] =
+      model.implement(net[2], {fpga::ConvAlgo::kWinograd, 1, 1, 1, 2});
+  const GeneratedDesign fl = generate_design(net, s, ws, {});
+  const GeneratedDesign fx =
+      generate_design(net, s, ws, fixed_options(net, ws, 4));
+  for (const GeneratedDesign* d : {&fl, &fx}) {
+    ASSERT_NE(d->source.find("Winograd F(4x4, 3x3)"), std::string::npos);
+    ASSERT_NE(d->source.find("Winograd F(2x2, 5x5)"), std::string::npos);
+  }
+  EXPECT_EQ(fnv1a(fl.source), 18231975878186589068ull) << "float design.cpp";
+  EXPECT_EQ(fnv1a(fx.source), 3317951846078919619ull) << "16-bit design.cpp";
+}
+
 }  // namespace
 }  // namespace hetacc::codegen
