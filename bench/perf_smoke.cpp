@@ -285,7 +285,7 @@ int main() {
   const algo::TransformedFilters conv4_tf =
       algo::transform_filters(wt, conv4_w.filters);
   const kernels::WinogradPlan& conv4_plan =
-      *conv4_pipe.shared_prepack()->wino[0];
+      *conv4_pipe.shared_prepack()->layers[0].wino;
   nn::Tensor conv4_out(conv4[1].out);
   const Rounds conv4_rounds = interleaved_rounds(
       {[&] { g_sink = conv4_pipe.run(conv4_in).at(0, 0, 0); },

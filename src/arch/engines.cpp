@@ -149,25 +149,17 @@ class RowWindowBase : public StreamEngine {
 class ConvDirectEngine final : public RowWindowBase {
  public:
   ConvDirectEngine(const nn::Layer& layer, const nn::ConvWeights& w,
-                   NumericMode mode,
-                   std::shared_ptr<const kernels::PackedLhsF64> wide,
-                   std::shared_ptr<const Int8ConvConstants> i8c)
+                   NumericMode mode, const LayerConstants& c)
       // Paper §4.2: the conventional line buffer has K + S lines.
       : RowWindowBase(layer, layer.conv().kernel + layer.conv().stride, mode),
         bias_(w.bias),
-        wide_(std::move(wide)),
-        i8c_(std::move(i8c)) {
+        direct_(c.direct),
+        i8c_(c.int8) {
     const int k = layer.conv().kernel;
     const int kk = layer.in.c * k * k;
     if (mode_.int8()) {
-      if (!i8c_) i8c_ = make_int8_conv_constants(layer, w, mode_);
       patch8_.resize(static_cast<std::size_t>(kk) * layer.out.w);
       out8_.resize(static_cast<std::size_t>(layer.out.c) * layer.out.w);
-    } else if (!wide_) {
-      // Weights packed into GEMM micro-panels and widened to double once
-      // per engine, never per row.
-      wide_ = std::make_shared<const kernels::PackedLhsF64>(
-          kernels::PackedLhsF32(w.filters.data(), layer.out.c, kk, kk));
     }
     patch_.resize(static_cast<std::size_t>(kk) * layer.out.w);
     acc_.resize(static_cast<std::size_t>(layer.out.c) * layer.out.w);
@@ -233,7 +225,7 @@ class ConvDirectEngine final : public RowWindowBase {
 
     // One GEMM per output row; the MAC tree accumulates in double, exactly
     // like the seed's per-pixel loop nest.
-    kernels::gemm_f32d(*wide_, ow, patch_.data(), ow, acc_.data(), ow,
+    kernels::gemm_f32d(*direct_, ow, patch_.data(), ow, acc_.data(), ow,
                        bias_.empty() ? nullptr : bias_.data(),
                        /*relu=*/false, /*threads=*/0);
 
@@ -254,7 +246,7 @@ class ConvDirectEngine final : public RowWindowBase {
   }
 
   std::vector<float> bias_;
-  std::shared_ptr<const kernels::PackedLhsF64> wide_;
+  std::shared_ptr<const kernels::PackedLhsF64> direct_;
   std::shared_ptr<const Int8ConvConstants> i8c_;
   std::vector<float> patch_;
   std::vector<double> acc_;
@@ -276,31 +268,25 @@ class WinogradEngine final : public RowWindowBase {
   // plus m streaming in. The host runs a band of B tile rows per GEMM, so it
   // holds (B - 1) * m more: the band's (B - 1) * m + n rows plus m.
   WinogradEngine(const nn::Layer& layer, const nn::ConvWeights& w,
-                 const algo::WinogradTransform& t, NumericMode mode,
+                 NumericMode mode,
                  std::shared_ptr<const kernels::WinogradPlan> plan)
-      : RowWindowBase(layer, t.n() + t.m, mode,
-                      (winograd_band_rows(layer, t.m) - 1) * t.m + t.n() +
-                          t.m),
+      : RowWindowBase(layer, plan->n + plan->m, mode,
+                      (winograd_band_rows(layer, plan->m) - 1) * plan->m +
+                          plan->n + plan->m),
         plan_(std::move(plan)),
         bias_(w.bias),
-        band_rows_(winograd_band_rows(layer, t.m)),
-        tiles_h_((layer.out.h + t.m - 1) / t.m),
-        tiles_w_((layer.out.w + t.m - 1) / t.m),
-        band_w_((tiles_w_ - 1) * t.m + t.n()) {
+        band_rows_(winograd_band_rows(layer, plan_->m)),
+        tiles_h_((layer.out.h + plan_->m - 1) / plan_->m),
+        tiles_w_((layer.out.w + plan_->m - 1) / plan_->m),
+        band_w_((tiles_w_ - 1) * plan_->m + plan_->n) {
     if (layer.conv().stride != 1) {
       throw std::invalid_argument("WinogradEngine requires stride 1");
     }
-    if (layer.conv().kernel != t.r) {
+    if (layer.conv().kernel != plan_->r) {
       throw std::invalid_argument("WinogradEngine: kernel != r");
     }
-    if (!plan_) {
-      // No shared plan supplied: build it here, once per engine (the
-      // pipeline caches and shares plans across images).
-      plan_ = std::make_shared<const kernels::WinogradPlan>(
-          algo::winograd_plan(t, w.filters));
-    }
     band_.resize(static_cast<std::size_t>(layer.in.c) *
-                 ((band_rows_ - 1) * t.m + t.n()) * band_w_);
+                 ((band_rows_ - 1) * plan_->m + plan_->n) * band_w_);
   }
 
   void reset() override {
@@ -545,33 +531,33 @@ std::shared_ptr<const Int8ConvConstants> make_int8_conv_constants(
       kernels::PackedLhsI8(wq.data(), layer.out.c, rows, rows);
   consts->requant = algo::requant_scales(q, layer.out.c);
   consts->bias = algo::fold_bias_i8(w.bias, q, wq.data(), layer.out.c, rows);
-  consts->pad_value = algo::quantize_act_i8(0.0f, q.in_scale, q.in_zp);
   return consts;
 }
 
-std::unique_ptr<StreamEngine> make_engine(
-    const nn::Layer& layer, const nn::ConvWeights* weights,
-    std::optional<algo::WinogradTransform> wino, NumericMode mode,
-    std::shared_ptr<const kernels::WinogradPlan> wino_plan,
-    std::shared_ptr<const kernels::PackedLhsF64> wide_weights,
-    std::shared_ptr<const Int8ConvConstants> int8_consts) {
+std::unique_ptr<StreamEngine> make_engine(const nn::Layer& layer,
+                                          const nn::ConvWeights* weights,
+                                          NumericMode mode,
+                                          const LayerConstants& constants) {
   switch (layer.kind) {
     case nn::LayerKind::kConv: {
       if (!weights) {
         throw std::invalid_argument("conv engine needs weights ('" +
                                     layer.name + "')");
       }
-      if (wino) {
+      if (constants.wino) {
         if (mode.int8()) {
           throw std::invalid_argument(
               "int8 mode is conventional-only ('" + layer.name + "')");
         }
-        return std::make_unique<WinogradEngine>(layer, *weights, *wino, mode,
-                                                std::move(wino_plan));
+        return std::make_unique<WinogradEngine>(layer, *weights, mode,
+                                                constants.wino);
+      }
+      if (mode.int8() ? !constants.int8 : !constants.direct) {
+        throw std::logic_error("conv '" + layer.name +
+                               "' has no prepacked constants for its datapath");
       }
       return std::make_unique<ConvDirectEngine>(layer, *weights, mode,
-                                                std::move(wide_weights),
-                                                std::move(int8_consts));
+                                                constants);
     }
     case nn::LayerKind::kPool:
       return std::make_unique<PoolEngine>(layer, mode);

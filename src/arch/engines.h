@@ -5,9 +5,7 @@
 // form the fusion pipeline of Fig. 2.
 
 #include <memory>
-#include <optional>
 
-#include "algo/winograd_conv.h"
 #include "arch/fifo.h"
 #include "arch/line_buffer.h"
 #include "kernels/gemm.h"
@@ -39,13 +37,11 @@ struct NumericMode {
 /// Per-layer constants of an int8 conv engine, derived once from the float
 /// filters (after any fault-protection CRC verification — see
 /// arch/pipeline.cpp) and shared across engine instances: the packed i8
-/// weight panels, the requantization scales, the folded i32 bias, and the
-/// input-grid padding code.
+/// weight panels, the requantization scales and the folded i32 bias.
 struct Int8ConvConstants {
   kernels::PackedLhsI8 packed;
   std::vector<float> requant;     ///< per out-channel writeback scales
   std::vector<std::int32_t> bias; ///< zp-corrected i32 bias
-  std::int8_t pad_value = 0;      ///< i8 code of real 0.0 on the input grid
 };
 
 /// Derives the int8 constants of a conv layer from its float weights and the
@@ -83,18 +79,27 @@ class StreamEngine {
   }
 };
 
-/// Factory covering all fusable layer kinds. `wino` selects the Winograd
-/// algorithm for conv layers (nullopt = conventional). `wino_plan` /
-/// `wide_weights` / `int8_consts` optionally supply the per-layer constants
-/// (shared across engine instances, e.g. by FusionPipeline); when null they
-/// are derived from `weights` at construction. `wide_weights` is the float
-/// weight pack widened to double (PackedLhsF64(PackedLhsF32(...))), the
-/// operand gemm_f32d runs the direct engine's rows on.
+/// Every constant a conv layer's engine reads, in the form it reads it. A
+/// conv layer has the one its datapath runs on; other layers have none.
+/// Built once per prepack bundle (see arch/pipeline.h) and shared, never
+/// copied, by every engine set and replica that adopts the bundle.
+struct LayerConstants {
+  /// Winograd: the transforms and the packed filter planes U = G g G^T.
+  std::shared_ptr<const kernels::WinogradPlan> wino;
+  /// Float direct conv: the filters packed into GEMM panels and widened to
+  /// double, the operand gemm_f32d runs each output row on.
+  std::shared_ptr<const kernels::PackedLhsF64> direct;
+  /// Int8 direct conv.
+  std::shared_ptr<const Int8ConvConstants> int8;
+};
+
+/// Factory covering all fusable layer kinds. A conv layer runs the Winograd
+/// engine when `constants.wino` is set, else the direct engine on
+/// `constants.int8` (int8 mode) or `constants.direct`; a conv layer with no
+/// constant for its datapath is a std::logic_error. `weights` supplies the
+/// conv bias.
 [[nodiscard]] std::unique_ptr<StreamEngine> make_engine(
-    const nn::Layer& layer, const nn::ConvWeights* weights,
-    std::optional<algo::WinogradTransform> wino, NumericMode mode,
-    std::shared_ptr<const kernels::WinogradPlan> wino_plan = nullptr,
-    std::shared_ptr<const kernels::PackedLhsF64> wide_weights = nullptr,
-    std::shared_ptr<const Int8ConvConstants> int8_consts = nullptr);
+    const nn::Layer& layer, const nn::ConvWeights* weights, NumericMode mode,
+    const LayerConstants& constants);
 
 }  // namespace hetacc::arch

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "algo/winograd_conv.h"
 #include "fault/crc32.h"
 #include "kernels/parallel.h"
 #include "support/error.h"
@@ -99,17 +100,15 @@ std::uint64_t store_channel(std::size_t n, std::size_t hi) {
 
 long long PrepackBundle::resident_bytes() const {
   long long total = 0;
-  for (const auto& p : wino) {
-    if (p) total += p->footprint_bytes();
-  }
-  for (const auto& p : packed) {
-    if (p) total += p->footprint_bytes();
-  }
-  for (const auto& p : int8) {
-    if (!p) continue;
-    total += p->packed.footprint_bytes();
-    total += static_cast<long long>(p->requant.size() * sizeof(float));
-    total += static_cast<long long>(p->bias.size() * sizeof(std::int32_t));
+  for (const LayerConstants& c : layers) {
+    if (c.wino) total += c.wino->footprint_bytes();
+    if (c.direct) total += c.direct->footprint_bytes();
+    if (c.int8) {
+      total += c.int8->packed.footprint_bytes();
+      total += static_cast<long long>(c.int8->requant.size() * sizeof(float));
+      total += static_cast<long long>(c.int8->bias.size() *
+                                      sizeof(std::int32_t));
+    }
   }
   return total;
 }
@@ -119,21 +118,18 @@ std::uint32_t PrepackBundle::content_crc() const {
   const auto fold = [&crc](const void* data, std::size_t bytes) {
     crc = fault::crc32(data, bytes, crc);
   };
-  for (const auto& p : wino) {
-    if (!p) continue;
-    fold(p->bt.data(), p->bt.size() * sizeof(double));
-    fold(p->at.data(), p->at.size() * sizeof(double));
-    crc = crc_wino_planes(*p, crc);
-  }
-  for (const auto& p : packed) {
-    if (p) crc = crc_packed(*p, crc);
-  }
-  for (const auto& p : int8) {
-    if (!p) continue;
-    crc = crc_packed(p->packed, crc);
-    fold(p->requant.data(), p->requant.size() * sizeof(float));
-    fold(p->bias.data(), p->bias.size() * sizeof(std::int32_t));
-    fold(&p->pad_value, sizeof(p->pad_value));
+  for (const LayerConstants& c : layers) {
+    if (c.wino) {
+      fold(c.wino->bt.data(), c.wino->bt.size() * sizeof(double));
+      fold(c.wino->at.data(), c.wino->at.size() * sizeof(double));
+      crc = crc_wino_planes(*c.wino, crc);
+    }
+    if (c.direct) crc = crc_packed(*c.direct, crc);
+    if (c.int8) {
+      crc = crc_packed(c.int8->packed, crc);
+      fold(c.int8->requant.data(), c.int8->requant.size() * sizeof(float));
+      fold(c.int8->bias.data(), c.int8->bias.size() * sizeof(std::int32_t));
+    }
   }
   return crc;
 }
@@ -153,21 +149,18 @@ FusionPipeline::FusionPipeline(const nn::Network& net,
                                std::shared_ptr<const PrepackBundle> prepack)
     : net_(net), ws_(ws), choices_(checked_choices(net, std::move(choices))),
       runs_(find_runs(net)), prepack_(std::move(prepack)) {
-  const std::size_t layer_count = choices_.size();
-  if (!prepack_ || prepack_->wino.size() != layer_count ||
-      prepack_->packed.size() != layer_count ||
-      prepack_->int8.size() != layer_count) {
+  if (!prepack_ || prepack_->layers.size() != choices_.size()) {
     throw std::invalid_argument(
         "FusionPipeline: adopted prepack bundle does not match layer count");
   }
-  widen_direct_weights();
   engines_ = build_engine_set();
 }
 
 void FusionPipeline::derive_layer_constants() {
-  // Derive per-layer constants once: transformed Winograd filter planes (the
-  // seed re-transformed the filters for every image) and packed GEMM weight
-  // panels.
+  // Derive per-layer constants once, in the form the engines read them:
+  // transformed Winograd filter planes (the seed re-transformed the filters
+  // for every image), direct-conv GEMM panels widened to double, and int8
+  // panels with their requant tables.
   //
   // With a fault plan installed, the resident filter copy each constant is
   // derived from may take bit flips (modeled SEUs on the on-chip weight
@@ -180,11 +173,8 @@ void FusionPipeline::derive_layer_constants() {
   // immutable once published, so a fleet peer that adopted the previous one
   // (shared_prepack()) keeps a valid, un-struck copy for as long as it holds
   // the pointer.
-  const std::size_t layer_count = net_.size() - 1;
   PrepackBundle b;
-  b.wino.assign(layer_count, nullptr);
-  b.packed.assign(layer_count, nullptr);
-  b.int8.assign(layer_count, nullptr);
+  b.layers.resize(net_.size() - 1);
   // Weight-store SEUs hit one word per panel of this many floats.
   constexpr std::size_t kPanelFloats = 512;
   for (std::size_t i = 0; i + 1 < net_.size(); ++i) {
@@ -230,39 +220,26 @@ void FusionPipeline::derive_layer_constants() {
           *plan = std::move(golden);  // re-transform from the clean filters
         }
       }
-      b.wino[i] = std::move(plan);
-    } else if (choices_[i].algo == fpga::ConvAlgo::kConventional) {
-      if (choices_[i].mode.int8()) {
-        // Int8 panels are derived from the (CRC-verified or golden) float
-        // filters the same way the f32 panels are, so the protection path
-        // above covers them too — a detected weight-panel SEU reloads the
-        // golden copy before quantization, never silently bypassing CRC.
-        if (filters == &w.filters) {
-          b.int8[i] = make_int8_conv_constants(l, w, choices_[i].mode);
-        } else {
-          nn::ConvWeights resident_w{*filters, w.bias};
-          b.int8[i] =
-              make_int8_conv_constants(l, resident_w, choices_[i].mode);
-        }
-      } else {
-        const int kk = l.in.c * l.conv().kernel * l.conv().kernel;
-        b.packed[i] = std::make_shared<const kernels::PackedLhsF32>(
-            filters->data(), l.out.c, kk, kk);
-      }
+      b.layers[i].wino = std::move(plan);
+    } else if (choices_[i].mode.int8()) {
+      // Int8 panels are derived from the (CRC-verified or golden) float
+      // filters the same way the float panels are, so the protection path
+      // above covers them too — a detected weight-panel SEU reloads the
+      // golden copy before quantization, never silently bypassing CRC.
+      b.layers[i].int8 =
+          filters == &w.filters
+              ? make_int8_conv_constants(l, w, choices_[i].mode)
+              : make_int8_conv_constants(l, nn::ConvWeights{*filters, w.bias},
+                                         choices_[i].mode);
+    } else {
+      // Packed into GEMM panels and widened to double once per bundle, so
+      // gemm_f32d never widens weights per row.
+      const int kk = l.in.c * l.conv().kernel * l.conv().kernel;
+      b.layers[i].direct = std::make_shared<const kernels::PackedLhsF64>(
+          kernels::PackedLhsF32(filters->data(), l.out.c, kk, kk));
     }
   }
   prepack_ = std::make_shared<const PrepackBundle>(std::move(b));
-  widen_direct_weights();
-}
-
-void FusionPipeline::widen_direct_weights() {
-  wide_.assign(prepack_->packed.size(), nullptr);
-  for (std::size_t i = 0; i < wide_.size(); ++i) {
-    if (prepack_->packed[i]) {
-      wide_[i] = std::make_shared<const kernels::PackedLhsF64>(
-          *prepack_->packed[i]);
-    }
-  }
 }
 
 void FusionPipeline::install_fault_plan(const fault::FaultPlan& plan,
@@ -308,13 +285,8 @@ std::vector<std::unique_ptr<StreamEngine>> FusionPipeline::build_engine_set()
     }
     const nn::ConvWeights* w =
         (l.kind == nn::LayerKind::kConv) ? &ws_.conv(i + 1) : nullptr;
-    std::optional<algo::WinogradTransform> t;
-    if (l.kind == nn::LayerKind::kConv &&
-        choices_[i].algo == fpga::ConvAlgo::kWinograd) {
-      t = algo::winograd(choices_[i].wino_m, l.conv().kernel);
-    }
-    engines.push_back(make_engine(l, w, t, choices_[i].mode, prepack_->wino[i],
-                                  wide_[i], prepack_->int8[i]));
+    engines.push_back(
+        make_engine(l, w, choices_[i].mode, prepack_->layers[i]));
   }
   return engines;
 }

@@ -39,25 +39,23 @@ struct PipelineStats {
   long long total_steps = 0;
 };
 
-/// Per-layer derived constants — transformed Winograd filter planes, packed
-/// GEMM weight panels, int8 quantized constants — index-aligned with the
-/// pipeline's layer choices (null where a layer has none). Immutable once
-/// built; pipelines hold it by shared_ptr so replicas serving the same
-/// (model, strategy, datapath) alias one copy instead of duplicating the
-/// dominant memory cost. serve::PrepackCache keys and refcounts these
-/// bundles across a fleet.
+/// The one copy of every per-layer constant the engines read — Winograd
+/// plans, widened direct-conv panels, int8 quantized constants — with one
+/// LayerConstants per layer choice. Immutable once built; pipelines hold it
+/// by shared_ptr so every engine set, and replicas serving the same (model,
+/// strategy, datapath), run on one copy instead of duplicating the dominant
+/// memory cost. serve::PrepackCache keys and refcounts these bundles across
+/// a fleet.
 struct PrepackBundle {
-  std::vector<std::shared_ptr<const kernels::WinogradPlan>> wino;
-  std::vector<std::shared_ptr<const kernels::PackedLhsF32>> packed;
-  std::vector<std::shared_ptr<const Int8ConvConstants>> int8;
+  std::vector<LayerConstants> layers;
 
   /// Resident bytes of every constant held (panel blocks, transform planes,
   /// requant tables) — what one more private replica copy would cost.
   [[nodiscard]] long long resident_bytes() const;
 
-  /// CRC-32 over every resident constant byte, in the fixed layer-major walk
-  /// resident_bytes() uses. serve::PrepackCache records it at insert and
-  /// re-checks it on lease, so a bit flip in the shared resident copy is
+  /// CRC-32 over every resident constant byte, layer by layer, in the order
+  /// resident_bytes() counts them. serve::PrepackCache records it at insert
+  /// and re-checks it on lease, so a bit flip in the shared resident copy is
   /// caught before a spinning-up replica adopts the bundle.
   [[nodiscard]] std::uint32_t content_crc() const;
 };
@@ -73,7 +71,7 @@ class FusionPipeline {
   /// Warm construction: adopts a peer's derived constants instead of
   /// re-deriving them. The caller guarantees `prepack` was derived for an
   /// identical (net, weights, choices) triple — replicas of the same fleet
-  /// rung — and only the vector sizes are validated. Spin-up skips the
+  /// rung — and only the layer count is validated. Spin-up skips the
   /// dominant pack/transform work, and the two pipelines provably alias:
   /// shared_prepack() returns pointer-equal bundles.
   FusionPipeline(const nn::Network& net, const nn::WeightStore& ws,
@@ -171,8 +169,6 @@ class FusionPipeline {
                     PipelineStats* stats) const;
 
   void derive_layer_constants();
-  /// Fills wide_ from prepack_: run after every bundle change.
-  void widen_direct_weights();
   /// The watchdog of the run whose first engine is `lo`: names the stage a
   /// wedged channel feeds, else the first starved engine.
   [[noreturn]] void report_stall(
@@ -187,11 +183,6 @@ class FusionPipeline {
   /// Per-layer constants shared across engine sets — and, when adopted via
   /// the warm constructor, across whole pipelines.
   std::shared_ptr<const PrepackBundle> prepack_;
-  /// prepack_->packed widened to double once per bundle, the operand the
-  /// direct engines' gemm_f32d rows run on. Private to this pipeline and
-  /// outside the bundle, so the bundle's CRC and resident bytes (what a
-  /// fleet shares) do not count it.
-  std::vector<std::shared_ptr<const kernels::PackedLhsF64>> wide_;
   std::vector<std::unique_ptr<StreamEngine>> engines_;
   PipelineStats stats_;
   std::unique_ptr<fault::FaultInjector> injector_;

@@ -254,17 +254,21 @@ void emit_conv_winograd(CodeWriter& w, const nn::Layer& l,
                         const std::string& fname, const LayerNumeric& nm) {
   const auto& p = l.conv();
   const algo::WinogradTransform t = algo::winograd(cfg.wino_m, p.kernel);
-  const algo::TransformedFilters tf = algo::transform_filters(t, cw.filters);
+  // U = G g G^T as the engines hold it: plane a*n+b is U[a][b] over every
+  // (out, in) channel pair.
+  const kernels::WinogradPlan plan = algo::winograd_plan(t, cw.filters);
   const int n = t.n();
 
   // Fixed mode: quantize the element-wise multiplier operands, exactly as
   // the DSP array would see them. U gets its own Q format; the transformed
   // data V gets one covering the B^T row-gain amplification.
   double u_max = 1e-6;
-  for (const auto& u : tf.u) {
-    for (int a = 0; a < n; ++a) {
-      for (int b = 0; b < n; ++b) {
-        u_max = std::max(u_max, std::abs(u.at(a, b)));
+  for (const kernels::PackedLhsF64& plane : plan.planes) {
+    for (int pb = 0; pb < plane.pblocks(); ++pb) {
+      for (int ib = 0; ib < plane.iblocks(); ++ib) {
+        for (double u : plane.block(pb, ib)) {
+          u_max = std::max(u_max, std::abs(u));
+        }
       }
     }
   }
@@ -305,16 +309,15 @@ void emit_conv_winograd(CodeWriter& w, const nn::Layer& l,
     std::ostringstream row;
     row << "{";
     for (int m = 0; m < l.in.c; ++m) {
-      const algo::Matrix& u = tf.at(oc, m);
       row << "{";
       for (int a = 0; a < n; ++a) {
         row << "{";
         for (int b = 0; b < n; ++b) {
+          const double u = plan.planes[a * n + b].at(oc, m);
           if (nm.fixed) {
-            row << fixed::Fixed16::quantize(
-                static_cast<float>(u.at(a, b)), u_frac);
+            row << fixed::Fixed16::quantize(static_cast<float>(u), u_frac);
           } else {
-            row << fnum(u.at(a, b));
+            row << fnum(u);
           }
           if (b + 1 < n) row << ", ";
         }

@@ -142,9 +142,9 @@ void gemm_f32(const PackedLhsF32& A, int N, const float* B, int ldb, float* C,
 /// Operands are widened to double once as they are staged and run the f64
 /// micro-kernel; every float product is exact in double, so the result is
 /// the same for every ISA stamp and the scalar fallback. The pre-packed form
-/// takes A already widened — PackedLhsF64(PackedLhsF32(...)), built once by
-/// a caller that runs the same weights many times — and equals the raw form
-/// bit for bit.
+/// takes A already widened — PackedLhsF64(PackedLhsF32(...)), built once per
+/// layer and held in the prepack bundle (arch::LayerConstants::direct) — and
+/// equals the raw form bit for bit.
 void gemm_f32d(int M, int N, int K, const float* A, int lda, const float* B,
                int ldb, double* C, int ldc, const float* bias, bool relu,
                int threads);

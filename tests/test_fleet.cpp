@@ -66,6 +66,31 @@ TEST_F(PrepackShareTest, WarmConstructionAliasesThePeerBundle) {
   EXPECT_EQ(a.run(input_), b.run(input_));
 }
 
+// A warm pipeline runs on the bundle's own direct-conv panels, not on a
+// private copy: a flip in the shared panel shows in its next output, and
+// undoing the flip brings the original bytes back.
+TEST_F(PrepackShareTest, WarmPipelineReadsTheSharedDirectPanels) {
+  FusionPipeline a(net_, ws_);
+  FusionPipeline b(net_, ws_, {}, a.shared_prepack());
+  const nn::Tensor golden = b.run(input_);
+
+  // The output layer's panel, so no later ReLU or pool can mask the flip.
+  double* word = nullptr;
+  for (const arch::LayerConstants& c : b.shared_prepack()->layers) {
+    if (c.direct && c.direct->pblocks() > 0 && c.direct->iblocks() > 0 &&
+        !c.direct->block(0, 0).empty()) {
+      word = const_cast<double*>(c.direct->block(0, 0).data());
+    }
+  }
+  ASSERT_NE(word, nullptr);
+  // Single-threaded: nothing is streaming the bundle while it is mutated.
+  const double saved = *word;
+  *word += 1.0;
+  EXPECT_NE(b.run(input_), golden);
+  *word = saved;
+  EXPECT_EQ(b.run(input_), golden);
+}
+
 TEST_F(PrepackShareTest, CleanResetKeepsTheSharedBundle) {
   FusionPipeline a(net_, ws_);
   FusionPipeline b(net_, ws_, {}, a.shared_prepack());
@@ -873,24 +898,13 @@ TEST_F(PrepackShareTest, CacheCrcCatchesARealBitFlip) {
   const auto l1 = cache.acquire("m/r0", build);
   // Flip one real constant byte in the resident copy (single-threaded:
   // nothing is streaming the bundle, so the mutation itself is safe).
-  auto* b = const_cast<arch::PrepackBundle*>(l1.bundle.get());
   bool flipped = false;
-  for (const auto& p : b->packed) {
-    if (p && p->pblocks() > 0 && p->iblocks() > 0 &&
-        !p->block(0, 0).empty()) {
-      const_cast<float&>(p->block(0, 0)[0]) += 1.0f;
+  for (const arch::LayerConstants& c : l1.bundle->layers) {
+    if (c.direct && c.direct->pblocks() > 0 && c.direct->iblocks() > 0 &&
+        !c.direct->block(0, 0).empty()) {
+      const_cast<double&>(c.direct->block(0, 0)[0]) += 1.0;
       flipped = true;
       break;
-    }
-  }
-  if (!flipped) {
-    for (const auto& p : b->wino) {
-      if (p && !p->planes.empty() && p->planes[0].pblocks() > 0 &&
-          p->planes[0].iblocks() > 0 && !p->planes[0].block(0, 0).empty()) {
-        const_cast<double&>(p->planes[0].block(0, 0)[0]) += 1.0;
-        flipped = true;
-        break;
-      }
     }
   }
   ASSERT_TRUE(flipped);
