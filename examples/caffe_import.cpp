@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
 
   toolflow::ToolflowOptions opt;
   opt.generate_code = false;
-  if (budget_mb > 0) opt.transfer_budget_bytes = budget_mb * 1024 * 1024;
+  opt.optimizer.transfer_budget_bytes = budget_mb * 1024 * 1024;
   try {
     const auto result = toolflow::run_toolflow(net, dev, opt);
     std::printf("%s\n", result.summary().c_str());

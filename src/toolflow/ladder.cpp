@@ -4,10 +4,10 @@
 #include <map>
 #include <mutex>
 #include <sstream>
+#include <utility>
 
 #include "quant/calibration.h"
 #include "support/error.h"
-#include "toolflow/sweep.h"
 #include "toolflow/toolflow.h"
 
 namespace hetacc::toolflow {
@@ -23,16 +23,14 @@ bool any_int8(const core::Strategy& s) {
   return false;
 }
 
-LadderRung make_rung(std::string label, core::Strategy strategy,
-                     const nn::Network& accel_net, const fpga::Device& dev,
-                     bool protect) {
+LadderRung make_rung(std::string label, ToolflowResult flow, bool protect) {
   LadderRung r;
   r.label = std::move(label);
-  r.service_cycles = strategy.latency_cycles();
+  r.service_cycles = flow.optimization.strategy.latency_cycles();
   r.protect = protect;
-  r.int8 = any_int8(strategy);
-  r.report = core::make_report(strategy, accel_net, dev);
-  r.strategy = std::move(strategy);
+  r.int8 = any_int8(flow.optimization.strategy);
+  r.report = std::move(flow.report);
+  r.strategy = std::move(flow.optimization.strategy);
   return r;
 }
 
@@ -42,82 +40,54 @@ ServingLadderPlan build_serving_ladder(const nn::Network& net,
                                        const fpga::Device& dev,
                                        const LadderOptions& opt) {
   ServingLadderPlan plan;
+  plan.accel_net = net.accelerated_portion();
 
-  // Primary and protected rungs come straight from the toolflow the CLI
-  // already runs (--protect re-trades the whole strategy under hardened
-  // pricing; see toolflow.cpp). Infeasible primary is fatal — there is no
-  // ladder without a home rung; an infeasible variant just drops its rung.
-  ToolflowOptions topt;
-  topt.generate_code = false;
-  topt.optimizer = opt.optimizer;
-  topt.threads = opt.threads;
-  const ToolflowResult primary = run_toolflow(net, dev, topt);
-  plan.accel_net = primary.accel_net;
-
-  std::vector<LadderRung> cand;
-  cand.push_back(make_rung("primary", primary.optimization.strategy,
-                           plan.accel_net, dev, /*protect=*/false));
-
-  ToolflowOptions popt = topt;
-  popt.protect = true;
-  try {
-    const ToolflowResult prot = run_toolflow(net, dev, popt);
-    fpga::Device pdev = dev;
-    pdev.protection.enabled = true;
-    cand.push_back(make_rung("protected", prot.optimization.strategy,
-                             plan.accel_net, pdev, /*protect=*/true));
-  } catch (const InfeasibleError&) {
-    // Hardening overhead can push a near-full device over the edge; the
-    // ladder then simply has no pre-hardened rung above home.
-  }
-
-  // Intermediate throughput rungs: relax the feature-map transfer budget
-  // over a geometric grid above the minimal full-fusion budget the primary
-  // uses. Looser budgets admit strategies the fused-transfer constraint
-  // excluded, so the frontier descends in latency.
-  const long long min_budget =
-      plan.accel_net.unfused_feature_transfer_bytes(dev.data_bytes) +
-      static_cast<long long>(plan.accel_net.size()) *
-          opt.optimizer.transfer_unit_bytes;
-  SweepOptions sopt;
-  sopt.optimizer = opt.optimizer;
-  if (opt.threads != 0) sopt.optimizer.threads = opt.threads;
-  std::vector<int> mults;
+  // Every candidate rung is one tool-flow run, a variant of the primary's
+  // options:
+  //  - protected: --protect re-trades the whole strategy under hardened
+  //    pricing (see toolflow.cpp);
+  //  - budget-Nx: the feature-map transfer budget relaxed to N times the
+  //    minimal one the primary uses, admitting strategies the fused-transfer
+  //    constraint excluded, so the frontier descends in latency;
+  //  - int8-mixed: free to pick the packed datapath per layer;
+  //  - conventional-i8: Winograd withheld, so every conv lands on the int8
+  //    conventional engine (the deepest, maximum-throughput,
+  //    quantized-accuracy rung).
+  ToolflowOptions primary;
+  primary.generate_code = false;
+  primary.optimizer = opt.optimizer;
+  primary.threads = opt.threads;
+  std::vector<std::pair<std::string, ToolflowOptions>> variants;
+  variants.emplace_back("primary", primary);
+  ToolflowOptions v = primary;
+  v.model.protect = true;
+  variants.emplace_back("protected", v);
+  const long long min_budget = minimal_transfer_budget(
+      plan.accel_net, dev, opt.optimizer.transfer_unit_bytes);
   for (const int mult : opt.budget_multipliers) {
-    if (mult > 1) {
-      mults.push_back(mult);
-      sopt.budgets_bytes.push_back(min_budget * mult);
-    }
+    if (mult <= 1) continue;
+    v = primary;
+    v.optimizer.transfer_budget_bytes = min_budget * mult;
+    variants.emplace_back("budget-" + std::to_string(mult) + "x", v);
   }
-  if (!sopt.budgets_bytes.empty()) {
-    const fpga::EngineModel model(dev);
-    const auto points = sweep_budgets(plan.accel_net, model, sopt);
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      if (!points[i].feasible) continue;
-      cand.push_back(make_rung("budget-" + std::to_string(mults[i]) + "x",
-                               points[i].strategy, plan.accel_net, dev,
-                               /*protect=*/false));
-    }
+  if (opt.include_int8) {
+    v = primary;
+    v.model.enable_int8 = true;
+    variants.emplace_back("int8-mixed", v);
+    v.model.enable_winograd = false;
+    variants.emplace_back("conventional-i8", v);
   }
 
-  // Deep throughput rungs: the int8-mixed DSE (free to pick the packed
-  // datapath per layer) and the conventional-i8 twin (Winograd withheld, so
-  // every conv lands on the int8 conventional engine — the deepest,
-  // maximum-throughput, quantized-accuracy rung).
-  if (opt.include_int8) {
-    core::OptimizerOptions oo = opt.optimizer;
-    if (opt.threads != 0) oo.threads = opt.threads;
-    if (oo.transfer_budget_bytes <= 0) oo.transfer_budget_bytes = min_budget;
-    for (const bool wino : {true, false}) {
-      fpga::EngineModelParams mp;
-      mp.enable_int8 = true;
-      mp.enable_winograd = wino;
-      const fpga::EngineModel model(dev, mp);
-      const auto r = core::optimize(plan.accel_net, model, oo);
-      if (!r.feasible) continue;
-      cand.push_back(make_rung(wino ? "int8-mixed" : "conventional-i8",
-                               r.strategy, plan.accel_net, dev,
-                               /*protect=*/false));
+  // An infeasible primary is fatal: there is no ladder without a home rung.
+  // An infeasible variant just drops its rung (hardening overhead, say, can
+  // push a near-full device over the edge).
+  std::vector<LadderRung> cand;
+  for (const auto& [label, topt] : variants) {
+    try {
+      cand.push_back(
+          make_rung(label, run_toolflow(net, dev, topt), topt.model.protect));
+    } catch (const InfeasibleError&) {
+      if (label == "primary") throw;
     }
   }
 

@@ -7,11 +7,14 @@
 //   rung 0       the --protect re-optimization (hardened engines, CRC DDR
 //                bursts — slowest, survives fault bursts without retries)
 //   rung `home`  the 16-bit latency-optimal primary strategy
-//   deeper       strictly faster points: relaxed-transfer-budget sweeps
-//                (sweep_budgets over a geometric grid above the minimal
-//                fusion budget), the int8-mixed DSE, and the
-//                conventional-i8 twin (every conv on the packed int8
-//                datapath — maximum throughput, quantized accuracy)
+//   deeper       strictly faster points: relaxed transfer budgets (a
+//                geometric grid above the minimal fusion budget), the
+//                int8-mixed DSE, and the conventional-i8 twin (every conv
+//                on the packed int8 datapath — maximum throughput,
+//                quantized accuracy)
+//
+// Every candidate is one run_toolflow call on a variant of the primary's
+// options, so the ladder prices each rung exactly as the CLI would.
 //
 // Candidates are deduplicated by modeled service time and sorted strictly
 // decreasing, so descending the ladder always buys throughput. The result

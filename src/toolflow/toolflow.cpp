@@ -13,6 +13,13 @@ ToolflowResult run_toolflow(std::string_view prototxt,
   return run_toolflow(caffe::import_prototxt(prototxt), device, opt);
 }
 
+long long minimal_transfer_budget(const nn::Network& accel_net,
+                                  const fpga::Device& dev,
+                                  long long unit_bytes) {
+  return accel_net.unfused_feature_transfer_bytes(dev.data_bytes) +
+         static_cast<long long>(accel_net.size()) * unit_bytes;
+}
+
 ToolflowResult run_toolflow(const nn::Network& net,
                             const fpga::Device& device,
                             const ToolflowOptions& opt) {
@@ -20,33 +27,25 @@ ToolflowResult run_toolflow(const nn::Network& net,
   r.full_net = net;
   r.accel_net = net.accelerated_portion();
 
-  // --protect hardens both accounting layers at once: per-engine CRC /
+  // model.protect hardens both accounting layers at once: per-engine CRC /
   // watchdog resources in the engine model and CRC-checked burst tails on
   // every DDR transfer priced by the cost layer. The optimizer re-trades the
   // whole strategy under these costs rather than patching one up post hoc.
   fpga::Device dev = device;
-  fpga::EngineModelParams mp;
-  if (opt.protect) {
-    mp.protect = true;
-    dev.protection.enabled = true;
-  }
-  const fpga::EngineModel model(dev, mp);
+  if (opt.model.protect) dev.protection.enabled = true;
+  const fpga::EngineModel model(dev, opt.model);
   core::OptimizerOptions oo = opt.optimizer;
   if (opt.threads != 0) oo.threads = opt.threads;
   // One knob governs every worker pool: the fusion-table DSE and the
   // functional-simulation kernel layer share the same thread count.
   kernels::set_num_threads(oo.threads);
-  if (opt.transfer_budget_bytes > 0) {
-    oo.transfer_budget_bytes = opt.transfer_budget_bytes;
-  } else if (oo.transfer_budget_bytes <= 0) {
-    // Minimal budget that still admits a solution: every partition's
-    // transfer is at most the unfused total. One discretization unit of
-    // slack per layer covers the per-group round-up in the DP.
+  if (oo.transfer_budget_bytes <= 0) {
     oo.transfer_budget_bytes =
-        r.accel_net.unfused_feature_transfer_bytes(device.data_bytes) +
-        static_cast<long long>(r.accel_net.size()) * oo.transfer_unit_bytes;
+        minimal_transfer_budget(r.accel_net, dev, oo.transfer_unit_bytes);
   }
-  r.optimization = core::optimize(r.accel_net, model, oo);
+  r.optimization = opt.interval_dp
+                       ? core::optimize_interval(r.accel_net, model, oo)
+                       : core::optimize(r.accel_net, model, oo);
   if (!r.optimization.feasible) {
     throw InfeasibleError("toolflow: " + r.optimization.infeasible_reason);
   }

@@ -13,9 +13,9 @@
 namespace hetacc::toolflow {
 
 struct ToolflowOptions {
-  /// Feature-map transfer budget T. 0 = use the network's minimal possible
-  /// transfer (fully fused if feasible).
-  long long transfer_budget_bytes = 0;
+  /// The optimizer's knobs. Its transfer_budget_bytes is the feature-map
+  /// transfer budget T; 0 = the network's minimal budget
+  /// (minimal_transfer_budget: fully fused if feasible).
   core::OptimizerOptions optimizer;
   codegen::CodegenOptions codegen;
   /// Generate HLS source (requires weights; deterministic weights are
@@ -29,11 +29,15 @@ struct ToolflowOptions {
   /// any simulated tensor depends on this knob — parallelism only splits
   /// independent outputs.
   int threads = 0;
-  /// Harden the design against transient faults: per-engine CRC/watchdog
-  /// logic (EngineModelParams::protect) and CRC-checked DDR bursts
-  /// (Device::protection). The optimizer then re-trades the whole strategy
-  /// under the protected resource vectors and transfer latencies.
-  bool protect = false;
+  /// The engine model the DSE prices: Winograd on/off, tile sizes, int8
+  /// ladders. model.protect hardens the design against transient faults:
+  /// per-engine CRC/watchdog logic here and CRC-checked DDR bursts on the
+  /// device (Device::protection), so the optimizer re-trades the whole
+  /// strategy under the protected resource vectors and transfer latencies.
+  fpga::EngineModelParams model;
+  /// Use the paper's Algorithm 1 interval DP instead of the prefix DP (same
+  /// optimum, validated by tests; much slower on deep nets).
+  bool interval_dp = false;
 };
 
 struct ToolflowResult {
@@ -45,6 +49,13 @@ struct ToolflowResult {
 
   [[nodiscard]] std::string summary() const;
 };
+
+/// The smallest transfer budget that still admits a solution: every
+/// partition's transfer is at most the unfused total, and one discretization
+/// unit of slack per layer covers the per-group round-up in the DP.
+[[nodiscard]] long long minimal_transfer_budget(const nn::Network& accel_net,
+                                                const fpga::Device& dev,
+                                                long long unit_bytes);
 
 /// Runs the flow on prototxt text.
 [[nodiscard]] ToolflowResult run_toolflow(std::string_view prototxt,

@@ -15,6 +15,7 @@
 #include "cost/cost_model.h"
 #include "cost/group_timing.h"
 #include "nn/model_zoo.h"
+#include "toolflow/toolflow.h"
 
 namespace hetacc {
 namespace {
@@ -93,8 +94,7 @@ class Vgg16Agreement : public ::testing::Test {
       const nn::Network net = nn::vgg16().accelerated_portion();
       core::OptimizerOptions oo;
       oo.transfer_budget_bytes =
-          net.unfused_feature_transfer_bytes(dev.data_bytes) +
-          static_cast<long long>(net.size()) * oo.transfer_unit_bytes;
+          toolflow::minimal_transfer_budget(net, dev, oo.transfer_unit_bytes);
       return core::optimize(net, model, oo);
     }();
     return r;

@@ -13,6 +13,7 @@
 #include "core/strategy_io.h"
 #include "fpga/engine_model.h"
 #include "nn/model_zoo.h"
+#include "toolflow/toolflow.h"
 
 namespace hetacc {
 namespace {
@@ -31,8 +32,7 @@ OptRun run_with_threads(const nn::Network& net, int threads) {
   core::OptimizerOptions oo;
   oo.threads = threads;
   oo.transfer_budget_bytes =
-      net.unfused_feature_transfer_bytes(dev.data_bytes) +
-      static_cast<long long>(net.size()) * oo.transfer_unit_bytes;
+      toolflow::minimal_transfer_budget(net, dev, oo.transfer_unit_bytes);
   OptRun r;
   r.result = core::optimize(net, model, oo);
   r.strategy_csv = core::strategy_to_csv(r.result.strategy, net);
@@ -103,8 +103,7 @@ TEST(DpParallel, IntervalDpAgreesWithPrefixDpWhenParallel) {
   const nn::Network net = nn::alexnet_accel();
   core::OptimizerOptions oo;
   oo.transfer_budget_bytes =
-      net.unfused_feature_transfer_bytes(dev.data_bytes) +
-      static_cast<long long>(net.size()) * oo.transfer_unit_bytes;
+      toolflow::minimal_transfer_budget(net, dev, oo.transfer_unit_bytes);
   oo.threads = 1;
   const auto prefix = core::optimize(net, model, oo);
   oo.threads = 4;

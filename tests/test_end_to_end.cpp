@@ -61,7 +61,7 @@ layer { name: "prob" type: "Softmax" }
 TEST(EndToEnd, PrototxtToValidatedCsim) {
   // 1. Front end + optimizer + code generation through the tool-flow.
   toolflow::ToolflowOptions opt;
-  opt.transfer_budget_bytes = 1 * 1024 * 1024;
+  opt.optimizer.transfer_budget_bytes = 1 * 1024 * 1024;
   const auto result = toolflow::run_toolflow(kMiniNet, fpga::zc706(), opt);
   ASSERT_TRUE(result.optimization.feasible);
   ASSERT_EQ(result.accel_net.size(), 5u);  // input + 3 conv + pool (FC cut)
@@ -126,7 +126,7 @@ TEST(EndToEnd, ReportsAgreeAcrossArtifacts) {
   // consistent story for the same strategy.
   toolflow::ToolflowOptions opt;
   opt.generate_code = false;
-  opt.transfer_budget_bytes = 4 * 1024 * 1024;
+  opt.optimizer.transfer_budget_bytes = 4 * 1024 * 1024;
   const auto result =
       toolflow::run_toolflow(nn::vgg_e_head(), fpga::zc706(), opt);
   ASSERT_TRUE(result.optimization.feasible);

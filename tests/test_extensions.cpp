@@ -110,7 +110,7 @@ TEST(Bnb, TinyNodeBudgetStillFeasibleAndSeedIsBalanced) {
 TEST(Toolflow, SummaryMentionsKeyFigures) {
   toolflow::ToolflowOptions opt;
   opt.generate_code = false;
-  opt.transfer_budget_bytes = 4 * 1024 * 1024;
+  opt.optimizer.transfer_budget_bytes = 4 * 1024 * 1024;
   const auto r = toolflow::run_toolflow(nn::vgg_e_head(), fpga::zc706(), opt);
   const std::string s = r.summary();
   EXPECT_NE(s.find("fusion groups"), std::string::npos);

@@ -516,7 +516,7 @@ TEST(ProtectionCost, ProtectedToolflowStillFeasibleAndNoFaster) {
   toolflow::ToolflowOptions opt;
   opt.generate_code = false;
   const auto plain = toolflow::run_toolflow(net, fpga::zc706(), opt);
-  opt.protect = true;
+  opt.model.protect = true;
   const auto prot = toolflow::run_toolflow(net, fpga::zc706(), opt);
   EXPECT_TRUE(prot.optimization.feasible);
   EXPECT_GE(prot.report.latency_cycles, plain.report.latency_cycles);
@@ -545,7 +545,8 @@ TEST(ErrorHierarchy, InfeasibleToolflowNamesTheBindingConstraint) {
   const nn::Network net = nn::tiny_net(8, 16);
   toolflow::ToolflowOptions opt;
   opt.generate_code = false;
-  opt.transfer_budget_bytes = 16;  // below any achievable transfer
+  // Below any achievable transfer.
+  opt.optimizer.transfer_budget_bytes = 16;
   try {
     (void)toolflow::run_toolflow(net, fpga::zc706(), opt);
     FAIL() << "expected InfeasibleError";

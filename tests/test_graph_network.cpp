@@ -16,6 +16,7 @@
 #include "nn/model_zoo.h"
 #include "nn/reference.h"
 #include "support/error.h"
+#include "toolflow/toolflow.h"
 
 namespace hetacc {
 namespace {
@@ -26,8 +27,7 @@ core::OptimizeResult optimize_default(const nn::Network& net,
   const fpga::EngineModel model(dev);
   if (oo.transfer_budget_bytes <= 0) {
     oo.transfer_budget_bytes =
-        net.unfused_feature_transfer_bytes(dev.data_bytes) +
-        static_cast<long long>(net.size()) * oo.transfer_unit_bytes;
+        toolflow::minimal_transfer_budget(net, dev, oo.transfer_unit_bytes);
   }
   return core::optimize(net, model, oo);
 }

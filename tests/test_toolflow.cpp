@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/strategy_io.h"
 #include "nn/model_zoo.h"
 
 namespace hetacc::toolflow {
@@ -9,7 +10,7 @@ namespace {
 
 TEST(Toolflow, AlexNetPrototxtToStrategyAndCode) {
   ToolflowOptions opt;
-  opt.transfer_budget_bytes = 8 * 1024 * 1024;
+  opt.optimizer.transfer_budget_bytes = 8 * 1024 * 1024;
   const ToolflowResult r =
       run_toolflow(caffe::alexnet_prototxt(), fpga::zc706(), opt);
   EXPECT_EQ(r.full_net.size(), nn::alexnet().size());
@@ -61,7 +62,7 @@ TEST(Toolflow, DefaultBudgetIsUnfusedTransfer) {
 
 TEST(Toolflow, InfeasibleBudgetThrows) {
   ToolflowOptions opt;
-  opt.transfer_budget_bytes = 1024;  // 1 KB: impossible
+  opt.optimizer.transfer_budget_bytes = 1024;  // 1 KB: impossible
   EXPECT_THROW((void)run_toolflow(nn::alexnet(), fpga::zc706(), opt),
                std::runtime_error);
 }
@@ -69,7 +70,7 @@ TEST(Toolflow, InfeasibleBudgetThrows) {
 TEST(Toolflow, VggHeadOnVc707) {
   ToolflowOptions opt;
   opt.generate_code = false;
-  opt.transfer_budget_bytes = 4 * 1024 * 1024;
+  opt.optimizer.transfer_budget_bytes = 4 * 1024 * 1024;
   const ToolflowResult r =
       run_toolflow(nn::vgg_e_head(), fpga::vc707(), opt);
   EXPECT_TRUE(r.optimization.feasible);
@@ -90,6 +91,63 @@ TEST(Toolflow, GoogleNetStyleCoarsening) {
   opt.generate_code = false;
   const ToolflowResult r = run_toolflow(coarse, fpga::zc706(), opt);
   EXPECT_TRUE(r.optimization.feasible);
+}
+
+TEST(Toolflow, OptionsReachTheOptimizer) {
+  // Every DSE option the CLI sets goes through ToolflowOptions: the flow's
+  // strategy must equal the optimizer's own, called with the same engine
+  // params, the (hardened) device and the minimal budget. Each option other
+  // than the interval DP (same optimum by design) must also move the
+  // strategy, so a dropped option cannot pass as the default.
+  struct Variant {
+    const char* name;
+    bool interval_dp = false;
+    fpga::EngineModelParams model;
+  };
+  std::vector<Variant> variants(6);
+  variants[0].name = "interval_dp";
+  variants[0].interval_dp = true;
+  variants[1].name = "enable_int8";
+  variants[1].model.enable_int8 = true;
+  variants[2].name = "!enable_winograd";
+  variants[2].model.enable_winograd = false;
+  variants[3].name = "wino_tile_m=2";
+  variants[3].model.wino_tile_m = 2;
+  variants[4].name = "explore_wino_tiles";
+  variants[4].model.explore_wino_tiles = true;
+  variants[5].name = "protect";
+  variants[5].model.protect = true;
+
+  for (const nn::Network& net : {nn::alexnet(), nn::inception_mini()}) {
+    ToolflowOptions opt;
+    opt.generate_code = false;
+    const ToolflowResult base = run_toolflow(net, fpga::zc706(), opt);
+    const std::string base_csv =
+        core::strategy_to_csv(base.optimization.strategy, base.accel_net);
+    for (const Variant& v : variants) {
+      SCOPED_TRACE(net.name() + " " + v.name);
+      opt.model = v.model;
+      opt.interval_dp = v.interval_dp;
+      const ToolflowResult r = run_toolflow(net, fpga::zc706(), opt);
+
+      fpga::Device dev = fpga::zc706();
+      dev.protection.enabled = v.model.protect;
+      const fpga::EngineModel model(dev, v.model);
+      core::OptimizerOptions oo;
+      oo.transfer_budget_bytes =
+          minimal_transfer_budget(r.accel_net, dev, oo.transfer_unit_bytes);
+      const core::OptimizeResult direct =
+          v.interval_dp ? core::optimize_interval(r.accel_net, model, oo)
+                        : core::optimize(r.accel_net, model, oo);
+      ASSERT_TRUE(direct.feasible);
+      const std::string csv =
+          core::strategy_to_csv(r.optimization.strategy, r.accel_net);
+      EXPECT_EQ(csv, core::strategy_to_csv(direct.strategy, r.accel_net));
+      if (!v.interval_dp) {
+        EXPECT_NE(csv, base_csv);
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -6,11 +6,13 @@
 //                                           |inception-mini|resnet-mini]
 //          [--device zc706|vc707] [--budget-mb N] [--out DIR] [--summary]
 //          [--no-codegen] [--interval-dp] [--explore-tiles]
-//          [--conventional-only] [--wino-tile M] [--threads N]
+//          [--conventional-only] [--wino-tile M] [--int8] [--threads N]
 //          [--protect] [--fault-campaign] [--fault-seed N]
 //          [--serve SPEC] [--serve-deadline N] [--serve-queue N]
 //          [--serve-replicas N] [--serve-retries N] [--serve-fault LO:HI|auto]
 //          [--serve-ladder N|auto]
+//          [--fleet SPEC] [--fleet-models LIST] [--fleet-autoscale]
+//          [--fleet-chaos PLAN[:SEED]]
 //
 // Exit codes (see src/support/error.h): 0 success, 2 parse/validate,
 // 3 infeasible, 4 unrecovered fault, 5 serving-runtime failure, 1 internal.
@@ -166,12 +168,11 @@ void print_report_line(const char* tag, const core::StrategyReport& r) {
       r.peak_resources.bram18k, r.peak_resources.ff, r.peak_resources.lut);
 }
 
-/// --int8: the accuracy half of the accuracy-vs-cycles trade. The cycles
-/// half comes from the optimizer (int8 engine ladders competed with the
-/// 16-bit ones); here the network's leading layers run functionally on a
-/// capped input (same testbed discipline as --fault-campaign) through the
-/// float, calibrated 16-bit fixed, and calibrated int8 datapaths, and the
-/// deviation against the float reference is reported for both.
+/// --int8: the accuracy half of the accuracy-vs-cycles trade. The network's
+/// leading layers run functionally on a capped input (same testbed
+/// discipline as --fault-campaign) through the float, calibrated 16-bit
+/// fixed, and calibrated int8 datapaths, and the deviation against the
+/// float reference is reported for both.
 void print_int8_accuracy(const nn::Network& accel_net,
                          std::uint32_t weight_seed) {
   nn::Network qnet("int8-testbed");
@@ -209,17 +210,52 @@ void print_int8_accuracy(const nn::Network& accel_net,
               ref_abs > 0 ? 100.0 * e8 / ref_abs : 0.0);
 }
 
+/// --int8: the whole accuracy-vs-cycles trade. The cycles half reruns the
+/// flow with the int8 ladders withheld, so the delta is exactly what int8
+/// bought; the accuracy half is print_int8_accuracy.
+void print_int8_trade(const nn::Network& net, const fpga::Device& dev,
+                      toolflow::ToolflowOptions opt,
+                      const toolflow::ToolflowResult& with_int8) {
+  long long int8_layers = 0, conv_layers = 0;
+  for (const auto& g : with_int8.optimization.strategy.groups) {
+    for (const auto& ipl : g.impls) {
+      if (ipl.cfg.algo == fpga::ConvAlgo::kNone) continue;
+      ++conv_layers;
+      if (ipl.cfg.int8) ++int8_layers;
+    }
+  }
+  std::printf("int8 trade (vs 16-bit-only DSE): %lld of %lld conv "
+              "layers chose int8\n",
+              int8_layers, conv_layers);
+  opt.model.enable_int8 = false;
+  opt.generate_code = false;
+  try {
+    const auto only16 = toolflow::run_toolflow(net, dev, opt);
+    const auto& u = only16.report;
+    const auto& p = with_int8.report;
+    print_report_line("16-bit only", u);
+    print_report_line("with int8", p);
+    std::printf("  latency delta %+.2f %%\n\n",
+                u.latency_ms > 0
+                    ? 100.0 * (p.latency_ms - u.latency_ms) / u.latency_ms
+                    : 0.0);
+  } catch (const InfeasibleError&) {
+    // Nothing fits without int8: there is no cycles delta to show.
+  }
+  print_int8_accuracy(with_int8.accel_net, opt.weight_seed);
+}
+
 /// --protect: run the flow both ways and show what the hardening costs. The
 /// protected run is the one whose design/codegen the caller keeps.
 toolflow::ToolflowResult run_protected_with_delta(
     const nn::Network& net, const fpga::Device& dev,
     toolflow::ToolflowOptions opt) {
   toolflow::ToolflowOptions base = opt;
-  base.protect = false;
+  base.model.protect = false;
   base.generate_code = false;
   const auto unprot = toolflow::run_toolflow(net, dev, base);
 
-  opt.protect = true;
+  opt.model.protect = true;
   auto prot = toolflow::run_toolflow(net, dev, opt);
 
   const auto& u = unprot.report;
@@ -252,8 +288,10 @@ toolflow::ToolflowResult run_protected_with_delta(
 ///     attribute to the right stage.
 int run_fault_campaign(const nn::Network& net, const fpga::Device& dev,
                        toolflow::ToolflowOptions opt, std::uint64_t seed) {
+  // The campaign prices the default DSE, whatever DSE flags were given.
   opt.generate_code = false;
-  opt.protect = false;
+  opt.model = {};
+  opt.interval_dp = false;
   const auto flow = toolflow::run_toolflow(net, dev, opt);
   const auto trace =
       arch::trace_strategy(flow.optimization.strategy, flow.accel_net, dev);
@@ -391,8 +429,10 @@ int run_serve(const nn::Network& net, const fpga::Device& dev,
                      "--serve-replicas must be >= 1, got " +
                          std::to_string(so.replicas));
   }
+  // Serving runs the default DSE, whatever DSE flags were given.
   opt.generate_code = false;
-  opt.protect = false;
+  opt.model = {};
+  opt.interval_dp = false;
   const auto primary_flow = toolflow::run_toolflow(net, dev, opt);
 
   // Functional testbed: leading layers on a capped input (the request
@@ -449,7 +489,7 @@ int run_serve(const nn::Network& net, const fpga::Device& dev,
     ladder = plan.to_serving_modes(klast, cal.modes(), cal.modes_int8());
   } else {
     toolflow::ToolflowOptions fopt = opt;
-    fopt.protect = true;
+    fopt.model.protect = true;
     const auto fb_flow = toolflow::run_toolflow(net, dev, fopt);
     fpga::Device pdev = dev;
     pdev.protection.enabled = true;
@@ -883,13 +923,11 @@ int run_cli(int argc, char** argv) {
   std::string net_path, model_name = "alexnet", out_dir;
   fpga::Device dev = fpga::zc706();
   toolflow::ToolflowOptions opt;
-  bool interval = false;
   bool summary_only = false;
   bool fault_campaign = false;
   std::uint64_t fault_seed = 1;
   ServeCliOptions serve_opts;
   FleetCliOptions fleet_opts;
-  fpga::EngineModelParams params;
 
   for (int i = 1; i < argc; ++i) {
     auto next = [&](const char* flag) -> const char* {
@@ -927,7 +965,7 @@ int run_cli(int argc, char** argv) {
         std::printf("--budget-mb wants 0..%lld, got %lld\n", kMaxMb, mb);
         return 2;
       }
-      opt.transfer_budget_bytes = mb * 1024 * 1024;
+      opt.optimizer.transfer_budget_bytes = mb * 1024 * 1024;
     } else if (!std::strcmp(argv[i], "--out")) {
       out_dir = next("--out");
     } else if (!std::strcmp(argv[i], "--no-codegen")) {
@@ -935,20 +973,25 @@ int run_cli(int argc, char** argv) {
     } else if (!std::strcmp(argv[i], "--summary")) {
       summary_only = true;
     } else if (!std::strcmp(argv[i], "--interval-dp")) {
-      interval = true;
+      opt.interval_dp = true;
     } else if (!std::strcmp(argv[i], "--explore-tiles")) {
-      params.explore_wino_tiles = true;
+      opt.model.explore_wino_tiles = true;
     } else if (!std::strcmp(argv[i], "--conventional-only")) {
-      params.enable_winograd = false;
+      opt.model.enable_winograd = false;
     } else if (!std::strcmp(argv[i], "--wino-tile")) {
-      number("--wino-tile", params.wino_tile_m);
+      number("--wino-tile", opt.model.wino_tile_m);
+      if (opt.model.wino_tile_m < 1) {
+        std::printf("--wino-tile wants a tile size >= 1, got %d\n",
+                    opt.model.wino_tile_m);
+        return 2;
+      }
     } else if (!std::strcmp(argv[i], "--int8")) {
-      params.enable_int8 = true;
+      opt.model.enable_int8 = true;
     } else if (!std::strcmp(argv[i], "--threads")) {
       number("--threads", opt.threads);
       opt.optimizer.threads = opt.threads;
     } else if (!std::strcmp(argv[i], "--protect")) {
-      opt.protect = true;
+      opt.model.protect = true;
     } else if (!std::strcmp(argv[i], "--fault-campaign")) {
       fault_campaign = true;
     } else if (!std::strcmp(argv[i], "--fault-seed")) {
@@ -1031,82 +1074,10 @@ int run_cli(int argc, char** argv) {
 
   // The tool-flow uses the fast prefix DP; --interval-dp swaps in the
   // paper's Algorithm 1 (same result, validated by tests).
-  toolflow::ToolflowResult result;
-  if (interval || params.explore_wino_tiles || !params.enable_winograd ||
-      params.wino_tile_m != 4 || params.enable_int8) {
-    // Custom engine model path.
-    if (opt.protect) {
-      params.protect = true;
-      dev.protection.enabled = true;
-    }
-    const fpga::EngineModel model(dev, params);
-    result.full_net = net;
-    result.accel_net = net.accelerated_portion();
-    core::OptimizerOptions oo = opt.optimizer;
-    oo.transfer_budget_bytes =
-        opt.transfer_budget_bytes > 0
-            ? opt.transfer_budget_bytes
-            : result.accel_net.unfused_feature_transfer_bytes(
-                  dev.data_bytes) +
-                  static_cast<long long>(result.accel_net.size()) *
-                      oo.transfer_unit_bytes;
-    result.optimization = interval
-                              ? core::optimize_interval(result.accel_net,
-                                                        model, oo)
-                              : core::optimize(result.accel_net, model, oo);
-    if (!result.optimization.feasible) {
-      throw InfeasibleError("toolflow: " +
-                            result.optimization.infeasible_reason);
-    }
-    result.report =
-        core::make_report(result.optimization.strategy, result.accel_net,
-                          dev);
-    if (params.enable_int8) {
-      // Cycles half of the accuracy-vs-cycles trade: the same DSE with the
-      // int8 ladders withheld, so the delta is exactly what int8 bought.
-      fpga::EngineModelParams p16 = params;
-      p16.enable_int8 = false;
-      const fpga::EngineModel model16(dev, p16);
-      const auto r16 = interval
-                           ? core::optimize_interval(result.accel_net,
-                                                     model16, oo)
-                           : core::optimize(result.accel_net, model16, oo);
-      long long int8_layers = 0, conv_layers = 0;
-      for (const auto& g : result.optimization.strategy.groups) {
-        for (const auto& ipl : g.impls) {
-          if (ipl.cfg.algo == fpga::ConvAlgo::kNone) continue;
-          ++conv_layers;
-          if (ipl.cfg.int8) ++int8_layers;
-        }
-      }
-      std::printf("int8 trade (vs 16-bit-only DSE): %lld of %lld conv "
-                  "layers chose int8\n",
-                  int8_layers, conv_layers);
-      if (r16.feasible) {
-        const auto rep16 =
-            core::make_report(r16.strategy, result.accel_net, dev);
-        print_report_line("16-bit only", rep16);
-        print_report_line("with int8", result.report);
-        const double d =
-            rep16.latency_ms > 0
-                ? 100.0 * (result.report.latency_ms - rep16.latency_ms) /
-                      rep16.latency_ms
-                : 0.0;
-        std::printf("  latency delta %+.2f %%\n\n", d);
-      }
-      print_int8_accuracy(result.accel_net, opt.weight_seed);
-    }
-    if (opt.generate_code && result.accel_net.is_chain()) {
-      const auto ws =
-          nn::WeightStore::deterministic(result.accel_net, opt.weight_seed);
-      result.design = codegen::generate_design(
-          result.accel_net, result.optimization.strategy, ws, opt.codegen);
-    }
-  } else if (opt.protect) {
-    result = run_protected_with_delta(net, dev, opt);
-  } else {
-    result = toolflow::run_toolflow(net, dev, opt);
-  }
+  const toolflow::ToolflowResult result =
+      opt.model.protect ? run_protected_with_delta(net, dev, opt)
+                        : toolflow::run_toolflow(net, dev, opt);
+  if (opt.model.enable_int8) print_int8_trade(net, dev, opt, result);
 
   std::printf("%s\n", result.summary().c_str());
   std::printf("%s",
